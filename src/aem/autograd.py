@@ -83,9 +83,12 @@ def _record(out: Tensor, backward_fn) -> None:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    # the first contribution is copied, never kept: ops hand the same
+    # array (or views of gout) to several inputs
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        t.grad = np.array(g, dtype=t.values.dtype)
+    else:
+        t.grad += g
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -380,6 +383,61 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray)
         probs[rows, targets] -= 1.0
         probs *= fmask[:, None]
         _accum(logits, probs * gout)
+
+    _record(out, back)
+    return out, int(mask.sum())
+
+
+def linear_softmax_cross_entropy(h: Tensor, w: Tensor, b: Tensor, targets: np.ndarray,
+                                 mask: np.ndarray) -> tuple[Tensor, int]:
+    """softmax_cross_entropy(add_bias(matmul(h, w), b), targets, mask) as
+    one op: (N, H) features, (H, V) weights and (V,) bias.
+
+    Only mask != 0 rows are projected, `exp` runs once, and the (N, V)
+    logits never become a Tensor; backward writes dh, dw = h^T P and
+    db = sum of P rows straight from the kept softmax P, with exactly zero
+    dh on masked rows. The float32 forward loss equals the composite's.
+    """
+    if (h.values.ndim != 2 or w.values.ndim != 2 or h.values.shape[1] != w.values.shape[0]
+            or b.values.shape != (w.values.shape[1],)):
+        raise ValueError(f"linear_softmax_cross_entropy shape mismatch: {h.values.shape} x "
+                         f"{w.values.shape} + {b.values.shape}")
+    targets = np.asarray(targets)
+    mask = np.asarray(mask)
+    n, v = h.values.shape[0], w.values.shape[1]
+    if targets.shape != (n,) or mask.shape != (n,):
+        raise ValueError(f"targets/mask must be length {n}, got {targets.shape} / {mask.shape}")
+    if targets.size and (targets.min() < 0 or targets.max() >= v):
+        raise ValueError(f"target index out of range for {v} classes")
+    dtype = h.values.dtype
+    fmask = mask.astype(dtype)
+    rows = np.flatnonzero(mask)
+    hk = h.values[rows]
+    z = hk @ w.values
+    z += b.values
+    z -= z.max(axis=1, keepdims=True)
+    kept, tk = np.arange(rows.size), targets[rows]
+    target_z = z[kept, tk]
+    e = np.exp(z, out=z)
+    sums = e.sum(axis=1)
+    # per-row losses sit at their original positions so the sum runs in
+    # the composite's order
+    picked = np.zeros(n, dtype=dtype)
+    picked[rows] = target_z - np.log(sums)
+    loss = -(picked * fmask).sum()
+    out = Tensor(np.asarray(loss, dtype=dtype))
+
+    def back(gout):
+        # (softmax - onehot) * mask * gout, in place over the kept exp
+        weight = fmask[rows] * gout
+        p = e
+        p *= (weight / sums)[:, None]
+        p[kept, tk] -= weight
+        dh = np.zeros_like(h.values)
+        dh[rows] = p @ w.values.T
+        _accum(h, dh)
+        _accum(w, hk.T @ p)
+        _accum(b, p.sum(axis=0))
 
     _record(out, back)
     return out, int(mask.sum())

@@ -6,7 +6,8 @@ Layout, all integers little-endian:
   u32 format version (currently 1)
   str model kind            (str = u32 byte length + UTF-8 bytes)
   str config snapshot       (key=value lines: run config + progress keys
-                             epoch, adam_t, best_val)
+                             epoch, adam_t, best_val, stale; a missing
+                             stale reads as 0)
   u32 vocabulary entry count, then one str per non-special token in id order
   u32 array count, then per array:
       str name, u32 ndim, u32 per dimension, raw little-endian f32 values
@@ -30,7 +31,7 @@ from .optim import Adam
 
 MAGIC = b"AEM1"
 VERSION = 1
-PROGRESS_KEYS = ("epoch", "adam_t", "best_val")
+PROGRESS_KEYS = ("epoch", "adam_t", "best_val", "stale")
 
 
 @dataclass
@@ -42,6 +43,7 @@ class Checkpoint:
     epoch: int = 0
     adam_t: int = 0
     best_val: float = math.inf
+    stale: int = 0  # epochs since best_val last improved (early stopping)
 
 
 class CheckpointError(ValueError):
@@ -58,8 +60,8 @@ def checkpoint_bytes(ckpt):
     out = [MAGIC, struct.pack("<I", VERSION)]
     _write_str(out, ckpt.kind)
     snapshot = config_to_text(ckpt.config)
-    snapshot += "epoch=%d\nadam_t=%d\nbest_val=%s\n" % (
-        ckpt.epoch, ckpt.adam_t, repr(ckpt.best_val))
+    snapshot += "epoch=%d\nadam_t=%d\nbest_val=%s\nstale=%d\n" % (
+        ckpt.epoch, ckpt.adam_t, repr(ckpt.best_val), ckpt.stale)
     _write_str(out, snapshot)
     entries = ckpt.vocab.id_to_token[4:]
     out.append(struct.pack("<I", len(entries)))
@@ -112,7 +114,7 @@ def parse_checkpoint(data):
         raise CheckpointError("unsupported format version %d" % version)
     kind = r.text()
 
-    progress = {"epoch": 0, "adam_t": 0, "best_val": math.inf}
+    progress = {"epoch": 0, "adam_t": 0, "best_val": math.inf, "stale": 0}
     config_lines = []
     for line in r.text().splitlines():
         key = line.split("=", 1)[0]
@@ -136,12 +138,10 @@ def parse_checkpoint(data):
         arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     if r.pos != len(body):
         raise CheckpointError("trailing bytes after the last array")
-    return Checkpoint(kind, config, vocab, arrays,
-                      epoch=progress["epoch"], adam_t=progress["adam_t"],
-                      best_val=progress["best_val"])
+    return Checkpoint(kind, config, vocab, arrays, **progress)
 
 
-def save_checkpoint(path, model, vocab, adam=None, epoch=0, best_val=math.inf):
+def save_checkpoint(path, model, vocab, adam=None, epoch=0, best_val=math.inf, stale=0):
     """Serialize a model (and optionally its optimizer) to one file."""
     arrays = {name: p.values for name, p in model.store.items()}
     adam_t = 0
@@ -152,7 +152,7 @@ def save_checkpoint(path, model, vocab, adam=None, epoch=0, best_val=math.inf):
             arrays["adam.v." + name] = adam.v[name]
     config = replace(model.config, kind=model.kind)
     ckpt = Checkpoint(model.kind, config, vocab, arrays,
-                      epoch=epoch, adam_t=adam_t, best_val=best_val)
+                      epoch=epoch, adam_t=adam_t, best_val=best_val, stale=stale)
     with open(path, "wb") as f:
         f.write(checkpoint_bytes(ckpt))
 

@@ -46,8 +46,18 @@ def _metrics_line(epoch, train_mean, val_total):
                train_mean["j4"], train_mean["total"], val_total))
 
 
+def _parse_overrides(items):
+    overrides = {}
+    for item in items or []:
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ValueError("--set %r: expected KEY=VALUE" % item)
+        overrides[key] = value
+    return overrides
+
+
 def cmd_train(args):
-    overrides = dict(kv.split("=", 1) for kv in args.set or [])
+    overrides = _parse_overrides(args.set)
     cfg = load_config(args.config, overrides)
     _require_file(cfg.train_path, "training corpus")
     pairs = load_corpus(cfg.train_path)
@@ -78,15 +88,14 @@ def cmd_train(args):
         ckpt = load_checkpoint(args.resume)
         model, adam = model_from_checkpoint(ckpt, expected_kind=cfg.kind,
                                             with_optimizer=True)
-        start_epoch, best_val = ckpt.epoch, ckpt.best_val
+        start_epoch, best_val, stale = ckpt.epoch, ckpt.best_val, ckpt.stale
     else:
         model = DialogueModel(cfg.kind, cfg)
         adam = model.make_optimizer()
-        start_epoch, best_val = 0, math.inf
+        start_epoch, best_val, stale = 0, math.inf, 0
 
     seed = model.config.seed
     metrics_path = os.path.join(cfg.ckpt_dir, "metrics.log")
-    stale = 0
     for epoch in range(start_epoch + 1, cfg.epochs + 1):
         batches = make_batches(train_pairs, cfg.batch_size, seed=seed,
                                epoch=epoch, max_len=cfg.max_train_len)
@@ -101,19 +110,15 @@ def cmd_train(args):
         with open(metrics_path, "a", encoding="utf-8") as f:
             f.write(line + "\n")
 
-        save_checkpoint(os.path.join(cfg.ckpt_dir, "last.ckpt"), model, vocab,
-                        adam, epoch=epoch, best_val=min(best_val, val_total))
-        if val_total < best_val:
-            best_val = val_total
-            stale = 0
-            save_checkpoint(os.path.join(cfg.ckpt_dir, "best.ckpt"), model, vocab,
-                            adam, epoch=epoch, best_val=best_val)
-        else:
-            stale += 1
-            if valid_batches and stale >= cfg.patience:
-                print("stopping: validation loss flat for %d epochs" % stale,
-                      file=sys.stderr)
-                break
+        improved = val_total < best_val
+        best_val = min(best_val, val_total)
+        stale = 0 if improved else stale + 1
+        for name in ("last.ckpt", "best.ckpt") if improved else ("last.ckpt",):
+            save_checkpoint(os.path.join(cfg.ckpt_dir, name), model, vocab, adam,
+                            epoch=epoch, best_val=best_val, stale=stale)
+        if valid_batches and stale >= cfg.patience:
+            print("stopping: validation loss flat for %d epochs" % stale, file=sys.stderr)
+            break
     return 0
 
 

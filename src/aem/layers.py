@@ -20,6 +20,7 @@ from .autograd import (
     concat_cols,
     embedding_lookup,
     lerp_mask,
+    linear_softmax_cross_entropy,
     masked_softmax,
     matmul,
     mul,
@@ -75,6 +76,11 @@ class OutputProjection:
 
     def logits(self, h: Tensor) -> Tensor:
         return add_bias(matmul(h, self.W), self.b)
+
+    def loss(self, h: Tensor, targets: np.ndarray, mask: np.ndarray) -> tuple[Tensor, int]:
+        """Summed cross-entropy of logits(h) over mask==1 rows, fused so the
+        logits are never recorded; returns (loss_sum, n_tokens)."""
+        return linear_softmax_cross_entropy(h, self.W, self.b, targets, mask)
 
 
 class MappingMLP:
@@ -157,13 +163,14 @@ def shifted_inputs(targets: np.ndarray, bos_id: int) -> np.ndarray:
     return inputs
 
 
-def decode_teacher_forced(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
-                          init: Tensor, targets: np.ndarray, bos_id: int,
+def decode_teacher_forced(cell: LSTMCell, embedding: Embedding, init: Tensor,
+                          targets: np.ndarray, bos_id: int,
                           attention: LuongAttention | None = None,
                           encoder_states: Tensor | None = None,
                           encoder_mask: np.ndarray | None = None) -> Tensor:
-    """Logits (B, T, V) for predicting each gold token from the ones
-    before it, starting the recurrence from `init` ([h; c], width 2H).
+    """Output-projection inputs (B*T, H), row b*T + t predicting gold token
+    targets[b, t] from the ones before it, starting the recurrence from
+    `init` ([h; c], width 2H).
 
     With attention, each step's projection input is the attentional
     hidden state built from the decoder state and encoder annotations.
@@ -180,9 +187,7 @@ def decode_teacher_forced(cell: LSTMCell, embedding: Embedding, proj: OutputProj
             feeds.append(attention.attentional_hidden(context, h))
         else:
             feeds.append(h)
-    flat = reshape(stack_steps(feeds), (B * T, cell.hidden_size))
-    logits = proj.logits(flat)
-    return reshape(logits, (B, T, proj.W.values.shape[1]))
+    return reshape(stack_steps(feeds), (B * T, cell.hidden_size))
 
 
 def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,

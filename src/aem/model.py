@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tape, Tensor, add, backward, detach, mul, reshape, scale, \
-    softmax_cross_entropy, sub, sum_all
+from .autograd import Tape, Tensor, add, backward, detach, mul, scale, sub, sum_all
 from .config import MODEL_KINDS
 from .data import BOS_ID, EOS_ID, PAD_ID, Batch, pad_sequences
 from .layers import Embedding, LSTMCell, LuongAttention, MappingMLP, OutputProjection, \
@@ -132,9 +131,10 @@ class DialogueModel:
         states = None
         if h is None:
             states, h = self.encode_source(batch)
-        logits = decode_teacher_forced(self.src_dec, self.src_embed, self.src_proj,
-                                       h.tensor, batch.source, BOS_ID)
-        j1_sum, n = self._sequence_loss(logits, batch.source, batch.source_mask)
+        features = decode_teacher_forced(self.src_dec, self.src_embed, h.tensor,
+                                         batch.source, BOS_ID)
+        j1_sum, n = self._sequence_loss(self.src_proj, features, batch.source,
+                                        batch.source_mask)
         return h, j1_sum, n, states
 
     def encode_target_ae(self, batch):
@@ -142,9 +142,10 @@ class DialogueModel:
         _, final = encode_sequence(self.tgt_enc, self.tgt_embed,
                                    batch.target, batch.target_mask)
         s = SemanticState(final, "s")
-        logits = decode_teacher_forced(self.tgt_dec, self.tgt_embed, self.tgt_proj,
-                                       s.tensor, batch.target, BOS_ID)
-        j2_sum, n = self._sequence_loss(logits, batch.target, batch.target_mask)
+        features = decode_teacher_forced(self.tgt_dec, self.tgt_embed, s.tensor,
+                                         batch.target, BOS_ID)
+        j2_sum, n = self._sequence_loss(self.tgt_proj, features, batch.target,
+                                        batch.target_mask)
         return s, j2_sum, n
 
     def map_representation(self, h, s, detach_states=None):
@@ -176,14 +177,13 @@ class DialogueModel:
         if self.has_attention:
             kwargs = dict(attention=self.attention, encoder_states=encoder_states,
                           encoder_mask=batch.source_mask)
-        logits = decode_teacher_forced(self.tgt_dec, self.tgt_embed, self.tgt_proj,
-                                       init.tensor, batch.target, BOS_ID, **kwargs)
-        return self._sequence_loss(logits, batch.target, batch.target_mask)
+        features = decode_teacher_forced(self.tgt_dec, self.tgt_embed, init.tensor,
+                                         batch.target, BOS_ID, **kwargs)
+        return self._sequence_loss(self.tgt_proj, features, batch.target, batch.target_mask)
 
-    def _sequence_loss(self, logits, targets, mask):
-        B, T, V = logits.shape
-        flat = reshape(logits, (B * T, V))
-        return softmax_cross_entropy(flat, targets.reshape(-1), mask.reshape(-1))
+    def _sequence_loss(self, proj, features, targets, mask):
+        """Summed loss of (B*T, H) decoder features against (B, T) targets."""
+        return proj.loss(features, targets.reshape(-1), mask.reshape(-1))
 
     # training ----------------------------------------------------------
 

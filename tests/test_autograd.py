@@ -15,6 +15,7 @@ from aem.autograd import (
     detach,
     embedding_lookup,
     lerp_mask,
+    linear_softmax_cross_entropy,
     masked_softmax,
     matmul,
     mul,
@@ -287,3 +288,99 @@ def test_forward_values_finite_on_finite_inputs():
     big = Tensor(np.array([[1e4, -1e4, 0.0]]))
     w = masked_softmax(big, np.ones((1, 3)))
     assert np.all(np.isfinite(w.values))
+
+
+def head_case(n=5, hdim=3, v=6, dtype=np.float64):
+    h = Tensor(RNG.standard_normal((n, hdim)).astype(dtype))
+    w = Tensor(RNG.standard_normal((hdim, v)).astype(dtype))
+    b = Tensor(RNG.standard_normal(v).astype(dtype))
+    return h, w, b
+
+
+def composite_head(h, w, b, targets, mask):
+    return softmax_cross_entropy(add_bias(matmul(h, w), b), targets, mask)
+
+
+@pytest.mark.parametrize(
+    "targets, mask",
+    [
+        (np.array([0, 5, 2, 5, 0]), np.array([1.0, 0.0, 1.0, 1.0, 0.0])),  # masked rows
+        (np.array([5]), np.array([1.0])),  # a single row
+        (np.array([0, 5, 0, 5, 5]), np.ones(5)),  # only the boundary ids
+    ],
+)
+def test_linear_cross_entropy_gradient_vs_finite_differences(targets, mask):
+    h, w, b = head_case(n=len(targets))
+    loss = lambda: linear_softmax_cross_entropy(h, w, b, targets, mask)[0]
+    assert check_gradients(loss, [h, w, b]) < 1e-4
+    with Tape() as tape:
+        out, _ = linear_softmax_cross_entropy(h, w, b, targets, mask)
+    backward(tape, out)
+    assert np.all(h.grad[mask == 0] == 0)
+
+
+def test_linear_cross_entropy_matches_composite_gradients():
+    targets = np.array([1, 4, 0, 5, 3, 2, 0])
+    mask = np.array([1, 1, 0, 1, 0, 1, 1])
+    h, w, b = head_case(n=7)
+    grads = []
+    for head in (composite_head, linear_softmax_cross_entropy):
+        for t in (h, w, b):
+            t.grad = None
+        with Tape() as tape:
+            out, n = head(h, w, b, targets, mask)
+            loss = scale(out, 0.7)
+        backward(tape, loss)
+        grads.append((float(out.values), n, h.grad.copy(), w.grad.copy(), b.grad.copy()))
+    (la, na, *ga), (lf, nf, *gf) = grads
+    assert na == nf == 5
+    np.testing.assert_allclose(lf, la, rtol=1e-12)
+    for a, f in zip(ga, gf):
+        np.testing.assert_allclose(f, a, rtol=1e-10, atol=1e-14)
+
+
+def test_linear_cross_entropy_float32_loss_bit_equal_to_composite():
+    targets = RNG.integers(0, 50, 40)
+    mask = (RNG.random(40) < 0.7).astype(np.float64)
+    mask[:2] = [1.0, 0.0]  # the single-row case is live; the full one has padding
+    for rows in (40, 1):
+        h, w, b = head_case(n=rows, hdim=16, v=50, dtype=np.float32)
+        t, m = targets[:rows], mask[:rows]
+        fused, n = linear_softmax_cross_entropy(h, w, b, t, m)
+        composite, n_ref = composite_head(h, w, b, t, m)
+        assert fused.dtype == np.float32 and n == n_ref
+        assert fused.values.tobytes() == composite.values.tobytes()
+
+
+def test_linear_cross_entropy_errors_match_cross_entropy():
+    h, w, b = head_case(n=2)
+    for bad in (np.array([0, 6]), np.array([-1, 0])):
+        with pytest.raises(ValueError, match="out of range"):
+            softmax_cross_entropy(matmul(h, w), bad, np.ones(2))
+        with pytest.raises(ValueError, match="out of range"):
+            linear_softmax_cross_entropy(h, w, b, bad, np.ones(2))
+    for targets, mask in ((np.array([0, 1, 2]), np.ones(2)), (np.array([0, 1]), np.ones(3))):
+        with pytest.raises(ValueError, match="targets/mask must be length 2"):
+            softmax_cross_entropy(matmul(h, w), targets, mask)
+        with pytest.raises(ValueError, match="targets/mask must be length 2"):
+            linear_softmax_cross_entropy(h, w, b, targets, mask)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        linear_softmax_cross_entropy(h, Tensor(np.zeros((4, 6))), b, np.zeros(2, int), np.ones(2))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        linear_softmax_cross_entropy(h, w, Tensor(np.zeros(5)), np.zeros(2, int), np.ones(2))
+
+
+def test_first_gradient_is_copied_not_aliased():
+    x = t64(2, 3)
+    with Tape() as tape:
+        loss = sum_all(add(x, x))
+    backward(tape, loss)
+    np.testing.assert_array_equal(x.grad, 2 * np.ones((2, 3)))
+
+    a, b = t64(2, 3), t64(2, 3)
+    with Tape() as tape:
+        loss = sum_all(add(a, b))
+    backward(tape, loss)
+    a.grad *= 5.0
+    np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+    assert not np.shares_memory(a.grad, b.grad)

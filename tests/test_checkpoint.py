@@ -45,6 +45,24 @@ def test_round_trip_bit_exact(tmp_path):
     assert ckpt.config.hidden_size == model.config.hidden_size
 
 
+def test_stale_count_round_trips_and_defaults_to_zero(tmp_path):
+    model, adam = trained_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, tiny_vocab(), adam, epoch=4, stale=2)
+    data = path.read_bytes()
+    assert load_checkpoint(path).stale == 2
+
+    # a checkpoint written before the key existed: drop its line
+    start = 8 + 4 + len(b"aem")
+    (length,) = struct.unpack("<I", data[start:start + 4])
+    text = data[start + 4:start + 4 + length].replace(b"stale=2\n", b"")
+    assert len(text) < length
+    body = (data[:start] + struct.pack("<I", len(text)) + text
+            + data[start + 4 + length:-4])
+    legacy = parse_checkpoint(body + struct.pack("<I", zlib.crc32(body)))
+    assert (legacy.epoch, legacy.stale) == (4, 0)
+
+
 def test_second_save_is_byte_identical(tmp_path):
     model, adam = trained_model()
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

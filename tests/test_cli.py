@@ -69,6 +69,13 @@ def test_train_rejects_unknown_override(workspace, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+def test_train_rejects_override_without_equals(workspace, capsys):
+    cfg = write_config(workspace)
+    assert main(["train", "--config", str(cfg), "--set", "foo"]) == 1
+    err = capsys.readouterr().err
+    assert "'foo'" in err and "KEY=VALUE" in err
+
+
 def test_train_determinism_and_baseline_checkpoint(workspace):
     cfg = write_config(workspace, kind="seq2seq")
     assert main(["train", "--config", str(cfg)]) == 0
@@ -97,6 +104,27 @@ def test_resume_continues_identically(workspace, capsys):
                  "--resume", str(two_dir / "last.ckpt")]) == 0
     resumed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("epoch=")]
     assert resumed == straight[2:]
+
+
+def test_resume_keeps_early_stopping_count(workspace, capsys):
+    straight_dir = workspace / "straight"
+    cfg = write_config(workspace, epochs=6, patience=2, ckpt_dir=str(straight_dir))
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert "stopping" in capsys.readouterr().err
+    straight = (straight_dir / "metrics.log").read_text(encoding="utf-8")
+    stopped_at = len(straight.splitlines())
+    assert stopped_at < 6
+
+    # stop one epoch short of the early stop, while the count is running
+    split_dir = workspace / "split"
+    cfg = write_config(workspace, epochs=stopped_at - 1, patience=2, ckpt_dir=str(split_dir))
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert load_checkpoint(split_dir / "last.ckpt").stale >= 1
+    cfg = write_config(workspace, epochs=6, patience=2, ckpt_dir=str(split_dir))
+    assert main(["train", "--config", str(cfg),
+                 "--resume", str(split_dir / "last.ckpt")]) == 0
+    assert "stopping" in capsys.readouterr().err
+    assert (split_dir / "metrics.log").read_text(encoding="utf-8") == straight
 
 
 def test_merge_valid_trains_on_both(workspace, capsys):

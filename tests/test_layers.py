@@ -144,11 +144,17 @@ def decoder_fixture(V=5, E=3, H=4, seed=21, dtype=np.float64):
     return store, cell, emb, proj
 
 
+def teacher_forced_logits(cell, emb, proj, init, targets, **attention):
+    """(B, T, V) logits over the decoder's (B*T, H) features."""
+    features = decode_teacher_forced(cell, emb, init, targets, bos_id=1, **attention)
+    return reshape(proj.logits(features), targets.shape + (proj.W.values.shape[1],))
+
+
 def test_decode_zero_weights_uniform_logits():
     store, cell, emb, proj = decoder_fixture(seed=None)
     init = Tensor(np.zeros((2, 8)))
     targets = np.array([[3, 4, 2], [4, 3, 2]])
-    logits = decode_teacher_forced(cell, emb, proj, init, targets, bos_id=1)
+    logits = teacher_forced_logits(cell, emb, proj, init, targets)
     np.testing.assert_array_equal(logits.values, np.zeros((2, 3, 5)))
     flat = reshape(logits, (6, 5))
     loss, n = softmax_cross_entropy(flat, targets.reshape(-1), np.ones(6))
@@ -159,11 +165,11 @@ def test_decode_is_causal():
     store, cell, emb, proj = decoder_fixture()
     init = Tensor(RNG.standard_normal((1, 8)))
     targets = np.array([[3, 4, 2, 3]])
-    base = decode_teacher_forced(cell, emb, proj, init, targets, bos_id=1).values
+    base = teacher_forced_logits(cell, emb, proj, init, targets).values
     for k in range(4):
         perturbed = targets.copy()
         perturbed[0, k] = (perturbed[0, k] + 1) % 5
-        got = decode_teacher_forced(cell, emb, proj, init, perturbed, bos_id=1).values
+        got = teacher_forced_logits(cell, emb, proj, init, perturbed).values
         np.testing.assert_array_equal(got[:, : k + 1], base[:, : k + 1])
 
 
@@ -287,7 +293,7 @@ def test_decode_with_attention_gradient():
     targets = np.array([[3, 2], [4, 2]])
 
     def loss():
-        logits = decode_teacher_forced(cell, emb, proj, init, targets, bos_id=1,
+        logits = teacher_forced_logits(cell, emb, proj, init, targets,
                                        attention=attn, encoder_states=enc_states,
                                        encoder_mask=enc_mask)
         flat = reshape(logits, (4, 5))

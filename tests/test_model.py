@@ -260,6 +260,18 @@ def test_batched_loss_equals_sum_of_per_pair_losses():
                                    sum(getattr(s, name) for s in single), rtol=1e-12)
 
 
+def test_loss_graph_records_no_vocabulary_wide_tensor():
+    # each output head is one fused record; built from the composite
+    # matmul, add_bias, two reshapes and cross-entropy it took 430 records
+    cfg = tiny_config()
+    model = DialogueModel("aem", cfg)
+    with Tape() as tape:
+        model.loss_graph(toy_batch())
+    shapes = [out.shape for out, _ in tape._records]
+    assert not [s for s in shapes if s and s[-1] == cfg.vocab_size]
+    assert len(tape) <= 418
+
+
 def test_build_baseline_kinds():
     cfg = tiny_config()
     with pytest.raises(ValueError, match="baseline"):
@@ -280,10 +292,11 @@ def test_attention_baseline_single_token_reduction():
     batch = Batch(np.array([[4]]), np.ones((1, 1)), np.array([[5, 2]]), np.ones((1, 2)))
     states, h = model.encode_source(batch)
     from aem.layers import decode_teacher_forced
-    logits = decode_teacher_forced(model.tgt_dec, model.tgt_embed, model.tgt_proj,
-                                   h.tensor, batch.target, bos_id=1,
-                                   attention=model.attention, encoder_states=states,
-                                   encoder_mask=batch.source_mask).values
+    features = decode_teacher_forced(model.tgt_dec, model.tgt_embed, h.tensor,
+                                     batch.target, bos_id=1,
+                                     attention=model.attention, encoder_states=states,
+                                     encoder_mask=batch.source_mask)
+    logits = model.tgt_proj.logits(features).values.reshape(1, 2, cfg.vocab_size)
     # hand-stepped first decode position
     def sig(v):
         return 0.5 * (np.tanh(0.5 * v) + 1.0)
