@@ -50,8 +50,8 @@ batch = pairs_to_batch(pairs)
 _, h = model.encode_source(batch)
 s, _, _ = model.encode_target_ae(batch)
 t, _ = model.map_representation(h, s)
-gap = np.linalg.norm(t.tensor.values - s.tensor.values, axis=1)
-base = np.linalg.norm(h.tensor.values - s.tensor.values, axis=1)
+gap = np.linalg.norm(t.values - s.values, axis=1)
+base = np.linalg.norm(h.values - s.values, axis=1)
 print("mean ||g(h) - s|| = %.3f   (unmapped ||h - s|| = %.3f)"
       % (gap.mean(), base.mean()))
 

@@ -17,9 +17,9 @@ and needs an hour or two of CPU.
 """
 
 import argparse
-import math
 import time
 
+from aem.cli import fit
 from aem.config import MODEL_KINDS, RunConfig
 from aem.data import DialoguePair, build_vocab, encode_pairs, make_batches
 from aem.metrics import corpus_bleu
@@ -55,19 +55,14 @@ def train_early_stop(kind, cfg, train_pairs, valid_batches):
     # quantity all kinds share, while the joint model's total also
     # carries reconstruction terms the baselines do not have
     model = DialogueModel(kind, cfg)
-    adam = model.make_optimizer()
-    best, best_values, stale = math.inf, None, 0
-    for epoch in range(1, cfg.epochs + 1):
-        for batch in make_batches(train_pairs, cfg.batch_size, seed=cfg.seed, epoch=epoch):
-            model.train_step(batch, adam)
-        val = sum(model.evaluate_batch(b).j4 for b in valid_batches) / len(valid_batches)
-        if val < best:
-            best, stale = val, 0
-            best_values = {n: t.values.copy() for n, t in model.store.items()}
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
+    best_values = {}
+
+    def keep_best(epoch, train_mean, val_mean, best, stale):
+        if stale == 0:
+            best_values.update((n, t.values.copy()) for n, t in model.store.items())
+
+    epoch = fit(model, model.make_optimizer(), train_pairs, valid_batches, cfg,
+                keep_best, select="j4")
     for name, values in best_values.items():
         model.store[name].values[...] = values
     return model, epoch

@@ -17,9 +17,9 @@ from aem.cli import main
 workdir = pathlib.Path(tempfile.mkdtemp(prefix="aem-demo-"))
 print("working under", workdir)
 
-# A tiny dialogue corpus, one TAB-separated pair per line. Repetition
-# keeps every word above the frequency cutoff of the vocabulary
-# builder.
+# A tiny dialogue corpus, one TAB-separated pair per line. The
+# vocabulary keeps the vocab_size - 4 most frequent tokens, so at
+# vocab_size = 100 below every word here gets its own id.
 LINES = [
     ("hello there", "hi how are you"),
     ("how are you", "i am fine thanks"),

@@ -20,8 +20,7 @@ from .gradcheck import check_gradients
 from .metrics import (averaged_sentence_bleu, corpus_bleu, distinct_ngrams,
                       diversity, eval_report, format_report, g_score,
                       pearson, sentence_bleu)
-from .model import (DialogueModel, LossBreakdown, SemanticState,
-                    build_baseline, total_loss)
+from .model import DialogueModel, LossBreakdown, build_baseline, total_loss
 from .optim import Adam, clip_grad_norm
 from .params import ParamStore, uniform_init
 from .rng import SplitMix64, derive_seed
@@ -31,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam", "Batch", "Checkpoint", "CheckpointError", "DialogueModel",
     "DialoguePair", "LossBreakdown", "MODEL_KINDS", "ParamStore", "RunConfig",
-    "SemanticState", "SplitMix64", "Tape", "Tensor", "TrainingConfig",
+    "SplitMix64", "Tape", "Tensor", "TrainingConfig",
     "Vocabulary", "averaged_sentence_bleu", "backward", "build_baseline",
     "build_vocab", "check_gradients", "clip_grad_norm", "corpus_bleu",
     "derive_seed", "detach", "distinct_ngrams", "diversity", "encode_pairs",

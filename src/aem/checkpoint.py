@@ -153,8 +153,10 @@ def save_checkpoint(path, model, vocab, adam=None, epoch=0, best_val=math.inf, s
     config = replace(model.config, kind=model.kind)
     ckpt = Checkpoint(model.kind, config, vocab, arrays,
                       epoch=epoch, adam_t=adam_t, best_val=best_val, stale=stale)
+    # serialize first: a failure must not truncate the previous file
+    data = checkpoint_bytes(ckpt)
     with open(path, "wb") as f:
-        f.write(checkpoint_bytes(ckpt))
+        f.write(data)
 
 
 def load_checkpoint(path):

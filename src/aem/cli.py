@@ -56,6 +56,38 @@ def _parse_overrides(items):
     return overrides
 
 
+def fit(model, adam, train_pairs, valid_batches, cfg, on_epoch, select="total",
+        start_epoch=0, best=math.inf, stale=0):
+    """Train epochs start_epoch + 1 .. cfg.epochs with early stopping.
+
+    Each epoch runs the train steps, then the validation batches (with
+    none, the training mean stands in). `best` is the lowest validation
+    mean[select] so far and `stale` the epochs since it fell, so
+    stale == 0 marks an improving epoch; on_epoch(epoch, train_mean,
+    val_mean, best, stale) runs after each epoch. Stops once a
+    validation set has been flat for cfg.patience epochs and returns
+    the last epoch run. Batches are seeded from the model's config,
+    which on resume is the checkpoint's.
+    """
+    epoch = start_epoch
+    for epoch in range(start_epoch + 1, cfg.epochs + 1):
+        batches = make_batches(train_pairs, cfg.batch_size, seed=model.config.seed,
+                               epoch=epoch, max_len=cfg.max_train_len)
+        train_mean = _epoch_mean([model.train_step(b, adam) for b in batches])
+        if valid_batches:
+            val_mean = _epoch_mean([model.evaluate_batch(b) for b in valid_batches])
+        else:
+            val_mean = train_mean
+        improved = val_mean[select] < best
+        best = min(best, val_mean[select])
+        stale = 0 if improved else stale + 1
+        on_epoch(epoch, train_mean, val_mean, best, stale)
+        if valid_batches and stale >= cfg.patience:
+            print("stopping: validation loss flat for %d epochs" % stale, file=sys.stderr)
+            break
+    return epoch
+
+
 def cmd_train(args):
     overrides = _parse_overrides(args.set)
     cfg = load_config(args.config, overrides)
@@ -94,31 +126,19 @@ def cmd_train(args):
         adam = model.make_optimizer()
         start_epoch, best_val, stale = 0, math.inf, 0
 
-    seed = model.config.seed
     metrics_path = os.path.join(cfg.ckpt_dir, "metrics.log")
-    for epoch in range(start_epoch + 1, cfg.epochs + 1):
-        batches = make_batches(train_pairs, cfg.batch_size, seed=seed,
-                               epoch=epoch, max_len=cfg.max_train_len)
-        train_parts = [model.train_step(b, adam) for b in batches]
-        mean = _epoch_mean(train_parts)
-        if valid_batches:
-            val_total = _epoch_mean([model.evaluate_batch(b) for b in valid_batches])["total"]
-        else:
-            val_total = mean["total"]
-        line = _metrics_line(epoch, mean, val_total)
+
+    def log_and_save(epoch, train_mean, val_mean, best, stale):
+        line = _metrics_line(epoch, train_mean, val_mean["total"])
         print(line)
         with open(metrics_path, "a", encoding="utf-8") as f:
             f.write(line + "\n")
-
-        improved = val_total < best_val
-        best_val = min(best_val, val_total)
-        stale = 0 if improved else stale + 1
-        for name in ("last.ckpt", "best.ckpt") if improved else ("last.ckpt",):
+        for name in ("last.ckpt", "best.ckpt") if stale == 0 else ("last.ckpt",):
             save_checkpoint(os.path.join(cfg.ckpt_dir, name), model, vocab, adam,
-                            epoch=epoch, best_val=best_val, stale=stale)
-        if valid_batches and stale >= cfg.patience:
-            print("stopping: validation loss flat for %d epochs" % stale, file=sys.stderr)
-            break
+                            epoch=epoch, best_val=best, stale=stale)
+
+    fit(model, adam, train_pairs, valid_batches, cfg, log_and_save,
+        start_epoch=start_epoch, best=best_val, stale=stale)
     return 0
 
 

@@ -9,7 +9,7 @@ PAD, BOS, EOS, UNK.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,14 +133,6 @@ class Batch:
     source_mask: np.ndarray
     target: np.ndarray
     target_mask: np.ndarray
-    source_lengths: np.ndarray = field(default=None)
-    target_lengths: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.source_lengths is None:
-            self.source_lengths = self.source_mask.sum(axis=1).astype(np.int64)
-        if self.target_lengths is None:
-            self.target_lengths = self.target_mask.sum(axis=1).astype(np.int64)
 
     def __len__(self):
         return self.source.shape[0]

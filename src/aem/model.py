@@ -26,32 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tape, Tensor, add, backward, detach, mul, scale, sub, sum_all
+from .autograd import Tape, add, backward, detach, mul, scale, sub, sum_all
 from .config import MODEL_KINDS
 from .data import BOS_ID, EOS_ID, PAD_ID, Batch, pad_sequences
 from .layers import Embedding, LSTMCell, LuongAttention, MappingMLP, OutputProjection, \
-    decode_teacher_forced, encode_sequence, greedy_decode, split_state
+    decode_teacher_forced, encode_sequence, greedy_decode
 from .optim import Adam, clip_grad_norm
 from .params import ParamStore, uniform_init
-
-
-@dataclass
-class SemanticState:
-    """A batch of fixed-width sentence representations with a role tag:
-    h from the source encoder, s from the target encoder, t mapped."""
-
-    tensor: Tensor
-    role: str
-
-    def __post_init__(self):
-        if self.role not in ("h", "s", "t"):
-            raise ValueError("unknown state role %r" % self.role)
-        if not np.isfinite(self.tensor.values).all():
-            raise FloatingPointError("non-finite %s state" % self.role)
-
-    @property
-    def values(self):
-        return self.tensor.values
 
 
 @dataclass
@@ -122,16 +103,12 @@ class DialogueModel:
 
     def encode_source(self, batch):
         """Run the source encoder; returns (annotations, h)."""
-        states, final = encode_sequence(self.src_enc, self.src_embed,
-                                        batch.source, batch.source_mask)
-        return states, SemanticState(final, "h")
+        return encode_sequence(self.src_enc, self.src_embed, batch.source, batch.source_mask)
 
-    def encode_source_ae(self, batch, h=None):
+    def encode_source_ae(self, batch):
         """Source auto-encoder: h plus the summed reconstruction loss."""
-        states = None
-        if h is None:
-            states, h = self.encode_source(batch)
-        features = decode_teacher_forced(self.src_dec, self.src_embed, h.tensor,
+        states, h = self.encode_source(batch)
+        features = decode_teacher_forced(self.src_dec, self.src_embed, h,
                                          batch.source, BOS_ID)
         j1_sum, n = self._sequence_loss(self.src_proj, features, batch.source,
                                         batch.source_mask)
@@ -139,14 +116,17 @@ class DialogueModel:
 
     def encode_target_ae(self, batch):
         """Target auto-encoder: s plus the summed reconstruction loss."""
-        _, final = encode_sequence(self.tgt_enc, self.tgt_embed,
-                                   batch.target, batch.target_mask)
-        s = SemanticState(final, "s")
-        features = decode_teacher_forced(self.tgt_dec, self.tgt_embed, s.tensor,
+        _, s = encode_sequence(self.tgt_enc, self.tgt_embed,
+                               batch.target, batch.target_mask)
+        features = decode_teacher_forced(self.tgt_dec, self.tgt_embed, s,
                                          batch.target, BOS_ID)
         j2_sum, n = self._sequence_loss(self.tgt_proj, features, batch.target,
                                         batch.target_mask)
         return s, j2_sum, n
+
+    def _map(self, h):
+        """g(h), or h itself under identity_map."""
+        return h if self.identity_map else self.mapping.forward(h)
 
     def map_representation(self, h, s, detach_states=None):
         """t = g(h) and the matching loss 0.5 * ||t - s||^2 / batch.
@@ -155,30 +135,31 @@ class DialogueModel:
         h and s cut out of the graph, so it moves only the mapping; the
         returned t stays live for the end-to-end path.
         """
-        if h.tensor.shape != s.tensor.shape:
-            raise ValueError("state shapes differ: %s vs %s"
-                             % (h.tensor.shape, s.tensor.shape))
+        if h.shape != s.shape:
+            raise ValueError("state shapes differ: %s vs %s" % (h.shape, s.shape))
         if detach_states is None:
             detach_states = self.config.detach_j3
-        t = h.tensor if self.identity_map else self.mapping.forward(h.tensor)
+        t = self._map(h)
         if detach_states:
-            t_for_loss = detach(h.tensor) if self.identity_map \
-                else self.mapping.forward(detach(h.tensor))
-            s_for_loss = detach(s.tensor)
+            t_for_loss, s_for_loss = self._map(detach(h)), detach(s)
         else:
-            t_for_loss, s_for_loss = t, s.tensor
+            t_for_loss, s_for_loss = t, s
         diff = sub(t_for_loss, s_for_loss)
-        j3 = scale(sum_all(mul(diff, diff)), 0.5 / h.tensor.shape[0])
-        return SemanticState(t, "t"), j3
+        j3 = scale(sum_all(mul(diff, diff)), 0.5 / h.shape[0])
+        return t, j3
+
+    def _attention_kwargs(self, encoder_states, encoder_mask):
+        """decode_teacher_forced / greedy_decode arguments for attention kinds."""
+        if not self.has_attention:
+            return {}
+        return dict(attention=self.attention, encoder_states=encoder_states,
+                    encoder_mask=encoder_mask)
 
     def end_to_end_loss(self, init, batch, encoder_states=None):
         """Decode the target teacher-forced from the given state."""
-        kwargs = {}
-        if self.has_attention:
-            kwargs = dict(attention=self.attention, encoder_states=encoder_states,
-                          encoder_mask=batch.source_mask)
-        features = decode_teacher_forced(self.tgt_dec, self.tgt_embed, init.tensor,
-                                         batch.target, BOS_ID, **kwargs)
+        features = decode_teacher_forced(
+            self.tgt_dec, self.tgt_embed, init, batch.target, BOS_ID,
+            **self._attention_kwargs(encoder_states, batch.source_mask))
         return self._sequence_loss(self.tgt_proj, features, batch.target, batch.target_mask)
 
     def _sequence_loss(self, proj, features, targets, mask):
@@ -256,25 +237,14 @@ class DialogueModel:
         if max_len is None:
             max_len = self.config.max_gen_len
         ids, mask = pad_sequences(sources)
-        batch = Batch(ids, mask, ids, mask)
-        states, h = self.encode_source(batch)
-        if self.is_aem:
-            init = h.tensor if self.identity_map else self.mapping.forward(h.tensor)
-        else:
-            init = h.tensor
-        kwargs = {}
-        if self.has_attention:
-            kwargs = dict(attention=self.attention, encoder_states=states,
-                          encoder_mask=mask)
+        states, h = self.encode_source(Batch(ids, mask, ids, mask))
+        # the losses guard training; generation has only this check
+        if not np.isfinite(h.values).all():
+            raise FloatingPointError("non-finite h state")
+        init = self._map(h) if self.is_aem else h
         return greedy_decode(self.tgt_dec, self.tgt_embed, self.tgt_proj, init,
                              bos_id=BOS_ID, eos_id=EOS_ID, pad_id=PAD_ID,
-                             max_len=max_len, **kwargs)
-
-    def generate_with_attention(self, sources, max_len=None):
-        """As generate, for the attention kinds; rejects the others."""
-        if not self.has_attention:
-            raise ValueError("model kind %r has no attention parameters" % self.kind)
-        return self.generate(sources, max_len=max_len)
+                             max_len=max_len, **self._attention_kwargs(states, mask))
 
 
 def build_baseline(kind, config, dtype=np.float32):

@@ -53,9 +53,6 @@ class ParamStore:
                 sub._params[name] = t
         return sub
 
-    def namespaces(self) -> set[str]:
-        return {name.split(".", 1)[0] for name in self._params}
-
     def zero_grads(self) -> None:
         for t in self._params.values():
             t.grad = None

@@ -22,7 +22,7 @@ from aem.autograd import (Tape, Tensor, add, add_bias, attend, backward,
                           scale, sigmoid, slice_cols, softmax_cross_entropy,
                           stack_steps, sub, sum_all, tanh)
 from aem.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
-from aem.cli import main
+from aem.cli import fit, main
 from aem.config import RunConfig
 from aem.data import DialoguePair, build_vocab, encode_pairs, make_batches, pairs_to_batch
 from aem.gradcheck import check_gradients, max_relative_error, numeric_gradient
@@ -435,22 +435,14 @@ def _train_to_early_stop(kind, cfg, train_pairs, valid_batches):
     # terms the baselines do not have, so stopping on total would pick
     # each kind's snapshot by a different yardstick
     model = DialogueModel(kind, cfg)
-    adam = model.make_optimizer()
-    best = math.inf
-    best_values = None
-    stale = 0
-    for epoch in range(1, cfg.epochs + 1):
-        for batch in make_batches(train_pairs, cfg.batch_size, seed=cfg.seed, epoch=epoch):
-            model.train_step(batch, adam)
-        val = sum(model.evaluate_batch(b).j4 for b in valid_batches) / len(valid_batches)
-        if val < best:
-            best = val
-            best_values = {n: t.values.copy() for n, t in model.store.items()}
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
+    best_values = {}
+
+    def keep_best(epoch, train_mean, val_mean, best, stale):
+        if stale == 0:
+            best_values.update((n, t.values.copy()) for n, t in model.store.items())
+
+    epoch = fit(model, model.make_optimizer(), train_pairs, valid_batches, cfg,
+                keep_best, select="j4")
     for name, values in best_values.items():
         model.store[name].values[...] = values
     return model, epoch

@@ -160,3 +160,15 @@ def test_float64_arrays_rejected():
                       {n: p.values for n, p in model.store.items()})
     with pytest.raises(CheckpointError, match="float32"):
         checkpoint_bytes(ckpt)
+
+
+def test_failed_save_keeps_previous_file(tmp_path):
+    path = tmp_path / "last.ckpt"
+    model, adam = trained_model()
+    save_checkpoint(str(path), model, tiny_vocab(), adam, epoch=3)
+    before = path.read_bytes()
+    wide = DialogueModel("aem", tiny_config(), dtype=np.float64)
+    with pytest.raises(CheckpointError, match="float32"):
+        save_checkpoint(str(path), wide, tiny_vocab(), epoch=4)
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).epoch == 3

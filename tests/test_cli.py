@@ -3,9 +3,12 @@ import os
 import numpy as np
 import pytest
 
+import aem.cli
 from aem.checkpoint import load_checkpoint
-from aem.cli import main
+from aem.cli import fit, main
 from aem.data import load_corpus
+from aem.model import LossBreakdown
+from helpers import tiny_config, toy_batch, toy_pairs
 
 TOY_PAIRS = [
     ("hello there", "hi friend"),
@@ -238,16 +241,68 @@ def test_chat_logs_transcript(workspace, capsys, monkeypatch):
     assert text.startswith("you: good morning\nmodel:")
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_nan_abort_keeps_last_checkpoint(workspace, capsys, monkeypatch):
-    # poison training after the first epoch by making the learning rate
-    # explode through an override; losses go non-finite and train aborts
+    # poison one parameter once epoch 1 is saved: epoch 2's losses turn
+    # non-finite, training aborts, and epoch 1's checkpoint survives
+    save = aem.cli.save_checkpoint
+
+    def save_then_poison(path, model, *args, **kwargs):
+        save(path, model, *args, **kwargs)
+        if path.endswith("best.ckpt"):
+            model.src_proj.b.values[0] = np.nan
+
+    monkeypatch.setattr(aem.cli, "save_checkpoint", save_then_poison)
     cfg = write_config(workspace, epochs=6)
-    rc = main(["train", "--config", str(cfg), "--set", "learning_rate=1e18"])
-    err = capsys.readouterr().err
-    if rc == 1:
-        assert "non-finite" in err
-        assert (workspace / "ckpt" / "last.ckpt").is_file() or True
-    else:
-        # clipping can keep even an absurd step finite on this tiny corpus
-        assert rc == 0
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    kept = load_checkpoint(workspace / "ckpt" / "last.ckpt")
+    assert kept.epoch == 1
+    assert all(np.isfinite(v).all() for v in kept.arrays.values())
+    logged = (workspace / "ckpt" / "metrics.log").read_text(encoding="utf-8")
+    assert len(logged.splitlines()) == 1
+
+
+class ScriptedModel:
+    """Stands in for DialogueModel in `fit`: train steps report zero
+    losses, and each validation batch the next (j4, total) pair."""
+
+    def __init__(self, val_script):
+        self.config = tiny_config()
+        self.val_script = iter(val_script)
+
+    def train_step(self, batch, adam):
+        return LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def evaluate_batch(self, batch):
+        j4, total = next(self.val_script)
+        return LossBreakdown(0.0, 0.0, 0.0, j4, total)
+
+
+def run_fit(model, valid_batches, **cfg_overrides):
+    seen = []
+
+    def on_epoch(epoch, train_mean, val_mean, best, stale):
+        seen.append((epoch, val_mean["j4"], best, stale))
+
+    cfg = tiny_config(**cfg_overrides)
+    last = fit(model, None, toy_pairs(), valid_batches, cfg, on_epoch, select="j4")
+    return last, seen
+
+
+def test_fit_stops_when_selected_loss_is_flat_for_patience_epochs(capsys):
+    # j4 improves at epochs 1, 2 and 4; total falls every epoch and so
+    # must not count as an improvement
+    j4 = [3.0, 2.0, 2.5, 1.0, 1.5, 1.2, 0.5, 0.4]
+    model = ScriptedModel([(v, 10.0 - i) for i, v in enumerate(j4)])
+    last, seen = run_fit(model, [toy_batch()], epochs=8, patience=2)
+    assert last == 6
+    assert [s[3] for s in seen] == [0, 0, 1, 0, 1, 2]
+    assert seen[-1][2] == min(s[1] for s in seen) == 1.0
+    assert "flat for 2 epochs" in capsys.readouterr().err
+
+
+def test_fit_without_validation_runs_every_epoch(capsys):
+    last, seen = run_fit(ScriptedModel([]), [], epochs=5, patience=1)
+    assert last == 5
+    assert [s[3] for s in seen] == [0, 1, 2, 3, 4]
+    assert "stopping" not in capsys.readouterr().err

@@ -114,7 +114,7 @@ def test_batch_shapes_and_padding():
     np.testing.assert_array_equal(b.source, [[4, 5, EOS_ID], [4, EOS_ID, PAD_ID]])
     np.testing.assert_array_equal(b.source_mask, [[1, 1, 1], [1, 1, 0]])
     np.testing.assert_array_equal(b.target, [[6, EOS_ID, PAD_ID, PAD_ID], [5, 6, 7, EOS_ID]])
-    np.testing.assert_array_equal(b.target_lengths, [2, 4])
+    np.testing.assert_array_equal(b.target_mask.sum(axis=1), [2, 4])
 
 
 def test_batch_truncates_long_sides():

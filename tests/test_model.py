@@ -4,7 +4,7 @@ import pytest
 from aem.autograd import Tape, Tensor, backward
 from aem.data import DialoguePair, pairs_to_batch
 from aem.layers import greedy_decode
-from aem.model import DialogueModel, LossBreakdown, SemanticState, build_baseline, total_loss
+from aem.model import DialogueModel, LossBreakdown, build_baseline, total_loss
 from helpers import tiny_config, toy_batch, toy_pairs
 
 
@@ -44,32 +44,31 @@ def identity_model():
 
 def test_map_representation_hand_case():
     model = identity_model()
-    h = SemanticState(Tensor(np.array([[3.0, 0.0]])), "h")
-    s = SemanticState(Tensor(np.array([[0.0, 4.0]])), "s")
+    h = Tensor(np.array([[3.0, 0.0]]))
+    s = Tensor(np.array([[0.0, 4.0]]))
     t, j3 = model.map_representation(h, s)
     assert float(j3.values) == 12.5
     np.testing.assert_array_equal(t.values, h.values)
-    assert t.role == "t"
 
 
 def test_map_representation_zero_when_equal():
     model = identity_model()
     v = np.array([[1.0, -2.0], [0.5, 3.0]])
-    _, j3 = model.map_representation(SemanticState(Tensor(v.copy()), "h"),
-                                     SemanticState(Tensor(v.copy()), "s"))
+    _, j3 = model.map_representation(Tensor(v.copy()), Tensor(v.copy()))
     assert float(j3.values) == 0.0
 
 
 def test_map_representation_rejects_mismatched_dims():
     model = identity_model()
     with pytest.raises(ValueError, match="shapes"):
-        model.map_representation(SemanticState(Tensor(np.zeros((1, 2))), "h"),
-                                 SemanticState(Tensor(np.zeros((1, 4))), "s"))
+        model.map_representation(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 4))))
 
 
-def test_semantic_state_rejects_non_finite():
+def test_generate_rejects_non_finite_source_state():
+    model = DialogueModel("aem", tiny_config())
+    model.store["theta.src_enc.W"].values[0, 0] = np.nan
     with pytest.raises(FloatingPointError):
-        SemanticState(Tensor(np.array([[np.nan, 0.0]])), "h")
+        model.generate([[4, 5]])
 
 
 def j3_grads(detach_states):
@@ -223,7 +222,7 @@ def test_single_pair_overfit_reproduces_both_sides():
     assert model.generate([x]) == [y]
     _, h = model.encode_source(pairs_to_batch([DialoguePair(x, y)]))
     rebuilt = greedy_decode(model.src_dec, model.src_embed, model.src_proj,
-                            h.tensor, bos_id=1, eos_id=2, pad_id=0, max_len=15)
+                            h, bos_id=1, eos_id=2, pad_id=0, max_len=15)
     assert rebuilt == [x]
 
 
@@ -292,7 +291,7 @@ def test_attention_baseline_single_token_reduction():
     batch = Batch(np.array([[4]]), np.ones((1, 1)), np.array([[5, 2]]), np.ones((1, 2)))
     states, h = model.encode_source(batch)
     from aem.layers import decode_teacher_forced
-    features = decode_teacher_forced(model.tgt_dec, model.tgt_embed, h.tensor,
+    features = decode_teacher_forced(model.tgt_dec, model.tgt_embed, h,
                                      batch.target, bos_id=1,
                                      attention=model.attention, encoder_states=states,
                                      encoder_mask=batch.source_mask)
@@ -321,12 +320,9 @@ def test_attention_generate_zeroed_weights_degenerates_to_uniform():
     model.tgt_proj.W.values[:] = 0.0
     model.tgt_proj.b.values[:] = 0.0
     # uniform logits, PAD/BOS banned: argmax falls to EOS and output is empty
-    assert model.generate_with_attention([[4, 5], [6]]) == [[], []]
+    assert model.generate([[4, 5], [6]]) == [[], []]
 
 
-def test_generate_with_attention_rejects_plain_kinds():
-    model = DialogueModel("aem", tiny_config())
-    with pytest.raises(ValueError, match="attention"):
-        model.generate_with_attention([[4]])
-    out = DialogueModel("aem_attention", tiny_config()).generate_with_attention([[4, 5]])
+def test_attention_generate_respects_length_cap():
+    out = DialogueModel("aem_attention", tiny_config()).generate([[4, 5]])
     assert len(out) == 1 and len(out[0]) <= 15
