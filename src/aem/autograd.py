@@ -8,6 +8,13 @@ twice collects both contributions.
 
 Training runs in float32; gradient-check tests build float64 graphs.
 Ops never broadcast except where stated (add_bias, lerp_mask).
+
+Training graphs use two fused ops: `lstm_sequence` runs a whole LSTM
+sequence as one record and `linear_softmax_cross_entropy` is the output
+head. The composite ops they replace (matmul, add_bias, slice_cols,
+sigmoid, tanh, mul, lerp_mask, stack_steps, concat_cols, ...) stay for
+the rest of the model, for the release gate, and as the reference the
+fused ops are tested against.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ class Tape:
     """Ordered record of ops for one backward pass."""
 
     def __init__(self):
-        self._records: list[tuple[Tensor, callable]] = []
+        self._records: list[tuple[tuple[Tensor, ...], callable]] = []
         self._produced: set[int] = set()
         self._watched: list[Tensor] = []
 
@@ -60,9 +67,13 @@ class Tape:
         popped = _TAPES.pop()
         assert popped is self
 
-    def record(self, out: Tensor, backward_fn) -> None:
-        self._records.append((out, backward_fn))
-        self._produced.add(id(out))
+    def record(self, out, backward_fn) -> None:
+        """`out` is one Tensor, or a tuple of them for an op with several
+        outputs; backward_fn then takes one gradient per output, None for
+        an output the loss never reached."""
+        outs = out if isinstance(out, tuple) else (out,)
+        self._records.append((outs, backward_fn))
+        self._produced.update(id(t) for t in outs)
 
     def watch(self, tensors) -> None:
         """Leaves that must end up with a grad even if the loss never reaches them."""
@@ -99,9 +110,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
     if id(loss) not in tape._produced:
         raise ValueError("loss was not produced on this tape")
     _accum(loss, np.ones_like(loss.values))
-    for out, backward_fn in reversed(tape._records):
-        if out.grad is not None:
-            backward_fn(out.grad)
+    for outs, backward_fn in reversed(tape._records):
+        grads = [t.grad for t in outs]
+        if any(g is not None for g in grads):
+            backward_fn(*grads)
     for t in tape._watched:
         if t.grad is None:
             t.grad = np.zeros_like(t.values)
@@ -297,6 +309,112 @@ def lerp_mask(new: Tensor, prev: Tensor, keep: np.ndarray) -> Tensor:
 
     _record(out, back)
     return out
+
+
+def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
+                  keep: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """An LSTM over a whole sequence as one op: (B, T, E) inputs, initial
+    [h; c] state (B, 2H), weights w (E, 4H), u (H, 4H) and bias b (4H,),
+    the gate axis ordered [input, forget, cell candidate, output].
+
+    Step t computes pre = (x_t w + h u) + b, c' = f*c + i*g and
+    h' = o*tanh(c'), with sigmoid i, f, o and tanh g. With a (B, T) keep
+    mask the carried state is keep*new + (1-keep)*prev, so padded steps
+    pass the state through. Returns the carried hiddens (B, T, H) and the
+    final [h; c]; in float32 both equal the composite chain of matmul,
+    add, add_bias, slice_cols, sigmoid, tanh, mul, lerp_mask, stack_steps
+    and concat_cols.
+
+    x w is one (T*B, E) x (E, 4H) matmul. Backward runs when either
+    output has a gradient: it walks the steps in reverse to fill the
+    preactivation gradient of every step, then forms dw, du, db and dx
+    with one matmul or sum each.
+    """
+    xv, uv = x.values, u.values
+    H = uv.shape[0]
+    if (xv.ndim != 3 or xv.shape[1] == 0 or w.values.shape != (xv.shape[2], 4 * H)
+            or uv.shape != (H, 4 * H) or b.values.shape != (4 * H,)
+            or state.values.shape != (xv.shape[0], 2 * H)):
+        raise ValueError(f"lstm_sequence shape mismatch: x {xv.shape}, state "
+                         f"{state.values.shape}, w {w.values.shape}, u {uv.shape}, "
+                         f"b {b.values.shape}")
+    B, T, E = xv.shape
+    dtype = xv.dtype
+    if keep is not None:
+        if np.shape(keep) != (B, T):
+            raise ValueError(f"lstm_sequence keep mask must be {(B, T)}, got {np.shape(keep)}")
+        keep = np.asarray(keep, dtype=dtype).T[:, :, None]
+    # time-major: row t*B + b, so every step reads contiguous blocks
+    xs = xv.transpose(1, 0, 2).reshape(T * B, E)
+    xw = (xs @ w.values).reshape(T, B, 4 * H)
+    acts = np.empty((T, B, 4 * H), dtype=dtype)
+    tcs = np.empty((T, B, H), dtype=dtype)
+    hs = np.empty((T + 1, B, H), dtype=dtype)
+    cs = np.empty((T + 1, B, H), dtype=dtype)
+    hs[0], cs[0] = state.values[:, :H], state.values[:, H:]
+    for t in range(T):
+        pre = xw[t] + hs[t] @ uv
+        pre += b.values
+        a = acts[t]
+        # sigmoid in its tanh form on every gate, then g is tanh itself
+        np.multiply(pre, 0.5, out=a)
+        np.tanh(a, out=a)
+        a += 1.0
+        a *= 0.5
+        np.tanh(pre[:, 2 * H : 3 * H], out=a[:, 2 * H : 3 * H])
+        c_new = a[:, H : 2 * H] * cs[t] + a[:, :H] * a[:, 2 * H : 3 * H]
+        h_new = a[:, 3 * H :] * np.tanh(c_new, out=tcs[t])
+        if keep is None:
+            hs[t + 1], cs[t + 1] = h_new, c_new
+        else:
+            k = keep[t]
+            hs[t + 1] = k * h_new + (1.0 - k) * hs[t]
+            cs[t + 1] = k * c_new + (1.0 - k) * cs[t]
+    hiddens = Tensor(np.ascontiguousarray(hs[1:].transpose(1, 0, 2)))
+    final = Tensor(np.concatenate([hs[T], cs[T]], axis=1))
+
+    def back(g_hiddens, g_final):
+        i, f, g, o = (acts[:, :, n * H : (n + 1) * H] for n in range(4))
+        # dpre = [dc', dc', dc', dh'] * fac, step by step in place
+        dpre = np.empty((T, B, 4, H), dtype=dtype)
+        dpre[:, :, 0] = g * i * (1.0 - i)
+        dpre[:, :, 1] = cs[:-1] * f * (1.0 - f)
+        dpre[:, :, 2] = i * (1.0 - g * g)
+        dpre[:, :, 3] = tcs * o * (1.0 - o)
+        dc_per_dh = o * (1.0 - tcs * tcs)
+        if g_final is None:
+            dh, dc = np.zeros((B, H), dtype=dtype), np.zeros((B, H), dtype=dtype)
+        else:
+            dh, dc = g_final[:, :H], g_final[:, H:]
+        g_steps = None if g_hiddens is None else g_hiddens.transpose(1, 0, 2)
+        ut = np.ascontiguousarray(uv.T)
+        for t in range(T - 1, -1, -1):
+            if g_steps is not None:
+                dh = dh + g_steps[t]
+            if keep is None:
+                dh_new, dc_new = dh, dc
+            else:
+                k = keep[t]
+                dh_new, dc_new = dh * k, dc * k
+            dc_new = dc_new + dh_new * dc_per_dh[t]
+            d = dpre[t]
+            d[:, :3] *= dc_new[:, None, :]
+            d[:, 3] *= dh_new
+            dh_prev = d.reshape(B, 4 * H) @ ut
+            dc_prev = dc_new * f[t]
+            if keep is not None:
+                dh_prev += dh * (1.0 - k)
+                dc_prev += dc * (1.0 - k)
+            dh, dc = dh_prev, dc_prev
+        _accum(state, np.concatenate([dh, dc], axis=1))
+        flat = dpre.reshape(T * B, 4 * H)
+        _accum(w, xs.T @ flat)
+        _accum(u, hs[:-1].reshape(T * B, H).T @ flat)
+        _accum(b, flat.sum(axis=0))
+        _accum(x, (flat @ w.values.T).reshape(T, B, E).transpose(1, 0, 2))
+
+    _record((hiddens, final), back)
+    return hiddens, final
 
 
 def batched_dot(q: Tensor, states: Tensor) -> Tensor:

@@ -67,8 +67,18 @@ def fit(model, adam, train_pairs, valid_batches, cfg, on_epoch, select="total",
     val_mean, best, stale) runs after each epoch. Stops once a
     validation set has been flat for cfg.patience epochs and returns
     the last epoch run. Batches are seeded from the model's config,
-    which on resume is the checkpoint's.
+    which on resume is the checkpoint's. A resumed run that is already
+    at cfg.epochs, or had already stopped early, trains nothing and
+    returns start_epoch.
     """
+    if start_epoch >= cfg.epochs:
+        print("nothing to train: checkpoint is at epoch %d and epochs=%d"
+              % (start_epoch, cfg.epochs), file=sys.stderr)
+        return start_epoch
+    if valid_batches and stale >= cfg.patience:
+        print("stopping: validation loss already flat for %d epochs at epoch %d"
+              % (stale, start_epoch), file=sys.stderr)
+        return start_epoch
     epoch = start_epoch
     for epoch in range(start_epoch + 1, cfg.epochs + 1):
         batches = make_batches(train_pairs, cfg.batch_size, seed=model.config.seed,
@@ -100,7 +110,11 @@ def cmd_train(args):
         raise ValueError("training corpus is empty")
 
     os.makedirs(cfg.ckpt_dir, exist_ok=True)
-    if cfg.vocab_path and os.path.isfile(cfg.vocab_path):
+    ckpt = load_checkpoint(args.resume) if args.resume else None
+    if ckpt is not None:
+        # the embeddings were trained on the checkpoint's ids
+        vocab = ckpt.vocab
+    elif cfg.vocab_path and os.path.isfile(cfg.vocab_path):
         vocab = Vocabulary.load(cfg.vocab_path)
     else:
         both_sides = (side for p in pairs for side in (p.source, p.target))
@@ -116,8 +130,7 @@ def cmd_train(args):
         valid_batches = make_batches(valid_pairs, cfg.batch_size, seed=cfg.seed,
                                      epoch=0, max_len=cfg.max_train_len)
 
-    if args.resume:
-        ckpt = load_checkpoint(args.resume)
+    if ckpt is not None:
         model, adam = model_from_checkpoint(ckpt, expected_kind=cfg.kind,
                                             with_optimizer=True)
         start_epoch, best_val, stale = ckpt.epoch, ckpt.best_val, ckpt.stale

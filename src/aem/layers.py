@@ -2,6 +2,10 @@
 the representation-mapping MLP, output projection, and Luong-style
 attention.
 
+Every LSTM, whether encoder, teacher-forced decoder or one greedy
+decoding step, runs through the single fused `lstm_sequence` op, which
+holds the only copy of the gate math.
+
 All parameters are registered in a ParamStore under the prefix given at
 construction, so layer code never owns arrays directly and checkpoints
 are a flat name -> array map.
@@ -13,19 +17,16 @@ import numpy as np
 
 from .autograd import (
     Tensor,
-    add,
     add_bias,
     attend,
     batched_dot,
     concat_cols,
     embedding_lookup,
-    lerp_mask,
     linear_softmax_cross_entropy,
+    lstm_sequence,
     masked_softmax,
     matmul,
-    mul,
     reshape,
-    sigmoid,
     slice_cols,
     stack_steps,
     tanh,
@@ -43,7 +44,8 @@ class Embedding:
 
 
 class LSTMCell:
-    """Single LSTM step over a batch.
+    """LSTM weights W (E, 4H), U (H, 4H) and b (4H,), run by lstm_sequence
+    over whole sequences or, through `step`, one step at a time.
 
     The 4H gate axis is ordered [input, forget, cell candidate, output];
     this order is part of the checkpoint format and must not change.
@@ -57,15 +59,11 @@ class LSTMCell:
         self.b = store.add(f"{prefix}.b", (4 * hidden_size,), dtype=dtype)
 
     def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-        H = self.hidden_size
-        pre = add_bias(add(matmul(x, self.W), matmul(h_prev, self.U)), self.b)
-        i = sigmoid(slice_cols(pre, 0, H))
-        f = sigmoid(slice_cols(pre, H, 2 * H))
-        g = tanh(slice_cols(pre, 2 * H, 3 * H))
-        o = sigmoid(slice_cols(pre, 3 * H, 4 * H))
-        c = add(mul(f, c_prev), mul(i, g))
-        h = mul(o, tanh(c))
-        return h, c
+        """One step from (B, E) inputs: lstm_sequence over a length-1 sequence."""
+        B, E = x.values.shape
+        _, state = lstm_sequence(reshape(x, (B, 1, E)), concat_cols(h_prev, c_prev),
+                                 self.W, self.U, self.b)
+        return split_state(state, self.hidden_size)
 
 
 class OutputProjection:
@@ -133,19 +131,8 @@ def encode_sequence(cell: LSTMCell, embedding: Embedding, tokens: np.ndarray,
     unmasked position. Returns (per-step hiddens (B, T, H), final
     [h; c] of width 2H).
     """
-    B, T = tokens.shape
-    dtype = cell.W.values.dtype
-    h = zero_state(B, cell.hidden_size, dtype)
-    c = zero_state(B, cell.hidden_size, dtype)
-    steps = []
-    for t in range(T):
-        x = embedding.lookup(tokens[:, t])
-        h_new, c_new = cell.step(x, h, c)
-        keep = mask[:, t : t + 1]
-        h = lerp_mask(h_new, h, keep)
-        c = lerp_mask(c_new, c, keep)
-        steps.append(h)
-    return stack_steps(steps), concat_cols(h, c)
+    init = zero_state(tokens.shape[0], 2 * cell.hidden_size, cell.W.values.dtype)
+    return lstm_sequence(embedding.lookup(tokens), init, cell.W, cell.U, cell.b, mask)
 
 
 def split_state(state: Tensor, hidden_size: int) -> tuple[Tensor, Tensor]:
@@ -174,20 +161,22 @@ def decode_teacher_forced(cell: LSTMCell, embedding: Embedding, init: Tensor,
 
     With attention, each step's projection input is the attentional
     hidden state built from the decoder state and encoder annotations.
+    The recurrence never reads attention (there is no input feeding), so
+    the whole decoder LSTM runs first and attention walks its hiddens.
     """
     B, T = targets.shape
-    h, c = split_state(init, cell.hidden_size)
-    inputs = shifted_inputs(targets, bos_id)
+    H = cell.hidden_size
+    x = embedding.lookup(shifted_inputs(targets, bos_id))
+    hiddens, _ = lstm_sequence(x, init, cell.W, cell.U, cell.b)
+    if attention is None:
+        return reshape(hiddens, (B * T, H))
+    rows = reshape(hiddens, (B, T * H))
     feeds = []
     for t in range(T):
-        x = embedding.lookup(inputs[:, t])
-        h, c = cell.step(x, h, c)
-        if attention is not None:
-            context, _ = attention.context(h, encoder_states, encoder_mask)
-            feeds.append(attention.attentional_hidden(context, h))
-        else:
-            feeds.append(h)
-    return reshape(stack_steps(feeds), (B * T, cell.hidden_size))
+        h = slice_cols(rows, t * H, (t + 1) * H)
+        context, _ = attention.context(h, encoder_states, encoder_mask)
+        feeds.append(attention.attentional_hidden(context, h))
+    return reshape(stack_steps(feeds), (B * T, H))
 
 
 def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,

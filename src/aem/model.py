@@ -38,7 +38,9 @@ from .params import ParamStore, uniform_init
 @dataclass
 class LossBreakdown:
     """Per-token j1/j2/j4, batch-mean j3, and their weighted total;
-    the summed forms ride along for reporting."""
+    the summed forms ride along for reporting. After a train step,
+    grad_norm is the global gradient norm before clipping and clipped
+    whether it exceeded clip_norm."""
 
     j1: float
     j2: float
@@ -48,6 +50,8 @@ class LossBreakdown:
     j1_sum: float = 0.0
     j2_sum: float = 0.0
     j4_sum: float = 0.0
+    grad_norm: float = 0.0
+    clipped: bool = False
 
 
 def total_loss(j1, j2, j3, j4, config):
@@ -208,7 +212,8 @@ class DialogueModel:
             tape.watch(self.store.tensors())
             total, parts = self.loss_graph(batch)
             backward(tape, total)
-        clip_grad_norm(self.store, self.config.clip_norm)
+        parts.grad_norm = clip_grad_norm(self.store, self.config.clip_norm)
+        parts.clipped = parts.grad_norm > self.config.clip_norm
         adam.step()
         return parts
 

@@ -1,5 +1,7 @@
 """Small fixtures shared across test modules."""
 
+from aem.autograd import (add, add_bias, concat_cols, embedding_lookup, lerp_mask, matmul,
+                          mul, sigmoid, slice_cols, stack_steps, tanh)
 from aem.config import RunConfig
 from aem.data import DialoguePair, pairs_to_batch
 
@@ -17,3 +19,32 @@ def toy_pairs():
 
 def toy_batch():
     return pairs_to_batch(toy_pairs())
+
+
+def composite_lstm_step(x, h, c, w, u, b):
+    """One LSTM step as the per-step gate chain that lstm_sequence fuses."""
+    H = u.shape[0]
+    pre = add_bias(add(matmul(x, w), matmul(h, u)), b)
+    i = sigmoid(slice_cols(pre, 0, H))
+    f = sigmoid(slice_cols(pre, H, 2 * H))
+    g = tanh(slice_cols(pre, 2 * H, 3 * H))
+    o = sigmoid(slice_cols(pre, 3 * H, 4 * H))
+    c = add(mul(f, c), mul(i, g))
+    return mul(o, tanh(c)), c
+
+
+def composite_lstm(table, ids, init, w, u, b, keep=None):
+    """lstm_sequence(embedding_lookup(table, ids), init, w, u, b, keep)
+    built from per-step composite ops: (hiddens (B, T, H), final [h; c])."""
+    H = u.shape[0]
+    h, c = slice_cols(init, 0, H), slice_cols(init, H, 2 * H)
+    steps = []
+    for t in range(ids.shape[1]):
+        h_new, c_new = composite_lstm_step(embedding_lookup(table, ids[:, t]), h, c, w, u, b)
+        if keep is None:
+            h, c = h_new, c_new
+        else:
+            h = lerp_mask(h_new, h, keep[:, t : t + 1])
+            c = lerp_mask(c_new, c, keep[:, t : t + 1])
+        steps.append(h)
+    return stack_steps(steps), concat_cols(h, c)

@@ -16,6 +16,7 @@ from aem.autograd import (
     embedding_lookup,
     lerp_mask,
     linear_softmax_cross_entropy,
+    lstm_sequence,
     masked_softmax,
     matmul,
     mul,
@@ -30,6 +31,7 @@ from aem.autograd import (
     tanh,
 )
 from aem.gradcheck import check_gradients
+from helpers import composite_lstm
 
 RNG = np.random.default_rng(20240815)
 
@@ -384,3 +386,117 @@ def test_first_gradient_is_copied_not_aliased():
     a.grad *= 5.0
     np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
     assert not np.shares_memory(a.grad, b.grad)
+
+
+# rows padded in the middle, at the end, and not at all
+PADDED_KEEP = np.array([[1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+
+
+def lstm_case(T=4, zero_init=False, B=3, V=5, E=3, H=2):
+    table, w, u, b = t64(V, E), t64(E, 4 * H), t64(H, 4 * H), t64(4 * H)
+    init = Tensor(np.zeros((B, 2 * H))) if zero_init else t64(B, 2 * H)
+    ids = RNG.integers(0, V, (B, T))  # B*T > V, so ids repeat
+    return table, ids, init, w, u, b
+
+
+def fused_lstm(table, ids, init, w, u, b, keep=None):
+    return lstm_sequence(embedding_lookup(table, ids), init, w, u, b, keep)
+
+
+def lstm_loss(run, case, keep, on):
+    """Scalar loss on the hiddens, the final state, or both, contracted
+    against fixed weights."""
+    table, ids, init, w, u, b = case
+    B, T, H = ids.shape + (u.shape[0],)
+    wh = Tensor(np.linspace(-1.0, 1.5, B * T * H).reshape(B, T, H))
+    wf = Tensor(np.linspace(1.2, -0.8, B * 2 * H).reshape(B, 2 * H))
+
+    def loss():
+        hiddens, final = run(table, ids, init, w, u, b, keep)
+        parts = []
+        if on in ("hiddens", "both"):
+            parts.append(sum_all(mul(hiddens, wh)))
+        if on in ("final", "both"):
+            parts.append(sum_all(mul(final, wf)))
+        return parts[0] if len(parts) == 1 else add(parts[0], parts[1])
+
+    return loss
+
+
+LSTM_CASES = [
+    pytest.param(dict(T=4), PADDED_KEEP, "both", id="padded-middle-and-end"),
+    pytest.param(dict(T=1), None, "both", id="single-step"),
+    pytest.param(dict(T=1), PADDED_KEEP[:, :1], "final", id="single-step-masked"),
+    pytest.param(dict(T=4, zero_init=True), PADDED_KEEP, "final", id="encoder-final-only"),
+    pytest.param(dict(T=4), None, "hiddens", id="decoder-hiddens-only"),
+    pytest.param(dict(T=4), PADDED_KEEP, "hiddens", id="padded-hiddens-only"),
+]
+
+
+@pytest.mark.parametrize("shape, keep, on", LSTM_CASES)
+def test_lstm_sequence_gradient_vs_finite_differences(shape, keep, on):
+    case = lstm_case(**shape)
+    table, _, init, w, u, b = case
+    assert check_gradients(lstm_loss(fused_lstm, case, keep, on), [table, init, w, u, b]) < 1e-4
+
+
+@pytest.mark.parametrize("shape, keep, on", LSTM_CASES)
+def test_lstm_sequence_matches_composite_chain(shape, keep, on):
+    case = lstm_case(**shape)
+    leaves = [case[0]] + list(case[2:])
+    results = []
+    for run in (composite_lstm, fused_lstm):
+        for t in leaves:
+            t.grad = None
+        loss_fn = lstm_loss(run, case, keep, on)
+        with Tape() as tape:
+            tape.watch(leaves)
+            loss = loss_fn()
+        backward(tape, loss)
+        values = run(*case, keep)
+        results.append([v.values for v in values] + [t.grad.copy() for t in leaves])
+    for ref, got in zip(*results):
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+
+
+def test_lstm_sequence_is_one_record_and_backward_runs_from_either_output():
+    case = lstm_case()
+    table, ids, init, w, u, b = case
+    for pick in (0, 1):
+        for t in (table, init, w, u, b):
+            t.grad = None
+        with Tape() as tape:
+            x = embedding_lookup(table, ids)
+            outs = lstm_sequence(x, init, w, u, b, PADDED_KEEP)
+            loss = sum_all(outs[pick])
+        assert len(tape) == 3
+        backward(tape, loss)
+        assert all(t.grad is not None and np.any(t.grad) for t in (table, init, w, u, b))
+
+
+def test_lstm_sequence_float32_forward_bit_equal_to_composite():
+    B, T, V, E, H = 16, 9, 40, 24, 32
+    table, w, u, b = (Tensor(RNG.uniform(-0.3, 0.3, shape).astype(np.float32))
+                      for shape in ((V, E), (E, 4 * H), (H, 4 * H), (4 * H,)))
+    ids = RNG.integers(0, V, (B, T))
+    keep = (np.arange(T) < RNG.integers(1, T + 1, B)[:, None]).astype(np.float32)
+    for init, mask in ((np.zeros((B, 2 * H)), keep), (RNG.normal(size=(B, 2 * H)), None)):
+        init = Tensor(init.astype(np.float32))
+        fused = fused_lstm(table, ids, init, w, u, b, mask)
+        ref = composite_lstm(table, ids, init, w, u, b, mask)
+        for got, want in zip(fused, ref):
+            assert got.dtype == np.float32
+            assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_lstm_sequence_shape_errors():
+    table, ids, init, w, u, b = lstm_case()
+    x = embedding_lookup(table, ids)
+    with pytest.raises(ValueError, match="lstm_sequence shape mismatch"):
+        lstm_sequence(x, Tensor(np.zeros((3, 3))), w, u, b)
+    with pytest.raises(ValueError, match="lstm_sequence shape mismatch"):
+        lstm_sequence(x, init, u, u, b)
+    with pytest.raises(ValueError, match="lstm_sequence shape mismatch"):
+        lstm_sequence(Tensor(np.zeros((3, 0, 3))), init, w, u, b)
+    with pytest.raises(ValueError, match="keep mask"):
+        lstm_sequence(x, init, w, u, b, np.ones((3, 2)))

@@ -6,7 +6,7 @@ import pytest
 import aem.cli
 from aem.checkpoint import load_checkpoint
 from aem.cli import fit, main
-from aem.data import load_corpus
+from aem.data import build_vocab, load_corpus
 from aem.model import LossBreakdown
 from helpers import tiny_config, toy_batch, toy_pairs
 
@@ -128,6 +128,58 @@ def test_resume_keeps_early_stopping_count(workspace, capsys):
                  "--resume", str(split_dir / "last.ckpt")]) == 0
     assert "stopping" in capsys.readouterr().err
     assert (split_dir / "metrics.log").read_text(encoding="utf-8") == straight
+
+
+def test_resume_after_early_stop_trains_nothing(workspace, capsys):
+    cfg = write_config(workspace, epochs=6, patience=2)
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert "stopping" in capsys.readouterr().err
+    ckpt_dir = workspace / "ckpt"
+    names = ("metrics.log", "best.ckpt", "last.ckpt")
+    before = {n: (ckpt_dir / n).read_bytes() for n in names}
+    stopped_at = len(before["metrics.log"].splitlines())
+    assert stopped_at < 6
+
+    assert main(["train", "--config", str(cfg), "--resume", str(ckpt_dir / "last.ckpt")]) == 0
+    captured = capsys.readouterr()
+    assert "already flat" in captured.err and "epoch %d" % stopped_at in captured.err
+    assert "epoch=" not in captured.out
+    assert {n: (ckpt_dir / n).read_bytes() for n in names} == before
+
+
+def test_resume_at_or_past_epochs_says_so(workspace, capsys):
+    cfg = write_config(workspace, epochs=2)
+    assert main(["train", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    last = workspace / "ckpt" / "last.ckpt"
+    before = last.read_bytes()
+    for epochs in (2, 1):
+        cfg = write_config(workspace, epochs=epochs)
+        assert main(["train", "--config", str(cfg), "--resume", str(last)]) == 0
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert "\n" not in err and "epoch 2" in err and "epochs=%d" % epochs in err
+        assert "epoch=" not in captured.out
+    assert last.read_bytes() == before
+
+
+def test_resume_uses_checkpoint_vocabulary(workspace, capsys):
+    cfg = write_config(workspace, epochs=1)
+    assert main(["train", "--config", str(cfg)]) == 0
+    last = workspace / "ckpt" / "last.ckpt"
+    original = load_checkpoint(last).vocab.id_to_token
+    merged = load_corpus(workspace / "train.tsv") + load_corpus(workspace / "valid.tsv")
+    rebuilt = build_vocab((side for p in merged for side in (p.source, p.target)), max_size=100)
+    assert rebuilt.id_to_token != original
+
+    cfg = write_config(workspace, epochs=2)
+    assert main(["train", "--config", str(cfg), "--merge-valid", "--resume", str(last)]) == 0
+    resumed = load_checkpoint(last)
+    assert resumed.epoch == 2
+    assert resumed.vocab.id_to_token == original
+    line = (workspace / "ckpt" / "metrics.log").read_text(encoding="utf-8").splitlines()[-1]
+    assert line.startswith("epoch=2 ")
+    assert all(np.isfinite(float(field.split("=")[1])) for field in line.split()[1:])
 
 
 def test_merge_valid_trains_on_both(workspace, capsys):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from aem.autograd import Tape, Tensor, backward, softmax_cross_entropy, sum_all, mul, reshape
+from aem.autograd import (Tape, Tensor, backward, mul, reshape, softmax_cross_entropy,
+                          stack_steps, sum_all)
 from aem.gradcheck import check_gradients
 from aem.layers import (
     Embedding,
@@ -17,6 +18,7 @@ from aem.layers import (
     zero_state,
 )
 from aem.params import ParamStore, uniform_init
+from helpers import composite_lstm, composite_lstm_step
 
 RNG = np.random.default_rng(7)
 
@@ -320,3 +322,46 @@ def test_greedy_decode_respects_max_len_and_bans():
     for row in out:
         assert len(row) == 7
         assert all(tok not in (0, 1) for tok in row)
+
+
+def test_float32_sequences_and_greedy_ids_bit_equal_to_composite(monkeypatch):
+    rng = np.random.default_rng(3)
+    B, T, T2, V, E, H = 32, 35, 25, 60, 64, 128
+    store = ParamStore()
+    cell = LSTMCell(store, "enc", E, H)
+    dec = LSTMCell(store, "dec", E, H)
+    emb = Embedding(store, "embed", V, E)
+    proj = OutputProjection(store, "proj", H, V)
+    attn = LuongAttention(store, "attn", H)
+    uniform_init(store, -0.4, 0.4, seed=12)
+    lengths = rng.integers(1, T + 1, B)
+    mask = (np.arange(T) < lengths[:, None]).astype(np.float32)
+    tokens = rng.integers(3, V, (B, T)) * mask.astype(np.int64)
+    targets = rng.integers(2, V, (B, T2))
+
+    states, final = encode_sequence(cell, emb, tokens, mask)
+    zero = Tensor(np.zeros((B, 2 * H), dtype=np.float32))
+    ref_states, ref_final = composite_lstm(emb.table, tokens, zero, cell.W, cell.U, cell.b, mask)
+    assert states.dtype == final.dtype == np.float32
+    assert states.values.tobytes() == ref_states.values.tobytes()
+    assert final.values.tobytes() == ref_final.values.tobytes()
+
+    ref_hiddens, _ = composite_lstm(emb.table, shifted_inputs(targets, 1), final,
+                                    dec.W, dec.U, dec.b)
+    plain = decode_teacher_forced(dec, emb, final, targets, bos_id=1)
+    assert plain.values.tobytes() == ref_hiddens.values.reshape(B * T2, H).tobytes()
+    attended = decode_teacher_forced(dec, emb, final, targets, bos_id=1, attention=attn,
+                                     encoder_states=states, encoder_mask=mask)
+    feeds = []
+    for t in range(T2):
+        h = Tensor(ref_hiddens.values[:, t].copy())
+        context, _ = attn.context(h, ref_states, mask)
+        feeds.append(attn.attentional_hidden(context, h))
+    assert attended.values.tobytes() == stack_steps(feeds).values.reshape(B * T2, H).tobytes()
+
+    kwargs = dict(bos_id=1, eos_id=2, pad_id=0, max_len=12, attention=attn,
+                  encoder_states=states, encoder_mask=mask)
+    fused_ids = greedy_decode(dec, emb, proj, final, **kwargs)
+    monkeypatch.setattr(LSTMCell, "step", lambda c, x, h, cp: composite_lstm_step(
+        x, h, cp, c.W, c.U, c.b))
+    assert greedy_decode(dec, emb, proj, final, **kwargs) == fused_ids

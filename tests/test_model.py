@@ -260,15 +260,41 @@ def test_batched_loss_equals_sum_of_per_pair_losses():
 
 
 def test_loss_graph_records_no_vocabulary_wide_tensor():
-    # each output head is one fused record; built from the composite
-    # matmul, add_bias, two reshapes and cross-entropy it took 430 records
+    # each output head and each LSTM sequence is one fused record
     cfg = tiny_config()
     model = DialogueModel("aem", cfg)
     with Tape() as tape:
         model.loss_graph(toy_batch())
-    shapes = [out.shape for out, _ in tape._records]
+    shapes = [t.shape for outs, _ in tape._records for t in outs]
     assert not [s for s in shapes if s and s[-1] == cfg.vocab_size]
-    assert len(tape) <= 418
+    assert len(tape) <= 39
+
+
+@pytest.mark.parametrize("kind", ["aem", "seq2seq"])
+def test_loss_graph_tape_length_does_not_grow_with_sequence_length(kind):
+    cfg = tiny_config()
+    model = DialogueModel(kind, cfg)
+    lengths = []
+    for pairs in (toy_pairs(), [DialoguePair(p.source * 2, p.target * 2) for p in toy_pairs()]):
+        with Tape() as tape:
+            model.loss_graph(pairs_to_batch(pairs))
+        lengths.append(len(tape))
+    assert lengths[0] == lengths[1]
+
+
+def test_train_step_reports_pre_clip_gradient_norm():
+    batch = toy_batch()
+    for clip_norm, clipped in ((1e-3, True), (1e6, False)):
+        model = DialogueModel("aem", tiny_config(clip_norm=clip_norm), dtype=np.float64)
+        with Tape() as tape:
+            tape.watch(model.store.tensors())
+            total, _ = model.loss_graph(batch)
+        backward(tape, total)
+        expected = np.sqrt(sum(float((t.grad ** 2).sum()) for t in model.store.tensors()))
+        model.store.zero_grads()
+        parts = model.train_step(batch, model.make_optimizer())
+        assert parts.clipped is clipped
+        np.testing.assert_allclose(parts.grad_norm, expected, rtol=1e-12)
 
 
 def test_build_baseline_kinds():
