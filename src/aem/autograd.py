@@ -9,12 +9,14 @@ twice collects both contributions.
 Training runs in float32; gradient-check tests build float64 graphs.
 Ops never broadcast except where stated (add_bias, lerp_mask).
 
-Training graphs use two fused ops: `lstm_sequence` runs a whole LSTM
-sequence as one record and `linear_softmax_cross_entropy` is the output
-head. The composite ops they replace (matmul, add_bias, slice_cols,
-sigmoid, tanh, mul, lerp_mask, stack_steps, concat_cols, ...) stay for
-the rest of the model, for the release gate, and as the reference the
-fused ops are tested against.
+Training graphs use three fused ops: `lstm_sequence` runs a whole LSTM
+sequence as one record, `attention_sequence` runs teacher-forced Luong
+attention over every target step, and `linear_softmax_cross_entropy` is
+the output head. The composite ops they replace (matmul, add_bias,
+slice_cols, sigmoid, tanh, mul, lerp_mask, stack_steps, concat_cols,
+batched_dot, masked_softmax, attend, ...) stay for the rest of the
+model, for greedy decoding, which attends one step at a time, for the
+release gate, and as the reference the fused ops are tested against.
 """
 
 from __future__ import annotations
@@ -459,6 +461,67 @@ def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
         w = out.values
         inner = (gout * w).sum(axis=1, keepdims=True)
         _accum(scores, (gout - inner) * w)
+
+    _record(out, back)
+    return out
+
+
+def attention_sequence(hiddens: Tensor, states: Tensor, mask: np.ndarray, w_a: Tensor,
+                       w_c: Tensor) -> Tensor:
+    """Luong general-score attention for every decoder step as one op:
+    (B, T, H) decoder hiddens against (B, S, H) encoder states with a
+    (B, S) mask, weights w_a (H, H) and w_c (2H, H).
+
+    Step t scores s_t = (h_t w_a) . states, takes the masked softmax over
+    positions, the context c_t = sum of weighted states, and returns
+    tanh([c_t; h_t] w_c) as row b*T + t of a (B*T, H) output. In float32
+    that equals the per-step chain of slice_cols, matmul, batched_dot,
+    masked_softmax, attend, concat_cols, matmul and tanh, which greedy
+    decoding still runs.
+
+    Backward forms dw_a and dw_c with one matmul each, the score and
+    context gradients with batched matmuls, and accumulates into the
+    encoder states once.
+    """
+    hv, sv = hiddens.values, states.values
+    if (hv.ndim != 3 or sv.ndim != 3 or sv.shape[0] != hv.shape[0] or sv.shape[2] != hv.shape[2]
+            or sv.shape[1] == 0 or w_a.values.shape != (hv.shape[2],) * 2
+            or w_c.values.shape != (2 * hv.shape[2], hv.shape[2])):
+        raise ValueError(f"attention_sequence shape mismatch: hiddens {hv.shape}, states "
+                         f"{sv.shape}, w_a {w_a.values.shape}, w_c {w_c.values.shape}")
+    B, T, H = hv.shape
+    dtype = hv.dtype
+    mask = np.asarray(mask, dtype=dtype)
+    if mask.shape != sv.shape[:2]:
+        raise ValueError(f"mask shape {mask.shape} != states positions {sv.shape[:2]}")
+    if np.any(mask.sum(axis=1) == 0):
+        raise ValueError("attention_sequence: a row has no unmasked positions")
+    flat = hv.reshape(B * T, H)
+    proj = (flat @ w_a.values).reshape(B, T, H)
+    # einsum, not matmul, for the forward: it sums in the per-step ops' order
+    scores = np.einsum("bth,bsh->bts", proj, sv)
+    keep = mask[:, None, :] > 0
+    neg = np.where(keep, scores, -np.inf)
+    e = np.exp(neg - neg.max(axis=2, keepdims=True))
+    e = np.where(keep, e, 0.0).astype(dtype)
+    weights = e / e.sum(axis=2, keepdims=True)
+    context = np.einsum("bts,bsh->bth", weights, sv)
+    joined = np.concatenate([context.reshape(B * T, H), flat], axis=1)
+    out = Tensor(np.tanh(joined @ w_c.values))
+
+    def back(gout):
+        dz = gout * (1.0 - out.values * out.values)
+        _accum(w_c, joined.T @ dz)
+        djoined = dz @ w_c.values.T
+        dcontext = djoined[:, :H].reshape(B, T, H)
+        dweights = np.matmul(dcontext, sv.transpose(0, 2, 1))
+        dscores = (dweights - (dweights * weights).sum(axis=2, keepdims=True)) * weights
+        dproj = np.matmul(dscores, sv).reshape(B * T, H)
+        dstates = np.matmul(weights.transpose(0, 2, 1), dcontext)
+        dstates += np.matmul(dscores.transpose(0, 2, 1), proj)
+        _accum(states, dstates)
+        _accum(w_a, flat.T @ dproj)
+        _accum(hiddens, (djoined[:, H:] + dproj @ w_a.values.T).reshape(B, T, H))
 
     _record(out, back)
     return out

@@ -15,9 +15,13 @@ Layout, all integers little-endian:
 
 Optimizer state rides along as arrays named adam.m.<param> / adam.v.<param>,
 so a resumed run continues exactly where the saved one stopped.
+
+A save writes <path>.tmp, fsyncs it and renames it over <path>, so a
+crash at any point leaves either the old or the new file whole.
 """
 
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, replace
@@ -153,15 +157,28 @@ def save_checkpoint(path, model, vocab, adam=None, epoch=0, best_val=math.inf, s
     config = replace(model.config, kind=model.kind)
     ckpt = Checkpoint(model.kind, config, vocab, arrays,
                       epoch=epoch, adam_t=adam_t, best_val=best_val, stale=stale)
-    # serialize first: a failure must not truncate the previous file
     data = checkpoint_bytes(ckpt)
-    with open(path, "wb") as f:
-        f.write(data)
+    tmp = "%s.tmp" % path
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
+    """Read and parse one checkpoint file; errors name the file."""
     with open(path, "rb") as f:
-        return parse_checkpoint(f.read())
+        data = f.read()
+    try:
+        return parse_checkpoint(data)
+    except ValueError as exc:
+        raise CheckpointError("%s: %s" % (path, exc)) from exc
 
 
 def model_from_checkpoint(ckpt, expected_kind=None, with_optimizer=False):

@@ -56,6 +56,25 @@ def _parse_overrides(items):
     return overrides
 
 
+def _drop_metrics_after(path, epoch):
+    """Remove the metrics lines of epochs past `epoch`. A crash between a
+    line's append and that epoch's last.ckpt save leaves one, which the
+    resumed run would otherwise write a second time."""
+    if not os.path.isfile(path):
+        return
+    lines = _read_lines(path)
+    kept = []
+    for lineno, line in enumerate(lines, start=1):
+        key, _, value = line.split(" ", 1)[0].partition("=")
+        if key != "epoch" or not value.isdigit():
+            raise ValueError("%s line %d: expected epoch=<n> first" % (path, lineno))
+        if int(value) <= epoch:
+            kept.append(line)
+    if len(kept) < len(lines):
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("".join(line + "\n" for line in kept))
+
+
 def fit(model, adam, train_pairs, valid_batches, cfg, on_epoch, select="total",
         start_epoch=0, best=math.inf, stale=0):
     """Train epochs start_epoch + 1 .. cfg.epochs with early stopping.
@@ -140,6 +159,8 @@ def cmd_train(args):
         start_epoch, best_val, stale = 0, math.inf, 0
 
     metrics_path = os.path.join(cfg.ckpt_dir, "metrics.log")
+    if ckpt is not None:
+        _drop_metrics_after(metrics_path, start_epoch)
 
     def log_and_save(epoch, train_mean, val_mean, best, stale):
         line = _metrics_line(epoch, train_mean, val_mean["total"])

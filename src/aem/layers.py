@@ -19,6 +19,7 @@ from .autograd import (
     Tensor,
     add_bias,
     attend,
+    attention_sequence,
     batched_dot,
     concat_cols,
     embedding_lookup,
@@ -28,7 +29,6 @@ from .autograd import (
     matmul,
     reshape,
     slice_cols,
-    stack_steps,
     tanh,
 )
 from .params import ParamStore
@@ -117,6 +117,12 @@ class LuongAttention:
     def attentional_hidden(self, context: Tensor, decoder_h: Tensor) -> Tensor:
         return tanh(matmul(concat_cols(context, decoder_h), self.W_c))
 
+    def attentional_sequence(self, decoder_hiddens: Tensor, encoder_states: Tensor,
+                             mask: np.ndarray) -> Tensor:
+        """attentional_hidden(context(h_t), h_t) for every step of (B, T, H)
+        decoder hiddens at once, as (B*T, H) rows b*T + t."""
+        return attention_sequence(decoder_hiddens, encoder_states, mask, self.W_a, self.W_c)
+
 
 def zero_state(batch_size: int, hidden_size: int, dtype) -> Tensor:
     return Tensor(np.zeros((batch_size, hidden_size), dtype=dtype))
@@ -162,21 +168,15 @@ def decode_teacher_forced(cell: LSTMCell, embedding: Embedding, init: Tensor,
     With attention, each step's projection input is the attentional
     hidden state built from the decoder state and encoder annotations.
     The recurrence never reads attention (there is no input feeding), so
-    the whole decoder LSTM runs first and attention walks its hiddens.
+    the whole decoder LSTM runs first and attention covers all its
+    hiddens in one op.
     """
     B, T = targets.shape
-    H = cell.hidden_size
     x = embedding.lookup(shifted_inputs(targets, bos_id))
     hiddens, _ = lstm_sequence(x, init, cell.W, cell.U, cell.b)
     if attention is None:
-        return reshape(hiddens, (B * T, H))
-    rows = reshape(hiddens, (B, T * H))
-    feeds = []
-    for t in range(T):
-        h = slice_cols(rows, t * H, (t + 1) * H)
-        context, _ = attention.context(h, encoder_states, encoder_mask)
-        feeds.append(attention.attentional_hidden(context, h))
-    return reshape(stack_steps(feeds), (B * T, H))
+        return reshape(hiddens, (B * T, cell.hidden_size))
+    return attention.attentional_sequence(hiddens, encoder_states, encoder_mask)
 
 
 def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,

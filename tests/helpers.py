@@ -1,7 +1,8 @@
 """Small fixtures shared across test modules."""
 
-from aem.autograd import (add, add_bias, concat_cols, embedding_lookup, lerp_mask, matmul,
-                          mul, sigmoid, slice_cols, stack_steps, tanh)
+from aem.autograd import (add, add_bias, attend, batched_dot, concat_cols, embedding_lookup,
+                          lerp_mask, masked_softmax, matmul, mul, reshape, sigmoid, slice_cols,
+                          stack_steps, tanh)
 from aem.config import RunConfig
 from aem.data import DialoguePair, pairs_to_batch
 
@@ -48,3 +49,16 @@ def composite_lstm(table, ids, init, w, u, b, keep=None):
             c = lerp_mask(c_new, c, keep[:, t : t + 1])
         steps.append(h)
     return stack_steps(steps), concat_cols(h, c)
+
+
+def composite_attention(hiddens, states, mask, w_a, w_c):
+    """attention_sequence(hiddens, states, mask, w_a, w_c) built from the
+    per-step ops that greedy decoding runs: (B*T, H) rows b*T + t."""
+    B, T, H = hiddens.shape
+    rows = reshape(hiddens, (B, T * H))
+    feeds = []
+    for t in range(T):
+        h = slice_cols(rows, t * H, (t + 1) * H)
+        weights = masked_softmax(batched_dot(matmul(h, w_a), states), mask)
+        feeds.append(tanh(matmul(concat_cols(attend(weights, states), h), w_c)))
+    return reshape(stack_steps(feeds), (B * T, H))

@@ -9,6 +9,7 @@ from aem.autograd import (
     add,
     add_bias,
     attend,
+    attention_sequence,
     backward,
     batched_dot,
     concat_cols,
@@ -31,7 +32,7 @@ from aem.autograd import (
     tanh,
 )
 from aem.gradcheck import check_gradients
-from helpers import composite_lstm
+from helpers import composite_attention, composite_lstm
 
 RNG = np.random.default_rng(20240815)
 
@@ -500,3 +501,91 @@ def test_lstm_sequence_shape_errors():
         lstm_sequence(Tensor(np.zeros((3, 0, 3))), init, w, u, b)
     with pytest.raises(ValueError, match="keep mask"):
         lstm_sequence(x, init, w, u, b, np.ones((3, 2)))
+
+
+def attention_case(B=3, T=4, S=5, H=3, dtype=np.float64):
+    hiddens, states, w_a, w_c = (Tensor(RNG.standard_normal(shape).astype(dtype))
+                                 for shape in ((B, T, H), (B, S, H), (H, H), (2 * H, H)))
+    return hiddens, states, w_a, w_c
+
+
+# encoder rows padded at the end, in the middle, and not at all
+PADDED_SOURCE = np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 1.0, 1.0, 1.0],
+                          [1.0, 1.0, 1.0, 1.0, 1.0]])
+ATTENTION_CASES = [
+    pytest.param(dict(), PADDED_SOURCE, None, id="masked-positions"),
+    pytest.param(dict(S=1), np.ones((3, 1)), None, id="single-position"),
+    pytest.param(dict(T=1), PADDED_SOURCE, None, id="single-step"),
+    pytest.param(dict(), PADDED_SOURCE, [0, 5, 6, 11], id="loss-on-some-rows"),
+]
+
+
+def attention_loss(run, case, mask, rows):
+    """Scalar loss contracting the (B*T, H) output against fixed weights,
+    zero outside `rows` when given."""
+    hiddens, states, w_a, w_c = case
+    B, T, H = hiddens.shape
+    weights = np.linspace(-1.0, 1.5, B * T * H).reshape(B * T, H)
+    if rows is not None:
+        weights[np.setdiff1d(np.arange(B * T), rows)] = 0.0
+    return lambda: sum_all(mul(run(hiddens, states, mask, w_a, w_c), Tensor(weights)))
+
+
+@pytest.mark.parametrize("shape, mask, rows", ATTENTION_CASES)
+def test_attention_sequence_gradient_vs_finite_differences(shape, mask, rows):
+    case = attention_case(**shape)
+    assert check_gradients(attention_loss(attention_sequence, case, mask, rows), case) < 1e-4
+
+
+@pytest.mark.parametrize("shape, mask, rows", ATTENTION_CASES)
+def test_attention_sequence_matches_composite_chain(shape, mask, rows):
+    case = attention_case(**shape)
+    hiddens, states, w_a, w_c = case
+    results = []
+    for run in (composite_attention, attention_sequence):
+        for t in case:
+            t.grad = None
+        loss_fn = attention_loss(run, case, mask, rows)
+        with Tape() as tape:
+            tape.watch(case)
+            loss = loss_fn()
+        backward(tape, loss)
+        out = run(hiddens, states, mask, w_a, w_c)
+        results.append([out.values] + [t.grad.copy() for t in case])
+    for ref, got in zip(*results):
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
+
+
+def test_attention_sequence_float32_forward_bit_equal_to_composite():
+    for B, T, S in ((16, 9, 11), (4, 1, 6), (4, 5, 1)):
+        hiddens, states, w_a, w_c = attention_case(B, T, S, H=32, dtype=np.float32)
+        mask = (np.arange(S) < RNG.integers(1, S + 1, B)[:, None]).astype(np.float32)
+        fused = attention_sequence(hiddens, states, mask, w_a, w_c)
+        ref = composite_attention(hiddens, states, mask, w_a, w_c)
+        assert fused.dtype == np.float32
+        assert fused.values.tobytes() == ref.values.tobytes()
+
+
+def test_attention_sequence_is_one_record():
+    hiddens, states, w_a, w_c = attention_case()
+    with Tape() as tape:
+        attention_sequence(hiddens, states, PADDED_SOURCE, w_a, w_c)
+    assert len(tape) == 1
+
+
+def test_attention_sequence_shape_and_mask_errors():
+    hiddens, states, w_a, w_c = attention_case()
+    for args in ((Tensor(np.zeros((3, 4))), states, w_a, w_c),
+                 (hiddens, Tensor(np.zeros((2, 5, 3))), w_a, w_c),
+                 (hiddens, Tensor(np.zeros((3, 5, 2))), w_a, w_c),
+                 (hiddens, Tensor(np.zeros((3, 0, 3))), w_a, w_c),
+                 (hiddens, states, w_c, w_c),
+                 (hiddens, states, w_a, w_a)):
+        with pytest.raises(ValueError, match="attention_sequence shape mismatch"):
+            attention_sequence(args[0], args[1], np.ones((3, 5)), args[2], args[3])
+    with pytest.raises(ValueError, match="mask shape"):
+        attention_sequence(hiddens, states, np.ones((3, 4)), w_a, w_c)
+    no_position = PADDED_SOURCE.copy()
+    no_position[1] = 0.0
+    with pytest.raises(ValueError, match="a row has no unmasked positions"):
+        attention_sequence(hiddens, states, no_position, w_a, w_c)

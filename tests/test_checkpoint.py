@@ -1,9 +1,11 @@
+import re
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
+import aem.checkpoint
 from aem.checkpoint import (
     CheckpointError,
     checkpoint_bytes,
@@ -172,3 +174,64 @@ def test_failed_save_keeps_previous_file(tmp_path):
         save_checkpoint(str(path), wide, tiny_vocab(), epoch=4)
     assert path.read_bytes() == before
     assert load_checkpoint(path).epoch == 3
+
+
+class HalfWrite:
+    """A file whose write stores half the bytes, then fails as a full disk would."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("step", ["write", "fsync", "replace"])
+def test_save_failing_partway_keeps_previous_file_and_no_temp(tmp_path, monkeypatch, step):
+    path = tmp_path / "last.ckpt"
+    model, adam = trained_model()
+    save_checkpoint(str(path), model, tiny_vocab(), adam, epoch=3)
+    before = path.read_bytes()
+
+    def fail(*args):
+        raise OSError(5, "Input/output error")
+
+    if step == "write":
+        monkeypatch.setattr(aem.checkpoint, "open", lambda p, mode: HalfWrite(open(p, mode)),
+                            raising=False)
+    else:
+        monkeypatch.setattr(aem.checkpoint.os, step, fail)
+    with pytest.raises(OSError):
+        save_checkpoint(str(path), model, tiny_vocab(), adam, epoch=4)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).epoch == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["last.ckpt"]
+
+
+def test_stale_truncated_temp_file_does_not_affect_loading(tmp_path):
+    path = tmp_path / "last.ckpt"
+    model, adam = trained_model()
+    save_checkpoint(str(path), model, tiny_vocab(), adam, epoch=3)
+    stale = tmp_path / "last.ckpt.tmp"
+    stale.write_bytes(path.read_bytes()[:40])
+    assert load_checkpoint(path).epoch == 3
+    save_checkpoint(str(path), model, tiny_vocab(), adam, epoch=4)
+    assert load_checkpoint(path).epoch == 4
+    assert not stale.exists()
+
+
+def test_load_errors_name_the_file(tmp_path):
+    path = tmp_path / "last.ckpt"
+    model, adam = trained_model()
+    save_checkpoint(str(path), model, tiny_vocab(), adam)
+    path.write_bytes(path.read_bytes()[:-1] + b"\x00")
+    with pytest.raises(CheckpointError, match=re.escape(str(path)) + ": checksum mismatch"):
+        load_checkpoint(path)

@@ -130,6 +130,44 @@ def test_resume_keeps_early_stopping_count(workspace, capsys):
     assert (split_dir / "metrics.log").read_text(encoding="utf-8") == straight
 
 
+def test_resume_after_crash_between_metrics_and_checkpoint(workspace, monkeypatch):
+    # epoch 3's metrics line is written, then its last.ckpt save dies
+    cfg = write_config(workspace, epochs=5, patience=5)
+    ckpt_dir = workspace / "ckpt"
+    names = ("metrics.log", "last.ckpt", "best.ckpt")
+    assert main(["train", "--config", str(cfg)]) == 0
+    straight = {name: (ckpt_dir / name).read_bytes() for name in names}
+    assert len(straight["metrics.log"].splitlines()) == 5
+    for name in names:
+        os.remove(ckpt_dir / name)
+
+    save = aem.cli.save_checkpoint
+
+    def save_or_die(path, *args, epoch, **kwargs):
+        if epoch == 3 and path.endswith("last.ckpt"):
+            raise OSError("killed while saving")
+        save(path, *args, epoch=epoch, **kwargs)
+
+    monkeypatch.setattr(aem.cli, "save_checkpoint", save_or_die)
+    assert main(["train", "--config", str(cfg)]) == 1
+    monkeypatch.undo()
+    assert len((ckpt_dir / "metrics.log").read_text(encoding="utf-8").splitlines()) == 3
+    assert main(["train", "--config", str(cfg), "--resume", str(ckpt_dir / "last.ckpt")]) == 0
+    for name in names:
+        assert (ckpt_dir / name).read_bytes() == straight[name], name
+
+
+def test_resume_rejects_malformed_metrics_log(workspace, capsys):
+    cfg = write_config(workspace, epochs=1)
+    assert main(["train", "--config", str(cfg)]) == 0
+    metrics = workspace / "ckpt" / "metrics.log"
+    metrics.write_text(metrics.read_text(encoding="utf-8") + "garbage\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg),
+                 "--resume", str(workspace / "ckpt" / "last.ckpt")]) == 1
+    assert "metrics.log line 2" in capsys.readouterr().err
+
+
 def test_resume_after_early_stop_trains_nothing(workspace, capsys):
     cfg = write_config(workspace, epochs=6, patience=2)
     assert main(["train", "--config", str(cfg)]) == 0
@@ -223,6 +261,18 @@ def test_generate_rejects_empty_line(workspace, capsys):
     assert main(["generate", "--ckpt", str(ckpt), "--in", str(infile),
                  "--out", str(workspace / "out.txt")]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def test_generate_corrupted_checkpoint_names_the_file(workspace, capsys):
+    ckpt = trained_checkpoint(workspace, epochs=1)
+    data = bytearray(ckpt.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    ckpt.write_bytes(bytes(data))
+    infile = workspace / "in.txt"
+    infile.write_text("hello\n", encoding="utf-8")
+    assert main(["generate", "--ckpt", str(ckpt), "--in", str(infile),
+                 "--out", str(workspace / "out.txt")]) == 1
+    assert "error: %s: checksum mismatch" % ckpt in capsys.readouterr().err
 
 
 def test_generate_handles_oov_via_unk(workspace, capsys):

@@ -270,16 +270,19 @@ def test_loss_graph_records_no_vocabulary_wide_tensor():
     assert len(tape) <= 39
 
 
-@pytest.mark.parametrize("kind", ["aem", "seq2seq"])
+def loss_graph_tape_length(kind, pairs):
+    with Tape() as tape:
+        DialogueModel(kind, tiny_config()).loss_graph(pairs_to_batch(pairs))
+    return len(tape)
+
+
+@pytest.mark.parametrize("kind", ["aem", "seq2seq", "aem_attention", "seq2seq_attention"])
 def test_loss_graph_tape_length_does_not_grow_with_sequence_length(kind):
-    cfg = tiny_config()
-    model = DialogueModel(kind, cfg)
-    lengths = []
-    for pairs in (toy_pairs(), [DialoguePair(p.source * 2, p.target * 2) for p in toy_pairs()]):
-        with Tape() as tape:
-            model.loss_graph(pairs_to_batch(pairs))
-        lengths.append(len(tape))
-    assert lengths[0] == lengths[1]
+    # attention runs as one record, so each kind's tape equals its plain kind's
+    doubled = [DialoguePair(p.source * 2, p.target * 2) for p in toy_pairs()]
+    length = loss_graph_tape_length(kind, toy_pairs())
+    assert loss_graph_tape_length(kind, doubled) == length
+    assert length == loss_graph_tape_length(kind.removesuffix("_attention"), toy_pairs())
 
 
 def test_train_step_reports_pre_clip_gradient_norm():
