@@ -14,7 +14,9 @@ import tempfile
 
 from aem.cli import main
 
-workdir = pathlib.Path(tempfile.mkdtemp(prefix="aem-demo-"))
+# removed at the end, or at exit if a step fails
+tmp = tempfile.TemporaryDirectory(prefix="aem-demo-")
+workdir = pathlib.Path(tmp.name)
 print("working under", workdir)
 
 # A tiny dialogue corpus, one TAB-separated pair per line. The
@@ -80,3 +82,5 @@ print("\n$ aem train --config run.cfg --resume ckpt/last.ckpt --set epochs=254")
 rc = main(["train", "--config", str(manifest), "--resume",
            str(workdir / "ckpt" / "last.ckpt"), "--set", "epochs=254"])
 assert rc == 0
+
+tmp.cleanup()

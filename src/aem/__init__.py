@@ -17,9 +17,8 @@ from .config import MODEL_KINDS, RunConfig, TrainingConfig, load_config
 from .data import (Batch, DialoguePair, Vocabulary, build_vocab, encode_pairs,
                    load_corpus, make_batches, pairs_to_batch, tokenize)
 from .gradcheck import check_gradients
-from .metrics import (averaged_sentence_bleu, corpus_bleu, distinct_ngrams,
-                      diversity, eval_report, format_report, g_score,
-                      pearson, sentence_bleu)
+from .metrics import (corpus_bleu, distinct_ngrams, diversity, eval_report,
+                      format_report, g_score, pearson)
 from .model import DialogueModel, LossBreakdown, build_baseline, total_loss
 from .optim import Adam, clip_grad_norm
 from .params import ParamStore, uniform_init
@@ -30,12 +29,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam", "Batch", "Checkpoint", "CheckpointError", "DialogueModel",
     "DialoguePair", "LossBreakdown", "MODEL_KINDS", "ParamStore", "RunConfig",
-    "SplitMix64", "Tape", "Tensor", "TrainingConfig",
-    "Vocabulary", "averaged_sentence_bleu", "backward", "build_baseline",
-    "build_vocab", "check_gradients", "clip_grad_norm", "corpus_bleu",
-    "derive_seed", "detach", "distinct_ngrams", "diversity", "encode_pairs",
-    "eval_report", "format_report", "g_score", "load_checkpoint",
+    "SplitMix64", "Tape", "Tensor", "TrainingConfig", "Vocabulary", "backward",
+    "build_baseline", "build_vocab", "check_gradients", "clip_grad_norm",
+    "corpus_bleu", "derive_seed", "detach", "distinct_ngrams", "diversity",
+    "encode_pairs", "eval_report", "format_report", "g_score", "load_checkpoint",
     "load_config", "load_corpus", "make_batches", "model_from_checkpoint",
-    "pairs_to_batch", "pearson", "save_checkpoint", "sentence_bleu",
-    "tokenize", "total_loss", "uniform_init",
+    "pairs_to_batch", "pearson", "save_checkpoint", "tokenize", "total_loss",
+    "uniform_init",
 ]

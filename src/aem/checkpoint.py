@@ -38,6 +38,10 @@ VERSION = 1
 PROGRESS_KEYS = ("epoch", "adam_t", "best_val", "stale")
 
 
+class CheckpointError(ValueError):
+    pass
+
+
 @dataclass
 class Checkpoint:
     kind: str
@@ -49,9 +53,11 @@ class Checkpoint:
     best_val: float = math.inf
     stale: int = 0  # epochs since best_val last improved (early stopping)
 
-
-class CheckpointError(ValueError):
-    pass
+    def __post_init__(self):
+        # the embedding and output tables have config.vocab_size rows
+        if len(self.vocab) != self.config.vocab_size:
+            raise CheckpointError("vocabulary has %d entries but the model was built for %d"
+                                  % (len(self.vocab), self.config.vocab_size))
 
 
 def _write_str(out, text):

@@ -178,9 +178,6 @@ def cmd_train(args):
 
 def _load_generation_model(path):
     ckpt = load_checkpoint(path)
-    if len(ckpt.vocab) != ckpt.config.vocab_size:
-        raise ValueError("checkpoint vocabulary has %d entries but the model "
-                         "was built for %d" % (len(ckpt.vocab), ckpt.config.vocab_size))
     return model_from_checkpoint(ckpt), ckpt.vocab
 
 

@@ -84,11 +84,13 @@ def _parse_value(name, raw, typ):
         raise ValueError("%s expects %s, got %r" % (name, typ.__name__, raw)) from None
 
 
-def parse_config_text(text, cls=RunConfig):
+# key -> value type, read off the defaults: dataclass field types may
+# arrive as strings under deferred annotations
+_FIELD_TYPES = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
+
+
+def parse_config_text(text):
     """Parse key=value lines (blank lines and # comments allowed)."""
-    types = {f.name: f.type for f in fields(cls)}
-    # dataclass field types may arrive as strings under deferred annotations
-    actual = {f.name: type(getattr(cls(), f.name)) for f in fields(cls)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -98,25 +100,24 @@ def parse_config_text(text, cls=RunConfig):
             raise ValueError("line %d: expected key=value, got %r" % (lineno, line))
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in types:
+        if key not in _FIELD_TYPES:
             raise ValueError("line %d: unknown key %r" % (lineno, key))
         if key in values:
             raise ValueError("line %d: duplicate key %r" % (lineno, key))
-        values[key] = _parse_value(key, raw, actual[key])
-    return cls(**values).validate()
+        values[key] = _parse_value(key, raw, _FIELD_TYPES[key])
+    return RunConfig(**values).validate()
 
 
-def load_config(path, overrides=None, cls=RunConfig):
+def load_config(path, overrides=None):
     """Read a manifest file and apply raw-string overrides on top."""
     with open(path, encoding="utf-8") as f:
-        cfg = parse_config_text(f.read(), cls)
+        cfg = parse_config_text(f.read())
     if overrides:
-        actual = {f.name: type(getattr(cls(), f.name)) for f in fields(cls)}
         for key, raw in overrides.items():
-            if key not in actual:
+            if key not in _FIELD_TYPES:
                 raise ValueError("unknown config key %r" % key)
             setattr(cfg, key, raw if not isinstance(raw, str)
-                    else _parse_value(key, raw, actual[key]))
+                    else _parse_value(key, raw, _FIELD_TYPES[key]))
         cfg.validate()
     return cfg
 

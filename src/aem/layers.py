@@ -4,11 +4,14 @@ attention.
 
 Every LSTM, whether encoder, teacher-forced decoder or one greedy
 decoding step, runs through the single fused `lstm_sequence` op, which
-holds the only copy of the gate math.
+holds the only copy of the gate math. LSTM state is always one [h; c]
+tensor of width 2H; `step` returns h beside it as a view of the hiddens.
 
 All parameters are registered in a ParamStore under the prefix given at
-construction, so layer code never owns arrays directly and checkpoints
-are a flat name -> array map.
+construction, in the store's dtype, so layer code never owns arrays
+directly and checkpoints are a flat name -> array map. The training
+loss head is `linear_softmax_cross_entropy` over an OutputProjection's
+W and b; `logits` serves greedy decoding.
 """
 
 from __future__ import annotations
@@ -23,21 +26,18 @@ from .autograd import (
     batched_dot,
     concat_cols,
     embedding_lookup,
-    linear_softmax_cross_entropy,
     lstm_sequence,
     masked_softmax,
     matmul,
     reshape,
-    slice_cols,
     tanh,
 )
 from .params import ParamStore
 
 
 class Embedding:
-    def __init__(self, store: ParamStore, prefix: str, vocab_size: int, embed_size: int,
-                 dtype=np.float32):
-        self.table = store.add(f"{prefix}.W", (vocab_size, embed_size), dtype=dtype)
+    def __init__(self, store: ParamStore, prefix: str, vocab_size: int, embed_size: int):
+        self.table = store.add(f"{prefix}.W", (vocab_size, embed_size))
 
     def lookup(self, ids: np.ndarray) -> Tensor:
         return embedding_lookup(self.table, ids)
@@ -51,45 +51,38 @@ class LSTMCell:
     this order is part of the checkpoint format and must not change.
     """
 
-    def __init__(self, store: ParamStore, prefix: str, input_size: int, hidden_size: int,
-                 dtype=np.float32):
+    def __init__(self, store: ParamStore, prefix: str, input_size: int, hidden_size: int):
         self.hidden_size = hidden_size
-        self.W = store.add(f"{prefix}.W", (input_size, 4 * hidden_size), dtype=dtype)
-        self.U = store.add(f"{prefix}.U", (hidden_size, 4 * hidden_size), dtype=dtype)
-        self.b = store.add(f"{prefix}.b", (4 * hidden_size,), dtype=dtype)
+        self.W = store.add(f"{prefix}.W", (input_size, 4 * hidden_size))
+        self.U = store.add(f"{prefix}.U", (hidden_size, 4 * hidden_size))
+        self.b = store.add(f"{prefix}.b", (4 * hidden_size,))
 
-    def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-        """One step from (B, E) inputs: lstm_sequence over a length-1 sequence."""
+    def step(self, x: Tensor, state: Tensor) -> tuple[Tensor, Tensor]:
+        """One step from (B, E) inputs and [h; c] state: lstm_sequence over a
+        length-1 sequence. Returns (h (B, H), new [h; c])."""
         B, E = x.values.shape
-        _, state = lstm_sequence(reshape(x, (B, 1, E)), concat_cols(h_prev, c_prev),
-                                 self.W, self.U, self.b)
-        return split_state(state, self.hidden_size)
+        hiddens, state = lstm_sequence(reshape(x, (B, 1, E)), state, self.W, self.U, self.b)
+        return reshape(hiddens, (B, self.hidden_size)), state
 
 
 class OutputProjection:
-    def __init__(self, store: ParamStore, prefix: str, hidden_size: int, vocab_size: int,
-                 dtype=np.float32):
-        self.W = store.add(f"{prefix}.W", (hidden_size, vocab_size), dtype=dtype)
-        self.b = store.add(f"{prefix}.b", (vocab_size,), dtype=dtype)
+    def __init__(self, store: ParamStore, prefix: str, hidden_size: int, vocab_size: int):
+        self.W = store.add(f"{prefix}.W", (hidden_size, vocab_size))
+        self.b = store.add(f"{prefix}.b", (vocab_size,))
 
     def logits(self, h: Tensor) -> Tensor:
         return add_bias(matmul(h, self.W), self.b)
-
-    def loss(self, h: Tensor, targets: np.ndarray, mask: np.ndarray) -> tuple[Tensor, int]:
-        """Summed cross-entropy of logits(h) over mask==1 rows, fused so the
-        logits are never recorded; returns (loss_sum, n_tokens)."""
-        return linear_softmax_cross_entropy(h, self.W, self.b, targets, mask)
 
 
 class MappingMLP:
     """Transforms one utterance representation into another: a tanh
     hidden layer then a linear output, both the full state width."""
 
-    def __init__(self, store: ParamStore, prefix: str, state_size: int, dtype=np.float32):
-        self.W1 = store.add(f"{prefix}.W1", (state_size, state_size), dtype=dtype)
-        self.b1 = store.add(f"{prefix}.b1", (state_size,), dtype=dtype)
-        self.W2 = store.add(f"{prefix}.W2", (state_size, state_size), dtype=dtype)
-        self.b2 = store.add(f"{prefix}.b2", (state_size,), dtype=dtype)
+    def __init__(self, store: ParamStore, prefix: str, state_size: int):
+        self.W1 = store.add(f"{prefix}.W1", (state_size, state_size))
+        self.b1 = store.add(f"{prefix}.b1", (state_size,))
+        self.W2 = store.add(f"{prefix}.W2", (state_size, state_size))
+        self.b2 = store.add(f"{prefix}.b2", (state_size,))
 
     def forward(self, h: Tensor) -> Tensor:
         if h.values.ndim != 2 or h.values.shape[1] != self.W1.values.shape[0]:
@@ -102,9 +95,9 @@ class MappingMLP:
 class LuongAttention:
     """General-score attention over encoder annotations."""
 
-    def __init__(self, store: ParamStore, prefix: str, hidden_size: int, dtype=np.float32):
-        self.W_a = store.add(f"{prefix}.W_a", (hidden_size, hidden_size), dtype=dtype)
-        self.W_c = store.add(f"{prefix}.W_c", (2 * hidden_size, hidden_size), dtype=dtype)
+    def __init__(self, store: ParamStore, prefix: str, hidden_size: int):
+        self.W_a = store.add(f"{prefix}.W_a", (hidden_size, hidden_size))
+        self.W_c = store.add(f"{prefix}.W_c", (2 * hidden_size, hidden_size))
 
     def context(self, decoder_h: Tensor, encoder_states: Tensor,
                 mask: np.ndarray) -> tuple[Tensor, Tensor]:
@@ -124,10 +117,6 @@ class LuongAttention:
         return attention_sequence(decoder_hiddens, encoder_states, mask, self.W_a, self.W_c)
 
 
-def zero_state(batch_size: int, hidden_size: int, dtype) -> Tensor:
-    return Tensor(np.zeros((batch_size, hidden_size), dtype=dtype))
-
-
 def encode_sequence(cell: LSTMCell, embedding: Embedding, tokens: np.ndarray,
                     mask: np.ndarray) -> tuple[Tensor, Tensor]:
     """Run the cell left to right from a zero state.
@@ -137,15 +126,8 @@ def encode_sequence(cell: LSTMCell, embedding: Embedding, tokens: np.ndarray,
     unmasked position. Returns (per-step hiddens (B, T, H), final
     [h; c] of width 2H).
     """
-    init = zero_state(tokens.shape[0], 2 * cell.hidden_size, cell.W.values.dtype)
+    init = Tensor(np.zeros((tokens.shape[0], 2 * cell.hidden_size), dtype=cell.W.values.dtype))
     return lstm_sequence(embedding.lookup(tokens), init, cell.W, cell.U, cell.b, mask)
-
-
-def split_state(state: Tensor, hidden_size: int) -> tuple[Tensor, Tensor]:
-    """Undo the [h; c] concatenation."""
-    if state.values.shape[1] != 2 * hidden_size:
-        raise ValueError(f"state width {state.values.shape[1]} != 2*{hidden_size}")
-    return slice_cols(state, 0, hidden_size), slice_cols(state, hidden_size, 2 * hidden_size)
 
 
 def shifted_inputs(targets: np.ndarray, bos_id: int) -> np.ndarray:
@@ -188,13 +170,13 @@ def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
     stopping at EOS. PAD and BOS are never emitted; argmax ties break
     toward the lowest token id."""
     B = init.values.shape[0]
-    h, c = split_state(init, cell.hidden_size)
+    state = init
     current = np.full(B, bos_id, dtype=np.int64)
     finished = np.zeros(B, dtype=bool)
     columns = []
     for _ in range(max_len):
         x = embedding.lookup(current)
-        h, c = cell.step(x, h, c)
+        h, state = cell.step(x, state)
         if attention is not None:
             context, _ = attention.context(h, encoder_states, encoder_mask)
             feed = attention.attentional_hidden(context, h)

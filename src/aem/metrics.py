@@ -1,10 +1,9 @@
 """Automatic and human-evaluation arithmetic.
 
-Corpus BLEU-1..4 with pooled clipped n-gram counts and no smoothing (a
-per-sentence add-1 smoothed variant exists for cross-checking), distinct
-n-gram counts over the generated corpus, the geometric-mean G-Score of
-fluency and coherence, and Pearson correlation for inter-annotator
-agreement.
+Corpus BLEU-1..4 with pooled clipped n-gram counts and no smoothing,
+distinct n-gram counts over the generated corpus, the geometric-mean
+G-Score of fluency and coherence, and Pearson correlation for
+inter-annotator agreement.
 """
 
 import csv
@@ -100,32 +99,6 @@ def corpus_bleu(hypotheses, references, max_n=4):
     return BleuReport(tuple(scores), tuple(precisions), bp, hyp_len, ref_len)
 
 
-def sentence_bleu(hypothesis, reference, max_n=4):
-    """Single-pair BLEU with add-1 smoothing on orders >= 2."""
-    ps = []
-    for n in range(1, max_n + 1):
-        ref_counts = ngram_counts(reference, n)
-        clipped = sum(min(c, ref_counts.get(g, 0))
-                      for g, c in ngram_counts(hypothesis, n).items())
-        total = max(len(hypothesis) - n + 1, 0)
-        if n >= 2:
-            clipped, total = clipped + 1, total + 1
-        ps.append(clipped / total if total else 0.0)
-    if not all(p > 0 for p in ps):
-        return 0.0
-    c, r = len(hypothesis), len(reference)
-    bp = 1.0 if c > r else (math.exp(1.0 - r / c) if c else 0.0)
-    return 100.0 * bp * math.exp(sum(math.log(p) for p in ps) / max_n)
-
-
-def averaged_sentence_bleu(hypotheses, references, max_n=4):
-    """Mean smoothed sentence BLEU, the cross-checking variant."""
-    if len(hypotheses) != len(references) or not hypotheses:
-        raise ValueError("hypotheses and references must align and be non-empty")
-    return sum(sentence_bleu(h, r, max_n) for h, r in zip(hypotheses, references)) \
-        / len(hypotheses)
-
-
 @dataclass
 class DiversityReport:
     """Counts of distinct n-grams over the whole generated output."""
@@ -198,18 +171,15 @@ class HumanEvalTable:
         self.items.add(item)
         self.annotators.add(annotator)
 
-    def _cells(self, field):
-        return getattr(self, field)
-
     def mean(self, field):
-        cells = self._cells(field)
+        cells = getattr(self, field)
         if not cells:
             raise ValueError("no %s scores" % field)
         return sum(cells.values()) / len(cells)
 
     def agreement(self, field):
         """Mean pairwise Pearson between annotators over shared items."""
-        cells = self._cells(field)
+        cells = getattr(self, field)
         annotators = sorted(self.annotators)
         correlations = []
         for i, a in enumerate(annotators):

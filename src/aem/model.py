@@ -11,10 +11,10 @@ h into the target representation space. Four losses are combined:
 
   total = lambda1 * (j1 + j2) + lambda2 * j3 + lambda3 * j4
 
-j1/j2/j4 are averaged per unmasked token for optimization; their summed
-forms are reported alongside. By default j3 updates only the mapping
-parameters: h and s are detached before the mapping loss, and the
-end-to-end path rebuilds t from the live h so j4 still reaches the
+j1, j2 and j4 are one teacher-forced cross-entropy taken through three
+decoders, averaged per unmasked token. By default j3 updates only the
+mapping parameters: h and s are detached before the mapping loss, and
+the end-to-end path rebuilds t from the live h so j4 still reaches the
 encoder. The `seq2seq` kinds drop the auto-encoding entirely and feed
 the encoder state straight into the decoder, giving the comparison
 systems; parameter names shared with the full model are initialized
@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tape, add, backward, detach, mul, scale, sub, sum_all
+from .autograd import Tape, add, backward, detach, linear_softmax_cross_entropy, mul, scale, \
+    sub, sum_all
 from .config import MODEL_KINDS
 from .data import BOS_ID, EOS_ID, PAD_ID, Batch, pad_sequences
 from .layers import Embedding, LSTMCell, LuongAttention, MappingMLP, OutputProjection, \
@@ -37,19 +38,15 @@ from .params import ParamStore, uniform_init
 
 @dataclass
 class LossBreakdown:
-    """Per-token j1/j2/j4, batch-mean j3, and their weighted total;
-    the summed forms ride along for reporting. After a train step,
-    grad_norm is the global gradient norm before clipping and clipped
-    whether it exceeded clip_norm."""
+    """Per-token j1/j2/j4, batch-mean j3, and their weighted total.
+    After a train step, grad_norm is the global gradient norm before
+    clipping and clipped whether it exceeded clip_norm."""
 
     j1: float
     j2: float
     j3: float
     j4: float
     total: float
-    j1_sum: float = 0.0
-    j2_sum: float = 0.0
-    j4_sum: float = 0.0
     grad_norm: float = 0.0
     clipped: bool = False
 
@@ -75,23 +72,22 @@ class DialogueModel:
         self.kind = kind
         self.config = config
         self.identity_map = identity_map
-        self.dtype = dtype
         H, E, V = config.hidden_size, config.embed_size, config.vocab_size
 
-        store = ParamStore()
-        self.src_embed = Embedding(store, "theta.embed", V, E, dtype=dtype)
-        self.src_enc = LSTMCell(store, "theta.src_enc", E, H, dtype=dtype)
-        self.tgt_embed = Embedding(store, "phi.embed", V, E, dtype=dtype)
-        self.tgt_dec = LSTMCell(store, "phi.tgt_dec", E, H, dtype=dtype)
-        self.tgt_proj = OutputProjection(store, "phi.tgt_dec.proj", H, V, dtype=dtype)
+        store = ParamStore(dtype)
+        self.src_embed = Embedding(store, "theta.embed", V, E)
+        self.src_enc = LSTMCell(store, "theta.src_enc", E, H)
+        self.tgt_embed = Embedding(store, "phi.embed", V, E)
+        self.tgt_dec = LSTMCell(store, "phi.tgt_dec", E, H)
+        self.tgt_proj = OutputProjection(store, "phi.tgt_dec.proj", H, V)
         if self.is_aem:
-            self.src_dec = LSTMCell(store, "theta.src_dec", E, H, dtype=dtype)
-            self.src_proj = OutputProjection(store, "theta.src_dec.proj", H, V, dtype=dtype)
-            self.tgt_enc = LSTMCell(store, "phi.tgt_enc", E, H, dtype=dtype)
+            self.src_dec = LSTMCell(store, "theta.src_dec", E, H)
+            self.src_proj = OutputProjection(store, "theta.src_dec.proj", H, V)
+            self.tgt_enc = LSTMCell(store, "phi.tgt_enc", E, H)
             if not identity_map:
-                self.mapping = MappingMLP(store, "gamma.map", 2 * H, dtype=dtype)
+                self.mapping = MappingMLP(store, "gamma.map", 2 * H)
         if self.has_attention:
-            self.attention = LuongAttention(store, "attn", H, dtype=dtype)
+            self.attention = LuongAttention(store, "attn", H)
         self.store = store
         uniform_init(store, -0.1, 0.1, seed=config.seed)
 
@@ -112,20 +108,16 @@ class DialogueModel:
     def encode_source_ae(self, batch):
         """Source auto-encoder: h plus the summed reconstruction loss."""
         states, h = self.encode_source(batch)
-        features = decode_teacher_forced(self.src_dec, self.src_embed, h,
-                                         batch.source, BOS_ID)
-        j1_sum, n = self._sequence_loss(self.src_proj, features, batch.source,
-                                        batch.source_mask)
+        j1_sum, n = self._decode_loss(self.src_dec, self.src_embed, self.src_proj, h,
+                                      batch.source, batch.source_mask)
         return h, j1_sum, n, states
 
     def encode_target_ae(self, batch):
         """Target auto-encoder: s plus the summed reconstruction loss."""
         _, s = encode_sequence(self.tgt_enc, self.tgt_embed,
                                batch.target, batch.target_mask)
-        features = decode_teacher_forced(self.tgt_dec, self.tgt_embed, s,
-                                         batch.target, BOS_ID)
-        j2_sum, n = self._sequence_loss(self.tgt_proj, features, batch.target,
-                                        batch.target_mask)
+        j2_sum, n = self._decode_loss(self.tgt_dec, self.tgt_embed, self.tgt_proj, s,
+                                      batch.target, batch.target_mask)
         return s, j2_sum, n
 
     def _map(self, h):
@@ -161,14 +153,17 @@ class DialogueModel:
 
     def end_to_end_loss(self, init, batch, encoder_states=None):
         """Decode the target teacher-forced from the given state."""
-        features = decode_teacher_forced(
-            self.tgt_dec, self.tgt_embed, init, batch.target, BOS_ID,
-            **self._attention_kwargs(encoder_states, batch.source_mask))
-        return self._sequence_loss(self.tgt_proj, features, batch.target, batch.target_mask)
+        return self._decode_loss(self.tgt_dec, self.tgt_embed, self.tgt_proj, init,
+                                 batch.target, batch.target_mask,
+                                 **self._attention_kwargs(encoder_states, batch.source_mask))
 
-    def _sequence_loss(self, proj, features, targets, mask):
-        """Summed loss of (B*T, H) decoder features against (B, T) targets."""
-        return proj.loss(features, targets.reshape(-1), mask.reshape(-1))
+    def _decode_loss(self, cell, embed, proj, init, tokens, mask, **attention):
+        """Decode (B, T) tokens teacher-forced from `init` and score them:
+        (summed cross-entropy over mask == 1 positions, their count). The
+        head is fused, so the (B*T, V) logits are never recorded."""
+        features = decode_teacher_forced(cell, embed, init, tokens, BOS_ID, **attention)
+        return linear_softmax_cross_entropy(features, proj.W, proj.b,
+                                            tokens.reshape(-1), mask.reshape(-1))
 
     # training ----------------------------------------------------------
 
@@ -190,17 +185,14 @@ class DialogueModel:
                         scale(j4, cfg.lambda3))
             parts = LossBreakdown(
                 j1=float(j1.values), j2=float(j2.values), j3=float(j3.values),
-                j4=float(j4.values), total=float(total.values),
-                j1_sum=float(j1_sum.values), j2_sum=float(j2_sum.values),
-                j4_sum=float(j4_sum.values))
+                j4=float(j4.values), total=float(total.values))
         else:
             states, h = self.encode_source(batch)
             j4_sum, n_tgt = self.end_to_end_loss(h, batch, states)
             j4 = scale(j4_sum, 1.0 / n_tgt)
             total = scale(j4, cfg.lambda3)
             parts = LossBreakdown(j1=0.0, j2=0.0, j3=0.0, j4=float(j4.values),
-                                  total=float(total.values),
-                                  j4_sum=float(j4_sum.values))
+                                  total=float(total.values))
         for name in ("j1", "j2", "j3", "j4", "total"):
             if not np.isfinite(getattr(parts, name)):
                 raise FloatingPointError("non-finite %s" % name)

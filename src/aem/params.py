@@ -11,17 +11,20 @@ from .rng import SplitMix64, derive_seed
 class ParamStore:
     """Map from hierarchical name ("theta.src_enc.W") to parameter Tensor.
 
-    Iteration is always lexicographic by name, so optimizer updates and
-    serialization are order-deterministic.
+    The store sets the dtype: every parameter it adds, and every subset
+    view, uses the one given at construction. Iteration is always
+    lexicographic by name, so optimizer updates and serialization are
+    order-deterministic.
     """
 
-    def __init__(self):
+    def __init__(self, dtype=np.float32):
+        self.dtype = dtype
         self._params: dict[str, Tensor] = {}
 
-    def add(self, name: str, shape: tuple[int, ...], dtype=np.float32) -> Tensor:
+    def add(self, name: str, shape: tuple[int, ...]) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.zeros(shape, dtype=dtype), name=name)
+        t = Tensor(np.zeros(shape, dtype=self.dtype), name=name)
         self._params[name] = t
         return t
 
@@ -46,7 +49,7 @@ class ParamStore:
 
     def subset(self, prefix: str) -> "ParamStore":
         """View over names starting with `prefix.`; shares the Tensors."""
-        sub = ParamStore()
+        sub = ParamStore(self.dtype)
         dotted = prefix if prefix.endswith(".") else prefix + "."
         for name, t in self._params.items():
             if name.startswith(dotted):

@@ -228,6 +228,34 @@ def test_stale_truncated_temp_file_does_not_affect_loading(tmp_path):
     assert not stale.exists()
 
 
+MISMATCH = "vocabulary has 8 entries but the model was built for 7"
+
+
+def test_save_rejects_vocabulary_of_another_size_and_keeps_previous_file(tmp_path):
+    path = tmp_path / "last.ckpt"
+    model, adam = trained_model()
+    save_checkpoint(str(path), model, tiny_vocab(), adam, epoch=3)
+    before = path.read_bytes()
+    with pytest.raises(CheckpointError, match=MISMATCH):
+        save_checkpoint(str(path), model, Vocabulary(["hi", "there", "you", "all"]), adam,
+                        epoch=4)
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).epoch == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["last.ckpt"]
+
+
+def test_load_rejects_vocabulary_of_another_size(tmp_path):
+    # a file whose vocabulary disagrees with its embedding tables
+    path = tmp_path / "last.ckpt"
+    model, adam = trained_model()
+    save_checkpoint(str(path), model, tiny_vocab(), adam)
+    ckpt = load_checkpoint(path)
+    ckpt.vocab = Vocabulary(["hi", "there", "you", "all"])
+    path.write_bytes(checkpoint_bytes(ckpt))
+    with pytest.raises(CheckpointError, match=re.escape(str(path)) + ": " + MISMATCH):
+        load_checkpoint(path)
+
+
 def test_load_errors_name_the_file(tmp_path):
     path = tmp_path / "last.ckpt"
     model, adam = trained_model()

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import aem.cli
-from aem.checkpoint import load_checkpoint
+from aem.checkpoint import checkpoint_bytes, load_checkpoint
 from aem.cli import fit, main
-from aem.data import build_vocab, load_corpus
+from aem.data import Vocabulary, build_vocab, load_corpus
 from aem.model import LossBreakdown
 from helpers import tiny_config, toy_batch, toy_pairs
 
@@ -273,6 +273,30 @@ def test_generate_corrupted_checkpoint_names_the_file(workspace, capsys):
     assert main(["generate", "--ckpt", str(ckpt), "--in", str(infile),
                  "--out", str(workspace / "out.txt")]) == 1
     assert "error: %s: checksum mismatch" % ckpt in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_vocabulary_size_mismatch_fails_resume_and_generate(workspace, capsys, extra):
+    # one token more or fewer than the embedding tables have rows
+    last = trained_checkpoint(workspace, epochs=1)
+    ckpt = load_checkpoint(last)
+    tokens = ckpt.vocab.id_to_token[4:]
+    ckpt.vocab = Vocabulary(tokens + ["zz"] if extra > 0 else tokens[:-1])
+    last.write_bytes(checkpoint_bytes(ckpt))
+    capsys.readouterr()
+    sizes = "has %d entries but the model was built for %d" % (
+        len(ckpt.vocab), ckpt.config.vocab_size)
+
+    cfg = write_config(workspace, epochs=2)
+    assert main(["train", "--config", str(cfg), "--resume", str(last)]) == 1
+    err = capsys.readouterr().err
+    assert "error: %s: " % last in err and sizes in err
+    infile = workspace / "in.txt"
+    infile.write_text("hello\n", encoding="utf-8")
+    assert main(["generate", "--ckpt", str(last), "--in", str(infile),
+                 "--out", str(workspace / "out.txt")]) == 1
+    err = capsys.readouterr().err
+    assert "error: %s: " % last in err and sizes in err
 
 
 def test_generate_handles_oov_via_unk(workspace, capsys):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from aem.autograd import (Tape, Tensor, backward, mul, reshape, softmax_cross_entropy,
-                          stack_steps, sum_all)
+from aem.autograd import (Tape, Tensor, backward, concat_cols, mul, reshape, slice_cols,
+                          softmax_cross_entropy, stack_steps, sum_all)
 from aem.gradcheck import check_gradients
 from aem.layers import (
     Embedding,
@@ -14,8 +14,6 @@ from aem.layers import (
     encode_sequence,
     greedy_decode,
     shifted_inputs,
-    split_state,
-    zero_state,
 )
 from aem.params import ParamStore, uniform_init
 from helpers import composite_lstm, composite_lstm_step
@@ -24,55 +22,60 @@ RNG = np.random.default_rng(7)
 
 
 def make_cell(E=3, H=4, seed=None):
-    store = ParamStore()
-    cell = LSTMCell(store, "cell", E, H, dtype=np.float64)
+    store = ParamStore(np.float64)
+    cell = LSTMCell(store, "cell", E, H)
     if seed is not None:
         uniform_init(store, -0.5, 0.5, seed=seed)
     return store, cell
 
 
+def hc(h, c):
+    """[h; c] state from (B, H) arrays."""
+    return Tensor(np.concatenate([h, c], axis=1))
+
+
 def test_lstm_zero_weights_gives_zero_state():
     _, cell = make_cell()
     x = Tensor(RNG.standard_normal((2, 3)))
-    h, c = cell.step(x, zero_state(2, 4, np.float64), zero_state(2, 4, np.float64))
+    h, state = cell.step(x, Tensor(np.zeros((2, 8))))
     np.testing.assert_array_equal(h.values, np.zeros((2, 4)))
-    np.testing.assert_array_equal(c.values, np.zeros((2, 4)))
+    np.testing.assert_array_equal(state.values, np.zeros((2, 8)))
 
 
 def test_lstm_zero_weights_gate_values():
     # zero preactivations: sigmoid gates 0.5, candidate tanh 0
     store, cell = make_cell()
     x = Tensor(np.zeros((1, 3)))
-    c_prev = Tensor(RNG.standard_normal((1, 4)))
-    h, c = cell.step(x, zero_state(1, 4, np.float64), c_prev)
-    np.testing.assert_allclose(c.values, 0.5 * c_prev.values, rtol=1e-12)
-    np.testing.assert_allclose(h.values, 0.5 * np.tanh(0.5 * c_prev.values), rtol=1e-12)
+    c_prev = RNG.standard_normal((1, 4))
+    h, state = cell.step(x, hc(np.zeros((1, 4)), c_prev))
+    c = state.values[:, 4:]
+    np.testing.assert_allclose(c, 0.5 * c_prev, rtol=1e-12)
+    np.testing.assert_allclose(h.values, 0.5 * np.tanh(0.5 * c_prev), rtol=1e-12)
 
 
 def test_lstm_forget_bias_carries_cell_state():
     store, cell = make_cell()
     cell.b.values[4:8] = 10.0  # forget gate block
     x = Tensor(np.zeros((1, 3)))
-    c_prev = Tensor(np.array([[1.0, -2.0, 0.5, 3.0]]))
-    _, c = cell.step(x, zero_state(1, 4, np.float64), c_prev)
-    np.testing.assert_allclose(c.values, c_prev.values, rtol=1e-4)
+    c_prev = np.array([[1.0, -2.0, 0.5, 3.0]])
+    _, state = cell.step(x, hc(np.zeros((1, 4)), c_prev))
+    np.testing.assert_allclose(state.values[:, 4:], c_prev, rtol=1e-4)
 
 
 def test_lstm_gradient_vs_finite_differences():
     store, cell = make_cell(seed=11)
     x = Tensor(RNG.standard_normal((2, 3)))
-    h0 = Tensor(RNG.standard_normal((2, 4)))
-    c0 = Tensor(RNG.standard_normal((2, 4)))
+    state = hc(RNG.standard_normal((2, 4)), RNG.standard_normal((2, 4)))
 
     def loss():
-        h, _ = cell.step(x, h0, c0)
+        h, _ = cell.step(x, state)
         return sum_all(mul(h, h))
 
     assert check_gradients(loss, store) < 1e-4
 
 
 def embedding_with(store, V=6, E=3, seed=5):
-    emb = Embedding(store, "embed", V, E, dtype=np.float64)
+    emb = Embedding(store, "embed", V, E)
     uniform_init(store.subset("embed"), -0.5, 0.5, seed=seed)
     return emb
 
@@ -84,9 +87,9 @@ def test_encode_length_one_equals_single_step():
     mask = np.ones((2, 1))
     states, final = encode_sequence(cell, emb, tokens, mask)
     x = emb.lookup(tokens[:, 0])
-    h, c = cell.step(x, zero_state(2, 4, np.float64), zero_state(2, 4, np.float64))
+    h, state = cell.step(x, Tensor(np.zeros((2, 8))))
     np.testing.assert_array_equal(states.values[:, 0, :], h.values)
-    np.testing.assert_array_equal(final.values, np.concatenate([h.values, c.values], axis=1))
+    np.testing.assert_array_equal(final.values, state.values)
 
 
 def test_encode_batched_equals_unbatched():
@@ -124,7 +127,7 @@ def test_encode_zero_weights_zero_final():
 
 def test_encode_gradients():
     store, cell = make_cell(E=2, H=3, seed=13)
-    emb = Embedding(store, "embed", 5, 2, dtype=np.float64)
+    emb = Embedding(store, "embed", 5, 2)
     uniform_init(store.subset("embed"), -0.5, 0.5, seed=1)
     tokens = np.array([[1, 2], [3, 4]])
     mask = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -136,11 +139,11 @@ def test_encode_gradients():
     assert check_gradients(loss, store) < 1e-4
 
 
-def decoder_fixture(V=5, E=3, H=4, seed=21, dtype=np.float64):
-    store = ParamStore()
-    cell = LSTMCell(store, "dec", E, H, dtype=dtype)
-    emb = Embedding(store, "embed", V, E, dtype=dtype)
-    proj = OutputProjection(store, "proj", H, V, dtype=dtype)
+def decoder_fixture(V=5, E=3, H=4, seed=21):
+    store = ParamStore(np.float64)
+    cell = LSTMCell(store, "dec", E, H)
+    emb = Embedding(store, "embed", V, E)
+    proj = OutputProjection(store, "proj", H, V)
     if seed is not None:
         uniform_init(store, -0.5, 0.5, seed=seed)
     return store, cell, emb, proj
@@ -180,25 +183,17 @@ def test_shifted_inputs_starts_with_bos():
     np.testing.assert_array_equal(shifted_inputs(targets, 1), [[1, 5, 6], [1, 7, 2]])
 
 
-def test_split_state_roundtrip():
-    s = Tensor(RNG.standard_normal((3, 8)))
-    h, c = split_state(s, 4)
-    np.testing.assert_array_equal(np.concatenate([h.values, c.values], axis=1), s.values)
-    with pytest.raises(ValueError):
-        split_state(s, 3)
-
-
 def test_mlp_zero_weights_returns_bias():
-    store = ParamStore()
-    mlp = MappingMLP(store, "map", 4, dtype=np.float64)
+    store = ParamStore(np.float64)
+    mlp = MappingMLP(store, "map", 4)
     mlp.b2.values[:] = [1.0, -2.0, 3.0, 0.5]
     out = mlp.forward(Tensor(RNG.standard_normal((3, 4))))
     np.testing.assert_array_equal(out.values, np.tile(mlp.b2.values, (3, 1)))
 
 
 def test_mlp_small_signal_identity():
-    store = ParamStore()
-    mlp = MappingMLP(store, "map", 4, dtype=np.float64)
+    store = ParamStore(np.float64)
+    mlp = MappingMLP(store, "map", 4)
     mlp.W1.values[:] = np.eye(4)
     mlp.W2.values[:] = np.eye(4)
     x = Tensor(RNG.standard_normal((5, 4)) * 1e-3)
@@ -207,23 +202,23 @@ def test_mlp_small_signal_identity():
 
 
 def test_mlp_rejects_wrong_width():
-    store = ParamStore()
-    mlp = MappingMLP(store, "map", 4, dtype=np.float64)
+    store = ParamStore(np.float64)
+    mlp = MappingMLP(store, "map", 4)
     with pytest.raises(ValueError):
         mlp.forward(Tensor(np.zeros((2, 3))))
 
 
 def test_mlp_gradient():
-    store = ParamStore()
-    mlp = MappingMLP(store, "map", 3, dtype=np.float64)
+    store = ParamStore(np.float64)
+    mlp = MappingMLP(store, "map", 3)
     uniform_init(store, -0.5, 0.5, seed=2)
     x = Tensor(RNG.standard_normal((2, 3)))
     assert check_gradients(lambda: sum_all(mul(mlp.forward(x), mlp.forward(x))), store) < 1e-4
 
 
 def attention_fixture(H=3, seed=4):
-    store = ParamStore()
-    attn = LuongAttention(store, "attn", H, dtype=np.float64)
+    store = ParamStore(np.float64)
+    attn = LuongAttention(store, "attn", H)
     if seed is not None:
         uniform_init(store, -0.5, 0.5, seed=seed)
     return store, attn
@@ -287,7 +282,7 @@ def test_attention_gradient():
 
 def test_decode_with_attention_gradient():
     store, cell, emb, proj = decoder_fixture(seed=31)
-    attn = LuongAttention(store, "attn", 4, dtype=np.float64)
+    attn = LuongAttention(store, "attn", 4)
     uniform_init(store.subset("attn"), -0.5, 0.5, seed=32)
     enc_states = Tensor(RNG.standard_normal((2, 3, 4)))
     enc_mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
@@ -362,6 +357,11 @@ def test_float32_sequences_and_greedy_ids_bit_equal_to_composite(monkeypatch):
     kwargs = dict(bos_id=1, eos_id=2, pad_id=0, max_len=12, attention=attn,
                   encoder_states=states, encoder_mask=mask)
     fused_ids = greedy_decode(dec, emb, proj, final, **kwargs)
-    monkeypatch.setattr(LSTMCell, "step", lambda c, x, h, cp: composite_lstm_step(
-        x, h, cp, c.W, c.U, c.b))
+
+    def composite_step(cell, x, state):
+        h, c = composite_lstm_step(x, slice_cols(state, 0, H), slice_cols(state, H, 2 * H),
+                                   cell.W, cell.U, cell.b)
+        return h, concat_cols(h, c)
+
+    monkeypatch.setattr(LSTMCell, "step", composite_step)
     assert greedy_decode(dec, emb, proj, final, **kwargs) == fused_ids

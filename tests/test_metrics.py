@@ -5,7 +5,6 @@ import pytest
 
 from aem.metrics import (
     HumanEvalTable,
-    averaged_sentence_bleu,
     corpus_bleu,
     distinct_ngrams,
     diversity,
@@ -15,7 +14,6 @@ from aem.metrics import (
     load_human_scores,
     ngram_counts,
     pearson,
-    sentence_bleu,
 )
 from aem.rng import SplitMix64
 from oracles import bleu_oracle, distinct_oracle, random_corpus
@@ -92,21 +90,6 @@ def test_bleu_matches_brute_force_oracle_exactly():
     assert report.brevity_penalty == bp
     for mine, frac in zip(report.precisions, precisions):
         assert mine == float(frac)
-
-
-def test_sentence_bleu_identity_and_smoothing():
-    assert sentence_bleu(toks("a b c d"), toks("a b c d")) == 100.0
-    assert sentence_bleu(toks("a b"), toks("a b")) == 100.0
-    score = sentence_bleu(toks("a b x"), toks("a b y"))
-    assert 0.0 < score < 100.0
-    assert sentence_bleu(toks("q"), toks("z")) == 0.0
-
-
-def test_averaged_sentence_bleu():
-    hyps = [toks("a b"), toks("c d")]
-    assert averaged_sentence_bleu(hyps, [list(h) for h in hyps]) == 100.0
-    with pytest.raises(ValueError):
-        averaged_sentence_bleu([], [])
 
 
 def test_ngram_counts():

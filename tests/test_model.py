@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aem.autograd import Tape, Tensor, backward
+from aem.config import MODEL_KINDS
 from aem.data import DialoguePair, pairs_to_batch
 from aem.layers import greedy_decode
 from aem.model import DialogueModel, LossBreakdown, build_baseline, total_loss
@@ -252,11 +253,15 @@ def test_padding_neutrality():
 def test_batched_loss_equals_sum_of_per_pair_losses():
     model = DialogueModel("aem", tiny_config(), dtype=np.float64)
     pairs = toy_pairs()
-    whole = model.evaluate_batch(pairs_to_batch(pairs))
-    single = [model.evaluate_batch(pairs_to_batch([p])) for p in pairs]
-    for name in ("j1_sum", "j2_sum", "j4_sum"):
-        np.testing.assert_allclose(getattr(whole, name),
-                                   sum(getattr(s, name) for s in single), rtol=1e-12)
+
+    def summed(pairs):
+        # per-token means times token counts; every sequence gains an EOS
+        parts = model.evaluate_batch(pairs_to_batch(pairs))
+        n_src = sum(len(p.source) + 1 for p in pairs)
+        n_tgt = sum(len(p.target) + 1 for p in pairs)
+        return np.array([parts.j1 * n_src, parts.j2 * n_tgt, parts.j4 * n_tgt])
+
+    np.testing.assert_allclose(summed(pairs), sum(summed([p]) for p in pairs), rtol=1e-12)
 
 
 def test_loss_graph_records_no_vocabulary_wide_tensor():
@@ -298,6 +303,24 @@ def test_train_step_reports_pre_clip_gradient_norm():
         parts = model.train_step(batch, model.make_optimizer())
         assert parts.clipped is clipped
         np.testing.assert_allclose(parts.grad_norm, expected, rtol=1e-12)
+
+
+def param_dtypes(model):
+    return {p.values.dtype for p in model.store.tensors()}
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_model_dtype_reaches_every_parameter(kind):
+    # float32 by default; the store's dtype covers every layer and subset
+    cfg = tiny_config()
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    assert param_dtypes(DialogueModel(kind, cfg)) == {f32}
+    wide = DialogueModel(kind, cfg, dtype=np.float64)
+    assert param_dtypes(wide) == {f64}
+    assert wide.store.subset("phi").dtype == np.float64
+    if kind.startswith("seq2seq"):
+        assert param_dtypes(build_baseline(kind, cfg)) == {f32}
+        assert param_dtypes(build_baseline(kind, cfg, dtype=np.float64)) == {f64}
 
 
 def test_build_baseline_kinds():

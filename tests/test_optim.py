@@ -6,8 +6,8 @@ from aem.params import ParamStore, uniform_init
 
 
 def store_with(name="w", shape=(1,), dtype=np.float64):
-    store = ParamStore()
-    store.add(name, shape, dtype=dtype)
+    store = ParamStore(dtype)
+    store.add(name, shape)
     return store
 
 
@@ -131,8 +131,8 @@ def test_uniform_init_independent_of_store_contents():
 
 
 def test_uniform_init_mean_near_zero():
-    store = ParamStore()
-    store.add("big", (100_000,), dtype=np.float64)
+    store = ParamStore(np.float64)
+    store.add("big", (100_000,))
     uniform_init(store, -0.1, 0.1, seed=1)
     assert abs(store["big"].values.mean()) < 0.005
 
