@@ -13,7 +13,7 @@ core in `aem.autograd`.
 from .autograd import Tape, Tensor, backward, detach
 from .checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
                          model_from_checkpoint, save_checkpoint)
-from .config import MODEL_KINDS, RunConfig, TrainingConfig, load_config
+from .config import MODEL_KINDS, RunConfig, load_config
 from .data import (Batch, DialoguePair, Vocabulary, build_vocab, encode_pairs,
                    load_corpus, make_batches, pairs_to_batch, tokenize)
 from .gradcheck import check_gradients
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam", "Batch", "Checkpoint", "CheckpointError", "DialogueModel",
     "DialoguePair", "LossBreakdown", "MODEL_KINDS", "ParamStore", "RunConfig",
-    "SplitMix64", "Tape", "Tensor", "TrainingConfig", "Vocabulary", "backward",
+    "SplitMix64", "Tape", "Tensor", "Vocabulary", "backward",
     "build_baseline", "build_vocab", "check_gradients", "clip_grad_norm",
     "corpus_bleu", "derive_seed", "detach", "distinct_ngrams", "diversity",
     "encode_pairs", "eval_report", "format_report", "g_score", "load_checkpoint",

@@ -16,6 +16,13 @@ Layout, all integers little-endian:
 Optimizer state rides along as arrays named adam.m.<param> / adam.v.<param>,
 so a resumed run continues exactly where the saved one stopped.
 
+Loading is one pass: the stored arrays become the model's parameter
+values (copied, so each loaded model owns its arrays) and no seeded init
+is drawn. One name/shape rule, ParamStore.check_arrays, covers every
+array group: the parameters, and the moments when any adam.* array is
+present or the optimizer is wanted, must each name every parameter with
+its shape and nothing else; an error names each entry that does not fit.
+
 A save writes <path>.tmp, fsyncs it and renames it over <path>, so a
 crash at any point leaves either the old or the new file whole.
 """
@@ -31,15 +38,11 @@ import numpy as np
 from .config import RunConfig, config_to_text, parse_config_text
 from .data import Vocabulary
 from .model import DialogueModel
-from .optim import Adam
+from .params import CheckpointError
 
 MAGIC = b"AEM1"
 VERSION = 1
 PROGRESS_KEYS = ("epoch", "adam_t", "best_val", "stale")
-
-
-class CheckpointError(ValueError):
-    pass
 
 
 @dataclass
@@ -188,33 +191,21 @@ def load_checkpoint(path):
 
 
 def model_from_checkpoint(ckpt, expected_kind=None, with_optimizer=False):
-    """Rebuild the model (and optimizer when asked) from a checkpoint."""
+    """Rebuild the model (and optimizer when asked) from a checkpoint. The
+    stored arrays become the parameters and moments; nothing is drawn."""
     if expected_kind is not None and ckpt.kind != expected_kind:
         raise CheckpointError("checkpoint holds a %r model, expected %r"
                               % (ckpt.kind, expected_kind))
-    model = DialogueModel(ckpt.kind, ckpt.config)
-    param_names = set(model.store.names())
-    stored = {n for n in ckpt.arrays if not n.startswith(("adam.m.", "adam.v."))}
-    if stored != param_names:
-        missing = sorted(param_names - stored)
-        extra = sorted(stored - param_names)
-        raise CheckpointError("parameter names disagree with the %r architecture"
-                              " (missing %s, unexpected %s)"
-                              % (ckpt.kind, missing or "none", extra or "none"))
-    for name, p in model.store.items():
-        values = ckpt.arrays[name]
-        if values.shape != p.values.shape:
-            raise CheckpointError("array %s has shape %s, expected %s"
-                                  % (name, values.shape, p.values.shape))
-        p.values[...] = values
+    model = DialogueModel(ckpt.kind, ckpt.config, values=ckpt.arrays)
+    prefixes = ("",)
+    if with_optimizer or any(n.startswith("adam.") for n in ckpt.arrays):
+        prefixes += ("adam.m.", "adam.v.")
+    model.store.check_arrays(ckpt.arrays, prefixes)
     if not with_optimizer:
         return model
     adam = model.make_optimizer()
     for name in model.store.names():
-        for prefix, slot in (("adam.m.", adam.m), ("adam.v.", adam.v)):
-            key = prefix + name
-            if key not in ckpt.arrays:
-                raise CheckpointError("checkpoint lacks optimizer state %s" % key)
-            slot[name][...] = ckpt.arrays[key]
+        adam.m[name][...] = ckpt.arrays["adam.m." + name]
+        adam.v[name][...] = ckpt.arrays["adam.v." + name]
     adam.t = ckpt.adam_t
     return model, adam

@@ -196,7 +196,7 @@ def cmd_generate(args):
     for lineno, line in enumerate(lines, start=1):
         tokens = tokenize(line, lowercase=model.config.lowercase)
         if not tokens:
-            raise ValueError("input line %d is empty" % lineno)
+            raise ValueError("%s: input line %d is empty" % (args.infile, lineno))
         sources.append(vocab.encode(tokens))
     responses = model.generate(sources)
     with open(args.outfile, "w", encoding="utf-8") as f:
@@ -209,8 +209,8 @@ def cmd_evaluate(args):
     hyp_lines = _read_lines(args.hyp)
     ref_lines = _read_lines(args.ref)
     if len(hyp_lines) != len(ref_lines):
-        raise ValueError("hypothesis file has %d lines, reference file has %d"
-                         % (len(hyp_lines), len(ref_lines)))
+        raise ValueError("hypothesis file %s has %d lines, reference file %s has %d"
+                         % (args.hyp, len(hyp_lines), args.ref, len(ref_lines)))
     human = load_human_scores(args.scores) if args.scores else None
     report = eval_report([l.split() for l in hyp_lines],
                          [l.split() for l in ref_lines], human)

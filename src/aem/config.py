@@ -11,7 +11,11 @@ MODEL_KINDS = ("seq2seq", "seq2seq_attention", "aem", "aem_attention")
 
 
 @dataclass
-class TrainingConfig:
+class RunConfig:
+    """Every run setting: the training hyperparameters, then the model
+    kind, epoch budget and file paths. Field order is the order of
+    config_to_text, and so of a checkpoint's config snapshot."""
+
     lambda1: float = 1.0
     lambda2: float = 0.01
     lambda3: float = 1.0
@@ -30,13 +34,20 @@ class TrainingConfig:
     max_train_len: int = 50
     lowercase: bool = True
     patience: int = 3
+    kind: str = "aem"
+    epochs: int = 30
+    train_path: str = ""
+    valid_path: str = ""
+    test_path: str = ""
+    vocab_path: str = ""
+    ckpt_dir: str = "checkpoints"
 
     def validate(self):
         for name in ("lambda1", "lambda2", "lambda3"):
             if getattr(self, name) < 0:
                 raise ValueError("%s must be non-negative, got %r" % (name, getattr(self, name)))
         for name in ("hidden_size", "embed_size", "batch_size", "max_gen_len",
-                     "max_train_len", "patience"):
+                     "max_train_len", "patience", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be >= 1, got %r" % (name, getattr(self, name)))
         if self.vocab_size < 5:
@@ -47,26 +58,9 @@ class TrainingConfig:
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError("%s must lie in [0, 1), got %r" % (name, getattr(self, name)))
-        return self
-
-
-@dataclass
-class RunConfig(TrainingConfig):
-    kind: str = "aem"
-    epochs: int = 30
-    train_path: str = ""
-    valid_path: str = ""
-    test_path: str = ""
-    vocab_path: str = ""
-    ckpt_dir: str = "checkpoints"
-
-    def validate(self):
-        super().validate()
         if self.kind not in MODEL_KINDS:
             raise ValueError("unknown model kind %r, expected one of %s"
                              % (self.kind, ", ".join(MODEL_KINDS)))
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1, got %r" % self.epochs)
         return self
 
 
@@ -109,9 +103,14 @@ def parse_config_text(text):
 
 
 def load_config(path, overrides=None):
-    """Read a manifest file and apply raw-string overrides on top."""
+    """Read a manifest file and apply raw-string overrides on top. Errors
+    in the file name it."""
     with open(path, encoding="utf-8") as f:
-        cfg = parse_config_text(f.read())
+        text = f.read()
+    try:
+        cfg = parse_config_text(text)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
     if overrides:
         for key, raw in overrides.items():
             if key not in _FIELD_TYPES:

@@ -33,13 +33,18 @@ def tokenize(utterance, lowercase=True):
 
 
 class Vocabulary:
-    """Token/id bijection with four reserved specials at ids 0..3."""
+    """Token/id bijection with four reserved specials at ids 0..3.
+
+    `tokens` are the non-special entries in id order, as the lines of a
+    vocabulary file hold them, so a repeat is reported by that line.
+    """
 
     def __init__(self, tokens):
         self.id_to_token = list(SPECIALS) + list(tokens)
-        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
-        if len(self.token_to_id) != len(self.id_to_token):
-            raise ValueError("duplicate token in vocabulary")
+        self.token_to_id = {}
+        for i, t in enumerate(self.id_to_token):
+            if self.token_to_id.setdefault(t, i) != i:
+                raise ValueError("line %d: duplicate token %r in vocabulary" % (i - 3, t))
 
     def __len__(self):
         return len(self.id_to_token)
@@ -58,7 +63,11 @@ class Vocabulary:
     @classmethod
     def load(cls, path):
         with open(path, encoding="utf-8") as f:
-            return cls(line.rstrip("\n") for line in f)
+            tokens = [line.rstrip("\n") for line in f]
+        try:
+            return cls(tokens)
+        except ValueError as exc:
+            raise ValueError("%s %s" % (path, exc)) from None
 
 
 def build_vocab(corpus, max_size=40000):

@@ -32,6 +32,7 @@ from .autograd import (
     reshape,
     tanh,
 )
+from .data import BOS_ID, EOS_ID, PAD_ID
 from .params import ParamStore
 
 
@@ -139,7 +140,7 @@ def shifted_inputs(targets: np.ndarray, bos_id: int) -> np.ndarray:
 
 
 def decode_teacher_forced(cell: LSTMCell, embedding: Embedding, init: Tensor,
-                          targets: np.ndarray, bos_id: int,
+                          targets: np.ndarray,
                           attention: LuongAttention | None = None,
                           encoder_states: Tensor | None = None,
                           encoder_mask: np.ndarray | None = None) -> Tensor:
@@ -154,7 +155,7 @@ def decode_teacher_forced(cell: LSTMCell, embedding: Embedding, init: Tensor,
     hiddens in one op.
     """
     B, T = targets.shape
-    x = embedding.lookup(shifted_inputs(targets, bos_id))
+    x = embedding.lookup(shifted_inputs(targets, BOS_ID))
     hiddens, _ = lstm_sequence(x, init, cell.W, cell.U, cell.b)
     if attention is None:
         return reshape(hiddens, (B * T, cell.hidden_size))
@@ -162,7 +163,7 @@ def decode_teacher_forced(cell: LSTMCell, embedding: Embedding, init: Tensor,
 
 
 def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
-                  init: Tensor, bos_id: int, eos_id: int, pad_id: int, max_len: int,
+                  init: Tensor, max_len: int,
                   attention: LuongAttention | None = None,
                   encoder_states: Tensor | None = None,
                   encoder_mask: np.ndarray | None = None) -> list[list[int]]:
@@ -171,7 +172,7 @@ def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
     toward the lowest token id."""
     B = init.values.shape[0]
     state = init
-    current = np.full(B, bos_id, dtype=np.int64)
+    current = np.full(B, BOS_ID, dtype=np.int64)
     finished = np.zeros(B, dtype=bool)
     columns = []
     for _ in range(max_len):
@@ -183,12 +184,12 @@ def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
         else:
             feed = h
         logits = proj.logits(feed).values.copy()
-        logits[:, pad_id] = -np.inf
-        logits[:, bos_id] = -np.inf
+        logits[:, PAD_ID] = -np.inf
+        logits[:, BOS_ID] = -np.inf
         chosen = logits.argmax(axis=1)
-        chosen = np.where(finished, pad_id, chosen)
+        chosen = np.where(finished, PAD_ID, chosen)
         columns.append(chosen)
-        finished |= chosen == eos_id
+        finished |= chosen == EOS_ID
         current = chosen
         if finished.all():
             break
@@ -197,7 +198,7 @@ def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
     for row in matrix:
         ids = []
         for tok in row:
-            if tok == eos_id or tok == pad_id:
+            if tok == EOS_ID or tok == PAD_ID:
                 break
             ids.append(int(tok))
         out.append(ids)

@@ -204,22 +204,36 @@ HUMAN_HEADER = ["item_id", "annotator_id", "fluency", "coherence"]
 
 def load_human_scores(path):
     """Read the score CSV: header then item_id,annotator_id,fluency,coherence.
-    Empty score fields mark explicitly missing cells."""
+    Empty score fields mark explicitly missing cells. Errors name the file
+    and line."""
     table = HumanEvalTable()
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != HUMAN_HEADER:
-            raise ValueError("expected header %s" % ",".join(HUMAN_HEADER))
-        for lineno, row in enumerate(reader, start=2):
+            raise ValueError("%s line 1: expected header %s" % (path, ",".join(HUMAN_HEADER)))
+        for row in reader:
             if not row:
                 continue
-            if len(row) != 4:
-                raise ValueError("line %d: expected 4 fields, got %d" % (lineno, len(row)))
-            item, annotator = row[0].strip(), row[1].strip()
-            scores = [None if cell.strip() == "" else float(cell) for cell in row[2:]]
-            table.add(item, annotator, scores[0], scores[1])
+            try:
+                if len(row) != 4:
+                    raise ValueError("expected 4 fields, got %d" % len(row))
+                item, annotator = row[0].strip(), row[1].strip()
+                scores = [_score(name, cell) for name, cell in zip(HUMAN_HEADER[2:], row[2:])]
+                table.add(item, annotator, scores[0], scores[1])
+            except ValueError as exc:
+                raise ValueError("%s line %d: %s" % (path, reader.line_num, exc)) from None
     return table
+
+
+def _score(name, cell):
+    """One score field: None when empty, else its number."""
+    if cell.strip() == "":
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError("%s score %r is not a number" % (name, cell)) from None
 
 
 def eval_report(hypotheses, references, human=None):

@@ -29,7 +29,7 @@ import numpy as np
 from .autograd import Tape, add, backward, detach, linear_softmax_cross_entropy, mul, scale, \
     sub, sum_all
 from .config import MODEL_KINDS
-from .data import BOS_ID, EOS_ID, PAD_ID, Batch, pad_sequences
+from .data import Batch, pad_sequences
 from .layers import Embedding, LSTMCell, LuongAttention, MappingMLP, OutputProjection, \
     decode_teacher_forced, encode_sequence, greedy_decode
 from .optim import Adam, clip_grad_norm
@@ -63,9 +63,14 @@ class DialogueModel:
     "seq2seq_attention" (the baselines). `identity_map` replaces the
     learned mapping with t = h, which together with lambda1 = lambda2 = 0
     makes the full model step-for-step equivalent to the baseline.
+
+    Parameters start from the seeded per-name uniform draw or, given
+    `values` (name -> array, as a checkpoint stores them), from copies of
+    those arrays with nothing drawn; model_from_checkpoint checks their
+    names and shapes.
     """
 
-    def __init__(self, kind, config, identity_map=False, dtype=np.float32):
+    def __init__(self, kind, config, identity_map=False, dtype=np.float32, values=None):
         if kind not in MODEL_KINDS:
             raise ValueError("unknown model kind %r, expected one of %s"
                              % (kind, ", ".join(MODEL_KINDS)))
@@ -89,7 +94,10 @@ class DialogueModel:
         if self.has_attention:
             self.attention = LuongAttention(store, "attn", H)
         self.store = store
-        uniform_init(store, -0.1, 0.1, seed=config.seed)
+        if values is None:
+            uniform_init(store, -0.1, 0.1, seed=config.seed)
+        else:
+            store.assign(values)
 
     @property
     def is_aem(self):
@@ -161,7 +169,7 @@ class DialogueModel:
         """Decode (B, T) tokens teacher-forced from `init` and score them:
         (summed cross-entropy over mask == 1 positions, their count). The
         head is fused, so the (B*T, V) logits are never recorded."""
-        features = decode_teacher_forced(cell, embed, init, tokens, BOS_ID, **attention)
+        features = decode_teacher_forced(cell, embed, init, tokens, **attention)
         return linear_softmax_cross_entropy(features, proj.W, proj.b,
                                             tokens.reshape(-1), mask.reshape(-1))
 
@@ -227,7 +235,10 @@ class DialogueModel:
         Encodes each source, maps it into the target space (full model
         kinds), and decodes until EOS or the length cap. The target
         encoder is never touched: responses depend on the source alone.
+        No sources give no responses.
         """
+        if not sources:
+            return []
         for i, seq in enumerate(sources):
             if len(seq) == 0:
                 raise ValueError("source %d is empty" % i)
@@ -240,7 +251,6 @@ class DialogueModel:
             raise FloatingPointError("non-finite h state")
         init = self._map(h) if self.is_aem else h
         return greedy_decode(self.tgt_dec, self.tgt_embed, self.tgt_proj, init,
-                             bos_id=BOS_ID, eos_id=EOS_ID, pad_id=PAD_ID,
                              max_len=max_len, **self._attention_kwargs(states, mask))
 
 

@@ -8,6 +8,11 @@ from .autograd import Tensor
 from .rng import SplitMix64, derive_seed
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file that cannot be read, or whose arrays do not fit
+    the model it describes."""
+
+
 class ParamStore:
     """Map from hierarchical name ("theta.src_enc.W") to parameter Tensor.
 
@@ -62,6 +67,36 @@ class ParamStore:
 
     def num_values(self) -> int:
         return sum(t.values.size for t in self._params.values())
+
+    def assign(self, arrays: dict) -> None:
+        """Set each parameter's values to a copy of arrays[name], so the
+        store owns its arrays. A parameter whose entry is missing or shaped
+        otherwise keeps its zeros; `check_arrays` refuses such input."""
+        for name, t in self._params.items():
+            given = arrays.get(name)
+            if given is not None and given.shape == t.values.shape:
+                t.values = np.array(given, dtype=self.dtype)
+
+    def check_arrays(self, arrays: dict, prefixes: tuple[str, ...]) -> None:
+        """Require `arrays` to hold exactly prefix + name, shaped like that
+        parameter, for every prefix and every parameter: the one rule for
+        a checkpoint's parameters ("") and Adam moments ("adam.m.",
+        "adam.v."). Raises CheckpointError naming each missing, unexpected
+        and wrong-shaped entry."""
+        expected = {prefix + name: t.values.shape
+                    for prefix in prefixes for name, t in self._params.items()}
+        problems = []
+        missing = sorted(set(expected) - set(arrays))
+        if missing:
+            problems.append("missing " + ", ".join(missing))
+        unexpected = sorted(set(arrays) - set(expected))
+        if unexpected:
+            problems.append("unexpected " + ", ".join(unexpected))
+        problems += ["%s has shape %s, expected %s" % (name, arrays[name].shape, shape)
+                     for name, shape in sorted(expected.items())
+                     if name in arrays and arrays[name].shape != shape]
+        if problems:
+            raise CheckpointError("arrays do not fit the parameters: " + "; ".join(problems))
 
 
 def uniform_init(store: ParamStore, lo: float = -0.1, hi: float = 0.1, seed: int = 0) -> None:

@@ -14,8 +14,10 @@ from aem.checkpoint import (
     parse_checkpoint,
     save_checkpoint,
 )
+from aem.config import MODEL_KINDS
 from aem.data import Vocabulary
 from aem.model import DialogueModel
+from aem.rng import SplitMix64
 from helpers import tiny_config, toy_batch
 
 
@@ -263,3 +265,98 @@ def test_load_errors_name_the_file(tmp_path):
     path.write_bytes(path.read_bytes()[:-1] + b"\x00")
     with pytest.raises(CheckpointError, match=re.escape(str(path)) + ": checksum mismatch"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("with_optimizer", [False, True])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_load_draws_no_random_numbers(tmp_path, monkeypatch, kind, with_optimizer):
+    model, adam = trained_model(kind=kind, steps=1)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, tiny_vocab(), adam)
+    ckpt = load_checkpoint(path)
+
+    def no_draw(*args):
+        raise AssertionError("loading drew random numbers")
+
+    monkeypatch.setattr(SplitMix64, "fill_uniform", no_draw)
+    loaded = model_from_checkpoint(ckpt, with_optimizer=with_optimizer)
+    again = loaded[0] if with_optimizer else loaded
+    for name, p in model.store.items():
+        assert again.store[name].values.tobytes() == p.values.tobytes()
+    if with_optimizer:
+        for name in model.store.names():
+            assert loaded[1].m[name].tobytes() == adam.m[name].tobytes()
+            assert loaded[1].v[name].tobytes() == adam.v[name].tobytes()
+
+
+def saved_with_optimizer(tmp_path):
+    model, adam = trained_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, tiny_vocab(), adam)
+    return load_checkpoint(path)
+
+
+@pytest.mark.parametrize("with_optimizer", [False, True])
+@pytest.mark.parametrize("prefix", ["adam.m.", "adam.v."])
+def test_moment_of_wrong_shape_rejected(tmp_path, prefix, with_optimizer):
+    ckpt = saved_with_optimizer(tmp_path)
+    key = prefix + "theta.src_enc.W"
+    assert ckpt.arrays[key].shape == (3, 16)
+    ckpt.arrays[key] = np.zeros(16, dtype=np.float32)  # would broadcast into (3, 16)
+    with pytest.raises(CheckpointError, match=re.escape("%s has shape (16,), expected (3, 16)" % key)):
+        model_from_checkpoint(ckpt, with_optimizer=with_optimizer)
+
+
+@pytest.mark.parametrize("with_optimizer", [False, True])
+@pytest.mark.parametrize("key", ["adam.v.bogus", "adam.m.theta.src_enc.W.extra", "adam.bogus"])
+def test_unknown_moment_rejected(tmp_path, key, with_optimizer):
+    ckpt = saved_with_optimizer(tmp_path)
+    ckpt.arrays[key] = np.zeros(2, dtype=np.float32)
+    with pytest.raises(CheckpointError, match="unexpected %s" % re.escape(key)):
+        model_from_checkpoint(ckpt, with_optimizer=with_optimizer)
+
+
+@pytest.mark.parametrize("with_optimizer", [False, True])
+@pytest.mark.parametrize("key", ["adam.m.gamma.map.W1", "adam.v.phi.embed.W"])
+def test_missing_moment_rejected(tmp_path, key, with_optimizer):
+    ckpt = saved_with_optimizer(tmp_path)
+    del ckpt.arrays[key]
+    with pytest.raises(CheckpointError, match="missing %s" % re.escape(key)):
+        model_from_checkpoint(ckpt, with_optimizer=with_optimizer)
+
+
+def test_optimizer_wanted_from_checkpoint_without_moments_names_them(tmp_path):
+    model, _ = trained_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, tiny_vocab())
+    ckpt = load_checkpoint(path)
+    assert model_from_checkpoint(ckpt).store.names() == model.store.names()
+    with pytest.raises(CheckpointError, match="missing adam.m.gamma.map.W1, "):
+        model_from_checkpoint(ckpt, with_optimizer=True)
+
+
+def test_every_misfit_is_named_at_once(tmp_path):
+    ckpt = saved_with_optimizer(tmp_path)
+    del ckpt.arrays["gamma.map.W1"]
+    ckpt.arrays["theta.extra"] = np.zeros(1, dtype=np.float32)
+    ckpt.arrays["phi.embed.W"] = np.zeros((7, 2), dtype=np.float32)
+    with pytest.raises(CheckpointError) as err:
+        model_from_checkpoint(ckpt)
+    assert str(err.value) == ("arrays do not fit the parameters: missing gamma.map.W1;"
+                              " unexpected theta.extra; phi.embed.W has shape (7, 2),"
+                              " expected (7, 3)")
+
+
+def test_models_loaded_from_one_checkpoint_share_no_arrays(tmp_path):
+    ckpt = saved_with_optimizer(tmp_path)
+    stored = {name: values.copy() for name, values in ckpt.arrays.items()}
+    first, adam = model_from_checkpoint(ckpt, with_optimizer=True)
+    second, second_adam = model_from_checkpoint(ckpt, with_optimizer=True)
+    first.train_step(toy_batch(), adam)
+    for name, p in second.store.items():
+        assert p.values.tobytes() == stored[name].tobytes()
+        assert second_adam.m[name].tobytes() == stored["adam.m." + name].tobytes()
+        assert second_adam.v[name].tobytes() == stored["adam.v." + name].tobytes()
+        assert not np.array_equal(first.store[name].values, p.values)
+    for name, values in ckpt.arrays.items():
+        assert values.tobytes() == stored[name].tobytes()

@@ -263,6 +263,25 @@ def test_generate_rejects_empty_line(workspace, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_generate_empty_line_error_names_the_input_file(workspace, capsys):
+    ckpt = trained_checkpoint(workspace, epochs=1)
+    infile = workspace / "in.txt"
+    infile.write_text("hello\n\nhi\n", encoding="utf-8")
+    assert main(["generate", "--ckpt", str(ckpt), "--in", str(infile),
+                 "--out", str(workspace / "out.txt")]) == 1
+    assert "error: %s: input line 2 is empty" % infile in capsys.readouterr().err
+
+
+def test_generate_empty_input_file_writes_empty_output(workspace, capsys):
+    ckpt = trained_checkpoint(workspace, epochs=1)
+    infile = workspace / "in.txt"
+    infile.write_text("", encoding="utf-8")
+    outfile = workspace / "out.txt"
+    assert main(["generate", "--ckpt", str(ckpt), "--in", str(infile),
+                 "--out", str(outfile)]) == 0
+    assert outfile.read_bytes() == b""
+
+
 def test_generate_corrupted_checkpoint_names_the_file(workspace, capsys):
     ckpt = trained_checkpoint(workspace, epochs=1)
     data = bytearray(ckpt.read_bytes())
@@ -323,6 +342,16 @@ def test_evaluate_misaligned_rejected(workspace, capsys):
     ref.write_text("a b\nc d\n", encoding="utf-8")
     assert main(["evaluate", "--hyp", str(hyp), "--ref", str(ref)]) == 1
     assert "lines" in capsys.readouterr().err
+
+
+def test_evaluate_line_count_mismatch_names_both_files(workspace, capsys):
+    hyp = workspace / "hyp.txt"
+    ref = workspace / "ref.txt"
+    hyp.write_text("a b\n", encoding="utf-8")
+    ref.write_text("a b\nc d\n", encoding="utf-8")
+    assert main(["evaluate", "--hyp", str(hyp), "--ref", str(ref)]) == 1
+    assert ("error: hypothesis file %s has 1 lines, reference file %s has 2" % (hyp, ref)
+            in capsys.readouterr().err)
 
 
 def test_evaluate_with_scores_and_report_file(workspace, capsys):

@@ -1,10 +1,12 @@
+import re
+
 import pytest
 
-from aem.config import RunConfig, TrainingConfig, config_to_text, load_config, parse_config_text
+from aem.config import RunConfig, config_to_text, load_config, parse_config_text
 
 
 def test_defaults():
-    cfg = TrainingConfig()
+    cfg = RunConfig()
     assert (cfg.lambda1, cfg.lambda2, cfg.lambda3) == (1.0, 0.01, 1.0)
     assert (cfg.hidden_size, cfg.embed_size, cfg.vocab_size) == (512, 64, 40000)
     assert (cfg.batch_size, cfg.learning_rate, cfg.max_gen_len) == (256, 0.002, 15)
@@ -28,6 +30,13 @@ def test_parse_skips_comments_and_blanks():
 def test_parse_rejects_unknown_key():
     with pytest.raises(ValueError, match="unknown key"):
         parse_config_text("hiden_size=32\n")
+
+
+def test_load_config_errors_name_the_manifest(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_text("seed=1\nfoo=2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^%s: line 2: unknown key 'foo'$" % re.escape(str(p))):
+        load_config(p)
 
 
 def test_parse_rejects_duplicate_and_bad_value():
@@ -70,8 +79,8 @@ def test_validate_bounds():
     with pytest.raises(ValueError):
         RunConfig(epochs=0).validate()
     with pytest.raises(ValueError):
-        TrainingConfig(learning_rate=0.0).validate()
+        RunConfig(learning_rate=0.0).validate()
     with pytest.raises(ValueError):
-        TrainingConfig(adam_beta1=1.0).validate()
+        RunConfig(adam_beta1=1.0).validate()
     with pytest.raises(ValueError):
-        TrainingConfig(vocab_size=4).validate()
+        RunConfig(vocab_size=4).validate()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,19 @@ def test_vocab_round_trip():
     vocab = build_vocab([["x", "y", "z", "x"]], max_size=10)
     tokens = ["x", "z", "y"]
     assert vocab.decode(vocab.encode(tokens)) == tokens
+
+
+def test_vocab_duplicate_names_the_token():
+    with pytest.raises(ValueError, match="^line 3: duplicate token 'a' in vocabulary$"):
+        Vocabulary(["a", "b", "a"])
+
+
+def test_vocab_load_duplicate_names_file_line_and_token(tmp_path):
+    p = tmp_path / "vocab.txt"
+    p.write_text("a\nb\n<unk>\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^%s line 3: duplicate token '<unk>' in vocabulary$"
+                       % re.escape(str(p))):
+        Vocabulary.load(p)
 
 
 def test_vocab_save_load_identical(tmp_path):

@@ -151,7 +151,7 @@ def decoder_fixture(V=5, E=3, H=4, seed=21):
 
 def teacher_forced_logits(cell, emb, proj, init, targets, **attention):
     """(B, T, V) logits over the decoder's (B*T, H) features."""
-    features = decode_teacher_forced(cell, emb, init, targets, bos_id=1, **attention)
+    features = decode_teacher_forced(cell, emb, init, targets, **attention)
     return reshape(proj.logits(features), targets.shape + (proj.W.values.shape[1],))
 
 
@@ -305,7 +305,7 @@ def test_greedy_decode_zeroed_model_stops_on_lowest_id():
     # EOS (the lowest remaining id) and the output is empty
     store, cell, emb, proj = decoder_fixture(seed=None)
     init = Tensor(np.zeros((2, 8)))
-    out = greedy_decode(cell, emb, proj, init, bos_id=1, eos_id=2, pad_id=0, max_len=5)
+    out = greedy_decode(cell, emb, proj, init, max_len=5)
     assert out == [[], []]
 
 
@@ -313,7 +313,7 @@ def test_greedy_decode_respects_max_len_and_bans():
     store, cell, emb, proj = decoder_fixture(seed=41)
     proj.b.values[2] = -50.0  # make EOS unreachable
     init = Tensor(RNG.standard_normal((3, 8)))
-    out = greedy_decode(cell, emb, proj, init, bos_id=1, eos_id=2, pad_id=0, max_len=7)
+    out = greedy_decode(cell, emb, proj, init, max_len=7)
     for row in out:
         assert len(row) == 7
         assert all(tok not in (0, 1) for tok in row)
@@ -343,9 +343,9 @@ def test_float32_sequences_and_greedy_ids_bit_equal_to_composite(monkeypatch):
 
     ref_hiddens, _ = composite_lstm(emb.table, shifted_inputs(targets, 1), final,
                                     dec.W, dec.U, dec.b)
-    plain = decode_teacher_forced(dec, emb, final, targets, bos_id=1)
+    plain = decode_teacher_forced(dec, emb, final, targets)
     assert plain.values.tobytes() == ref_hiddens.values.reshape(B * T2, H).tobytes()
-    attended = decode_teacher_forced(dec, emb, final, targets, bos_id=1, attention=attn,
+    attended = decode_teacher_forced(dec, emb, final, targets, attention=attn,
                                      encoder_states=states, encoder_mask=mask)
     feeds = []
     for t in range(T2):
@@ -354,7 +354,7 @@ def test_float32_sequences_and_greedy_ids_bit_equal_to_composite(monkeypatch):
         feeds.append(attn.attentional_hidden(context, h))
     assert attended.values.tobytes() == stack_steps(feeds).values.reshape(B * T2, H).tobytes()
 
-    kwargs = dict(bos_id=1, eos_id=2, pad_id=0, max_len=12, attention=attn,
+    kwargs = dict(max_len=12, attention=attn,
                   encoder_states=states, encoder_mask=mask)
     fused_ids = greedy_decode(dec, emb, proj, final, **kwargs)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,20 @@ def test_human_table_validation(tmp_path):
     with pytest.raises(ValueError, match="line 2"):
         load_human_scores(scores_csv(
             tmp_path, "item_id,annotator_id,fluency,coherence\n1,a,3\n"))
+
+
+HEADER = "item_id,annotator_id,fluency,coherence\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("item,rater,f,c\n1,a,2,3\n", "line 1: expected header"),
+    (HEADER + "1,a,3,3\n2,a,3\n", "line 3: expected 4 fields, got 3"),
+    (HEADER + "1,a,3,3\n2,a,x,3\n", "line 3: fluency score 'x' is not a number"),
+], ids=["header", "field_count", "non_numeric"])
+def test_human_score_errors_name_file_and_line(tmp_path, text, message):
+    path = scores_csv(tmp_path, text)
+    with pytest.raises(ValueError, match="^" + re.escape("%s %s" % (path, message))):
+        load_human_scores(path)
 
 
 def test_eval_report_keys_and_degenerate_model():

@@ -198,6 +198,10 @@ def test_generate_rejects_empty_source():
         model.generate([[4], []])
 
 
+def test_generate_no_sources_gives_no_responses():
+    assert DialogueModel("aem", tiny_config()).generate([]) == []
+
+
 def test_generate_never_reads_target_encoder_or_source_decoder():
     model = DialogueModel("aem", tiny_config())
     sources = [[4, 5, 6], [6, 4]]
@@ -223,7 +227,7 @@ def test_single_pair_overfit_reproduces_both_sides():
     assert model.generate([x]) == [y]
     _, h = model.encode_source(pairs_to_batch([DialoguePair(x, y)]))
     rebuilt = greedy_decode(model.src_dec, model.src_embed, model.src_proj,
-                            h, bos_id=1, eos_id=2, pad_id=0, max_len=15)
+                            h, max_len=15)
     assert rebuilt == [x]
 
 
@@ -344,7 +348,7 @@ def test_attention_baseline_single_token_reduction():
     states, h = model.encode_source(batch)
     from aem.layers import decode_teacher_forced
     features = decode_teacher_forced(model.tgt_dec, model.tgt_embed, h,
-                                     batch.target, bos_id=1,
+                                     batch.target,
                                      attention=model.attention, encoder_states=states,
                                      encoder_mask=batch.source_mask)
     logits = model.tgt_proj.logits(features).values.reshape(1, 2, cfg.vocab_size)
