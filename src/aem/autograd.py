@@ -9,13 +9,13 @@ twice collects both contributions.
 Training runs in float32; gradient-check tests build float64 graphs.
 Ops never broadcast except where stated (add_bias, lerp_mask).
 
-Training graphs use three fused ops: `lstm_sequence` runs a whole LSTM
-sequence as one record, `attention_sequence` runs teacher-forced Luong
-attention over every target step, and `linear_softmax_cross_entropy` is
-the output head. The composite ops they replace (matmul, add_bias,
-slice_cols, sigmoid, tanh, mul, lerp_mask, stack_steps, concat_cols,
-batched_dot, masked_softmax, attend, ...) stay for the rest of the
-model, for greedy decoding, which attends one step at a time, for the
+The model runs three fused ops: `lstm_sequence` runs a whole LSTM
+sequence as one record, `attention_sequence` runs Luong attention over
+every decoder step given to it (a whole teacher-forced target, or one
+greedy step), and `linear_softmax_cross_entropy` is the training output
+head. The composite ops they replace (matmul, add_bias, slice_cols,
+sigmoid, tanh, mul, lerp_mask, stack_steps, concat_cols, batched_dot,
+masked_softmax, attend, ...) stay for the rest of the model, for the
 release gate, and as the reference the fused ops are tested against.
 """
 
@@ -476,8 +476,8 @@ def attention_sequence(hiddens: Tensor, states: Tensor, mask: np.ndarray, w_a: T
     positions, the context c_t = sum of weighted states, and returns
     tanh([c_t; h_t] w_c) as row b*T + t of a (B*T, H) output. In float32
     that equals the per-step chain of slice_cols, matmul, batched_dot,
-    masked_softmax, attend, concat_cols, matmul and tanh, which greedy
-    decoding still runs.
+    masked_softmax, attend, concat_cols, matmul and tanh. Teacher forcing
+    calls it over all target steps and greedy decoding once per token.
 
     Backward forms dw_a and dw_c with one matmul each, the score and
     context gradients with batched matmuls, and accumulates into the
@@ -498,7 +498,7 @@ def attention_sequence(hiddens: Tensor, states: Tensor, mask: np.ndarray, w_a: T
         raise ValueError("attention_sequence: a row has no unmasked positions")
     flat = hv.reshape(B * T, H)
     proj = (flat @ w_a.values).reshape(B, T, H)
-    # einsum, not matmul, for the forward: it sums in the per-step ops' order
+    # einsum, not matmul, for the forward: it sums in the composite ops' order
     scores = np.einsum("bth,bsh->bts", proj, sv)
     keep = mask[:, None, :] > 0
     neg = np.where(keep, scores, -np.inf)

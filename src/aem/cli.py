@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, model_from_checkpoint, save_checkpoint
 from .config import load_config
 from .data import Vocabulary, build_vocab, encode_pairs, load_corpus, make_batches, tokenize
 from .metrics import eval_report, format_report, load_human_scores
@@ -121,16 +121,16 @@ def cmd_train(args):
     overrides = _parse_overrides(args.set)
     cfg = load_config(args.config, overrides)
     _require_file(cfg.train_path, "training corpus")
-    pairs = load_corpus(cfg.train_path)
+    pairs = load_corpus(cfg.train_path, cfg.lowercase)
     if args.merge_valid:
         _require_file(cfg.valid_path, "validation corpus")
-        pairs = pairs + load_corpus(cfg.valid_path)
+        pairs = pairs + load_corpus(cfg.valid_path, cfg.lowercase)
     if not pairs:
         raise ValueError("training corpus is empty")
 
     os.makedirs(cfg.ckpt_dir, exist_ok=True)
-    ckpt = load_checkpoint(args.resume) if args.resume else None
-    if ckpt is not None:
+    if args.resume:
+        ckpt, (model, adam) = _load_model(args.resume, cfg.kind, with_optimizer=True)
         # the embeddings were trained on the checkpoint's ids
         vocab = ckpt.vocab
     elif cfg.vocab_path and os.path.isfile(cfg.vocab_path):
@@ -145,22 +145,18 @@ def cmd_train(args):
     valid_batches = []
     if cfg.valid_path and not args.merge_valid:
         _require_file(cfg.valid_path, "validation corpus")
-        valid_pairs = encode_pairs(load_corpus(cfg.valid_path), vocab)
+        valid_pairs = encode_pairs(load_corpus(cfg.valid_path, cfg.lowercase), vocab)
         valid_batches = make_batches(valid_pairs, cfg.batch_size, seed=cfg.seed,
                                      epoch=0, max_len=cfg.max_train_len)
 
-    if ckpt is not None:
-        model, adam = model_from_checkpoint(ckpt, expected_kind=cfg.kind,
-                                            with_optimizer=True)
+    metrics_path = os.path.join(cfg.ckpt_dir, "metrics.log")
+    if args.resume:
         start_epoch, best_val, stale = ckpt.epoch, ckpt.best_val, ckpt.stale
+        _drop_metrics_after(metrics_path, start_epoch)
     else:
         model = DialogueModel(cfg.kind, cfg)
         adam = model.make_optimizer()
         start_epoch, best_val, stale = 0, math.inf, 0
-
-    metrics_path = os.path.join(cfg.ckpt_dir, "metrics.log")
-    if ckpt is not None:
-        _drop_metrics_after(metrics_path, start_epoch)
 
     def log_and_save(epoch, train_mean, val_mean, best, stale):
         line = _metrics_line(epoch, train_mean, val_mean["total"])
@@ -176,9 +172,14 @@ def cmd_train(args):
     return 0
 
 
-def _load_generation_model(path):
+def _load_model(path, expected_kind=None, with_optimizer=False):
+    """(checkpoint, model_from_checkpoint of it) for the file at `path`;
+    every error names the file."""
     ckpt = load_checkpoint(path)
-    return model_from_checkpoint(ckpt), ckpt.vocab
+    try:
+        return ckpt, model_from_checkpoint(ckpt, expected_kind, with_optimizer)
+    except ValueError as exc:
+        raise CheckpointError("%s: %s" % (path, exc)) from exc
 
 
 def _respond(model, vocab, text):
@@ -190,18 +191,18 @@ def _respond(model, vocab, text):
 
 
 def cmd_generate(args):
-    model, vocab = _load_generation_model(args.ckpt)
+    ckpt, model = _load_model(args.ckpt)
     lines = _read_lines(args.infile)
     sources = []
     for lineno, line in enumerate(lines, start=1):
         tokens = tokenize(line, lowercase=model.config.lowercase)
         if not tokens:
             raise ValueError("%s: input line %d is empty" % (args.infile, lineno))
-        sources.append(vocab.encode(tokens))
+        sources.append(ckpt.vocab.encode(tokens))
     responses = model.generate(sources)
     with open(args.outfile, "w", encoding="utf-8") as f:
         for ids in responses:
-            f.write(" ".join(vocab.decode(ids)) + "\n")
+            f.write(" ".join(ckpt.vocab.decode(ids)) + "\n")
     return 0
 
 
@@ -223,7 +224,7 @@ def cmd_evaluate(args):
 
 
 def cmd_chat(args):
-    model, vocab = _load_generation_model(args.ckpt)
+    ckpt, model = _load_model(args.ckpt)
     log = open(args.log, "a", encoding="utf-8") if args.log else None
     try:
         while True:
@@ -239,7 +240,7 @@ def cmd_chat(args):
                 return 0
             if not line:
                 continue
-            reply = _respond(model, vocab, line)
+            reply = _respond(model, ckpt.vocab, line)
             print(reply)
             if log:
                 log.write("you: %s\nmodel: %s\n" % (line, reply))

@@ -72,7 +72,8 @@ class Vocabulary:
 
 def build_vocab(corpus, max_size=40000):
     """Count tokens over an iterable of token sequences and keep the top
-    max_size - 4 by frequency, ties broken lexicographically."""
+    max_size - 4 besides the specials by frequency, ties broken
+    lexicographically."""
     if max_size < 5:
         raise ValueError("max_size must leave room for the 4 specials, got %d" % max_size)
     counts = {}
@@ -81,7 +82,7 @@ def build_vocab(corpus, max_size=40000):
             counts[t] = counts.get(t, 0) + 1
     if not counts:
         raise ValueError("empty corpus")
-    ranked = sorted(counts, key=lambda t: (-counts[t], t))
+    ranked = sorted(counts.keys() - set(SPECIALS), key=lambda t: (-counts[t], t))
     return Vocabulary(ranked[: max_size - 4])
 
 
@@ -93,8 +94,8 @@ class DialoguePair:
     target: list
 
 
-def load_corpus(path):
-    """Read TAB-separated utterance pairs, tokenized, in file order.
+def load_corpus(path, lowercase=True):
+    """Read TAB-separated utterance pairs, tokenized with `lowercase`, in file order.
 
     Lines with an empty side are skipped (one warning with the total);
     a line without exactly one TAB is an error naming the line.
@@ -110,7 +111,7 @@ def load_corpus(path):
                     % (path, lineno, line.count("\t"))
                 )
             src_text, tgt_text = line.split("\t")
-            src, tgt = tokenize(src_text), tokenize(tgt_text)
+            src, tgt = tokenize(src_text, lowercase), tokenize(tgt_text, lowercase)
             if not src or not tgt:
                 skipped += 1
                 continue

@@ -2,10 +2,11 @@
 the representation-mapping MLP, output projection, and Luong-style
 attention.
 
-Every LSTM, whether encoder, teacher-forced decoder or one greedy
-decoding step, runs through the single fused `lstm_sequence` op, which
-holds the only copy of the gate math. LSTM state is always one [h; c]
-tensor of width 2H; `step` returns h beside it as a view of the hiddens.
+Every LSTM and every attention, whether over a whole sequence (encoder,
+teacher-forced decoder) or one greedy decoding step, runs through one
+fused op, `lstm_sequence` or `attention_sequence`, which holds the only
+copy of its math. LSTM state is always one [h; c] tensor of width 2H;
+`step` returns h beside it as a view of the hiddens.
 
 All parameters are registered in a ParamStore under the prefix given at
 construction, in the store's dtype, so layer code never owns arrays
@@ -24,7 +25,6 @@ from .autograd import (
     attend,
     attention_sequence,
     batched_dot,
-    concat_cols,
     embedding_lookup,
     lstm_sequence,
     masked_softmax,
@@ -103,18 +103,18 @@ class LuongAttention:
     def context(self, decoder_h: Tensor, encoder_states: Tensor,
                 mask: np.ndarray) -> tuple[Tensor, Tensor]:
         """Scores are decoder_h . W_a . enc_t over all positions; returns
-        (context, weights) with weights a masked softmax over positions."""
+        (context, weights) with weights a masked softmax over positions.
+        The model never calls this: it exposes the attention weights that
+        attentional_hidden keeps inside its op."""
         proj = matmul(decoder_h, self.W_a)
         weights = masked_softmax(batched_dot(proj, encoder_states), mask)
         return attend(weights, encoder_states), weights
 
-    def attentional_hidden(self, context: Tensor, decoder_h: Tensor) -> Tensor:
-        return tanh(matmul(concat_cols(context, decoder_h), self.W_c))
-
-    def attentional_sequence(self, decoder_hiddens: Tensor, encoder_states: Tensor,
-                             mask: np.ndarray) -> Tensor:
-        """attentional_hidden(context(h_t), h_t) for every step of (B, T, H)
-        decoder hiddens at once, as (B*T, H) rows b*T + t."""
+    def attentional_hidden(self, decoder_hiddens: Tensor, encoder_states: Tensor,
+                           mask: np.ndarray) -> Tensor:
+        """tanh([c_t; h_t] W_c), c_t as in context(h_t), for every step of
+        (B, T, H) decoder hiddens, as (B*T, H) rows b*T + t: one op for a
+        whole teacher-forced target or one greedy step."""
         return attention_sequence(decoder_hiddens, encoder_states, mask, self.W_a, self.W_c)
 
 
@@ -140,36 +140,31 @@ def shifted_inputs(targets: np.ndarray, bos_id: int) -> np.ndarray:
 
 
 def decode_teacher_forced(cell: LSTMCell, embedding: Embedding, init: Tensor,
-                          targets: np.ndarray,
-                          attention: LuongAttention | None = None,
-                          encoder_states: Tensor | None = None,
-                          encoder_mask: np.ndarray | None = None) -> Tensor:
+                          targets: np.ndarray, attend=None) -> Tensor:
     """Output-projection inputs (B*T, H), row b*T + t predicting gold token
     targets[b, t] from the ones before it, starting the recurrence from
     `init` ([h; c], width 2H).
 
-    With attention, each step's projection input is the attentional
-    hidden state built from the decoder state and encoder annotations.
-    The recurrence never reads attention (there is no input feeding), so
-    the whole decoder LSTM runs first and attention covers all its
-    hiddens in one op.
+    `attend`, when given, maps (B, T, H) decoder hiddens to the (B*T, H)
+    attentional hiddens that replace them, as DialogueModel builds it from
+    LuongAttention.attentional_hidden. The recurrence never reads
+    attention (there is no input feeding), so the whole decoder LSTM runs
+    first and attention covers all its hiddens in one call.
     """
     B, T = targets.shape
     x = embedding.lookup(shifted_inputs(targets, BOS_ID))
     hiddens, _ = lstm_sequence(x, init, cell.W, cell.U, cell.b)
-    if attention is None:
+    if attend is None:
         return reshape(hiddens, (B * T, cell.hidden_size))
-    return attention.attentional_sequence(hiddens, encoder_states, encoder_mask)
+    return attend(hiddens)
 
 
 def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
-                  init: Tensor, max_len: int,
-                  attention: LuongAttention | None = None,
-                  encoder_states: Tensor | None = None,
-                  encoder_mask: np.ndarray | None = None) -> list[list[int]]:
+                  init: Tensor, max_len: int, attend=None) -> list[list[int]]:
     """Argmax decoding from `init`, at most max_len tokens per sequence,
-    stopping at EOS. PAD and BOS are never emitted; argmax ties break
-    toward the lowest token id."""
+    stopping at EOS, with `attend` as in decode_teacher_forced applied to
+    each step's (B, 1, H) hiddens. PAD and BOS are never emitted; argmax
+    ties break toward the lowest token id."""
     B = init.values.shape[0]
     state = init
     current = np.full(B, BOS_ID, dtype=np.int64)
@@ -178,11 +173,7 @@ def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
     for _ in range(max_len):
         x = embedding.lookup(current)
         h, state = cell.step(x, state)
-        if attention is not None:
-            context, _ = attention.context(h, encoder_states, encoder_mask)
-            feed = attention.attentional_hidden(context, h)
-        else:
-            feed = h
+        feed = h if attend is None else attend(reshape(h, (B, 1, cell.hidden_size)))
         logits = proj.logits(feed).values.copy()
         logits[:, PAD_ID] = -np.inf
         logits[:, BOS_ID] = -np.inf

@@ -153,6 +153,7 @@ class HumanEvalTable:
     def __init__(self):
         self.fluency = {}
         self.coherence = {}
+        self.rows = set()
         self.items = set()
         self.annotators = set()
 
@@ -162,8 +163,9 @@ class HumanEvalTable:
                 raise ValueError("%s score %r for item %r is outside 1..10"
                                  % (name, score, item))
         key = (item, annotator)
-        if key in self.fluency:
+        if key in self.rows:
             raise ValueError("duplicate cell for item %r, annotator %r" % (item, annotator))
+        self.rows.add(key)
         if fluency is not None:
             self.fluency[key] = float(fluency)
         if coherence is not None:

@@ -152,24 +152,25 @@ class DialogueModel:
         j3 = scale(sum_all(mul(diff, diff)), 0.5 / h.shape[0])
         return t, j3
 
-    def _attention_kwargs(self, encoder_states, encoder_mask):
-        """decode_teacher_forced / greedy_decode arguments for attention kinds."""
+    def _attend(self, encoder_states, encoder_mask):
+        """The decoders' `attend` over these annotations for attention
+        kinds, None for the plain kinds."""
         if not self.has_attention:
-            return {}
-        return dict(attention=self.attention, encoder_states=encoder_states,
-                    encoder_mask=encoder_mask)
+            return None
+        return lambda hiddens: self.attention.attentional_hidden(hiddens, encoder_states,
+                                                                 encoder_mask)
 
     def end_to_end_loss(self, init, batch, encoder_states=None):
         """Decode the target teacher-forced from the given state."""
         return self._decode_loss(self.tgt_dec, self.tgt_embed, self.tgt_proj, init,
                                  batch.target, batch.target_mask,
-                                 **self._attention_kwargs(encoder_states, batch.source_mask))
+                                 self._attend(encoder_states, batch.source_mask))
 
-    def _decode_loss(self, cell, embed, proj, init, tokens, mask, **attention):
+    def _decode_loss(self, cell, embed, proj, init, tokens, mask, attend=None):
         """Decode (B, T) tokens teacher-forced from `init` and score them:
         (summed cross-entropy over mask == 1 positions, their count). The
         head is fused, so the (B*T, V) logits are never recorded."""
-        features = decode_teacher_forced(cell, embed, init, tokens, **attention)
+        features = decode_teacher_forced(cell, embed, init, tokens, attend)
         return linear_softmax_cross_entropy(features, proj.W, proj.b,
                                             tokens.reshape(-1), mask.reshape(-1))
 
@@ -251,7 +252,7 @@ class DialogueModel:
             raise FloatingPointError("non-finite h state")
         init = self._map(h) if self.is_aem else h
         return greedy_decode(self.tgt_dec, self.tgt_embed, self.tgt_proj, init,
-                             max_len=max_len, **self._attention_kwargs(states, mask))
+                             max_len=max_len, attend=self._attend(states, mask))
 
 
 def build_baseline(kind, config, dtype=np.float32):

@@ -53,7 +53,7 @@ def composite_lstm(table, ids, init, w, u, b, keep=None):
 
 def composite_attention(hiddens, states, mask, w_a, w_c):
     """attention_sequence(hiddens, states, mask, w_a, w_c) built from the
-    per-step ops that greedy decoding runs: (B*T, H) rows b*T + t."""
+    per-step composite ops: (B*T, H) rows b*T + t."""
     B, T, H = hiddens.shape
     rows = reshape(hiddens, (B, T * H))
     feeds = []

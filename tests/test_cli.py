@@ -6,7 +6,7 @@ import pytest
 import aem.cli
 from aem.checkpoint import checkpoint_bytes, load_checkpoint
 from aem.cli import fit, main
-from aem.data import Vocabulary, build_vocab, load_corpus
+from aem.data import UNK_ID, Vocabulary, build_vocab, load_corpus
 from aem.model import LossBreakdown
 from helpers import tiny_config, toy_batch, toy_pairs
 
@@ -228,6 +228,24 @@ def test_merge_valid_trains_on_both(workspace, capsys):
     assert "sunny" in vocab_text.split()  # token only present in the valid set
 
 
+def test_train_keeps_case_when_lowercase_is_off(workspace, capsys):
+    write_corpus(workspace / "train.tsv", [("Hello There", "Hi Friend"), ("hello", "hi")])
+    write_corpus(workspace / "valid.tsv", [("Hello", "Hi Friend")])
+    cfg = write_config(workspace, epochs=1, lowercase="false")
+    assert main(["train", "--config", str(cfg)]) == 0
+    vocab = Vocabulary.load(workspace / "ckpt" / "vocab.txt")
+    assert {"Hello", "There", "Hi", "Friend", "hello", "hi"} == set(vocab.id_to_token[4:])
+    assert UNK_ID not in vocab.encode("Hello There".split())
+
+
+def test_train_on_corpus_holding_a_special_token(workspace, capsys):
+    write_corpus(workspace / "train.tsv", [("hello <unk>", "hi"), ("<unk>", "hello")])
+    cfg = write_config(workspace, epochs=1)
+    assert main(["train", "--config", str(cfg)]) == 0
+    vocab_lines = (workspace / "ckpt" / "vocab.txt").read_text(encoding="utf-8").split()
+    assert vocab_lines == ["hello", "hi"]
+
+
 def trained_checkpoint(workspace, **overrides):
     cfg = write_config(workspace, **overrides)
     assert main(["train", "--config", str(cfg)]) == 0
@@ -292,6 +310,24 @@ def test_generate_corrupted_checkpoint_names_the_file(workspace, capsys):
     assert main(["generate", "--ckpt", str(ckpt), "--in", str(infile),
                  "--out", str(workspace / "out.txt")]) == 1
     assert "error: %s: checksum mismatch" % ckpt in capsys.readouterr().err
+
+
+def test_misfit_arrays_error_names_the_checkpoint_in_generate_and_resume(workspace, capsys):
+    last = trained_checkpoint(workspace, epochs=1)
+    ckpt = load_checkpoint(last)
+    ckpt.arrays["adam.v.bogus"] = np.zeros(2, dtype=np.float32)
+    last.write_bytes(checkpoint_bytes(ckpt))
+    capsys.readouterr()
+    message = "error: %s: arrays do not fit the parameters: unexpected adam.v.bogus" % last
+
+    infile = workspace / "in.txt"
+    infile.write_text("hello\n", encoding="utf-8")
+    assert main(["generate", "--ckpt", str(last), "--in", str(infile),
+                 "--out", str(workspace / "out.txt")]) == 1
+    assert message in capsys.readouterr().err
+    cfg = write_config(workspace, epochs=2)
+    assert main(["train", "--config", str(cfg), "--resume", str(last)]) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [1, -1])

@@ -48,6 +48,12 @@ def test_build_vocab_rejects_tiny_max_size():
         build_vocab([], max_size=10)
 
 
+def test_build_vocab_does_not_count_specials():
+    vocab = build_vocab([["hello", "<unk>"], ["<unk>"], ["<pad>", "<eos>"]], max_size=10)
+    assert vocab.id_to_token == ["<pad>", "<bos>", "<eos>", "<unk>", "hello"]
+    assert vocab.encode(["<unk>", "hello"]) == [UNK_ID, 4]
+
+
 def test_vocab_round_trip():
     vocab = build_vocab([["x", "y", "z", "x"]], max_size=10)
     tokens = ["x", "z", "y"]
@@ -83,6 +89,12 @@ def test_load_corpus_basic(tmp_path):
     pairs = load_corpus(p)
     assert pairs[0] == DialoguePair(["hello"], ["hi", "there"])
     assert pairs[1].source == ["how", "are", "you"]
+
+
+def test_load_corpus_keeps_case_when_asked(tmp_path):
+    p = tmp_path / "pairs.tsv"
+    p.write_text("Hello There\tHi\n", encoding="utf-8")
+    assert load_corpus(p, lowercase=False) == [DialoguePair(["Hello", "There"], ["Hi"])]
 
 
 def test_load_corpus_rejects_wrong_tab_count(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aem.autograd import (Tape, Tensor, backward, concat_cols, mul, reshape, slice_cols,
-                          softmax_cross_entropy, stack_steps, sum_all)
+                          softmax_cross_entropy, sum_all)
 from aem.gradcheck import check_gradients
 from aem.layers import (
     Embedding,
@@ -16,7 +16,7 @@ from aem.layers import (
     shifted_inputs,
 )
 from aem.params import ParamStore, uniform_init
-from helpers import composite_lstm, composite_lstm_step
+from helpers import composite_attention, composite_lstm, composite_lstm_step
 
 RNG = np.random.default_rng(7)
 
@@ -149,9 +149,9 @@ def decoder_fixture(V=5, E=3, H=4, seed=21):
     return store, cell, emb, proj
 
 
-def teacher_forced_logits(cell, emb, proj, init, targets, **attention):
+def teacher_forced_logits(cell, emb, proj, init, targets, attend=None):
     """(B, T, V) logits over the decoder's (B*T, H) features."""
-    features = decode_teacher_forced(cell, emb, init, targets, **attention)
+    features = decode_teacher_forced(cell, emb, init, targets, attend)
     return reshape(proj.logits(features), targets.shape + (proj.W.values.shape[1],))
 
 
@@ -269,12 +269,11 @@ def test_attention_weights_sum_to_one_over_unmasked():
 def test_attention_gradient():
     store, attn = attention_fixture(seed=8)
     states = Tensor(RNG.standard_normal((2, 3, 3)))
-    dec_h = Tensor(RNG.standard_normal((2, 3)))
+    dec_h = Tensor(RNG.standard_normal((2, 1, 3)))
     mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
 
     def loss():
-        context, _ = attn.context(dec_h, states, mask)
-        h_tilde = attn.attentional_hidden(context, dec_h)
+        h_tilde = attn.attentional_hidden(dec_h, states, mask)
         return sum_all(mul(h_tilde, h_tilde))
 
     assert check_gradients(loss, store) < 1e-4
@@ -290,9 +289,9 @@ def test_decode_with_attention_gradient():
     targets = np.array([[3, 2], [4, 2]])
 
     def loss():
-        logits = teacher_forced_logits(cell, emb, proj, init, targets,
-                                       attention=attn, encoder_states=enc_states,
-                                       encoder_mask=enc_mask)
+        logits = teacher_forced_logits(
+            cell, emb, proj, init, targets,
+            lambda hiddens: attn.attentional_hidden(hiddens, enc_states, enc_mask))
         flat = reshape(logits, (4, 5))
         out, _ = softmax_cross_entropy(flat, targets.reshape(-1), np.ones(4))
         return out
@@ -345,23 +344,21 @@ def test_float32_sequences_and_greedy_ids_bit_equal_to_composite(monkeypatch):
                                     dec.W, dec.U, dec.b)
     plain = decode_teacher_forced(dec, emb, final, targets)
     assert plain.values.tobytes() == ref_hiddens.values.reshape(B * T2, H).tobytes()
-    attended = decode_teacher_forced(dec, emb, final, targets, attention=attn,
-                                     encoder_states=states, encoder_mask=mask)
-    feeds = []
-    for t in range(T2):
-        h = Tensor(ref_hiddens.values[:, t].copy())
-        context, _ = attn.context(h, ref_states, mask)
-        feeds.append(attn.attentional_hidden(context, h))
-    assert attended.values.tobytes() == stack_steps(feeds).values.reshape(B * T2, H).tobytes()
+    attend = lambda hiddens: attn.attentional_hidden(hiddens, states, mask)
+    attended = decode_teacher_forced(dec, emb, final, targets, attend)
+    ref_attended = composite_attention(ref_hiddens, ref_states, mask, attn.W_a, attn.W_c)
+    assert attended.values.tobytes() == ref_attended.values.tobytes()
 
-    kwargs = dict(max_len=12, attention=attn,
-                  encoder_states=states, encoder_mask=mask)
-    fused_ids = greedy_decode(dec, emb, proj, final, **kwargs)
+    fused_ids = greedy_decode(dec, emb, proj, final, 12, attend)
 
     def composite_step(cell, x, state):
         h, c = composite_lstm_step(x, slice_cols(state, 0, H), slice_cols(state, H, 2 * H),
                                    cell.W, cell.U, cell.b)
         return h, concat_cols(h, c)
 
+    def composite_attentional_hidden(attn, hiddens, encoder_states, mask):
+        return composite_attention(hiddens, encoder_states, mask, attn.W_a, attn.W_c)
+
     monkeypatch.setattr(LSTMCell, "step", composite_step)
-    assert greedy_decode(dec, emb, proj, final, **kwargs) == fused_ids
+    monkeypatch.setattr(LuongAttention, "attentional_hidden", composite_attentional_hidden)
+    assert greedy_decode(dec, emb, proj, final, 12, attend) == fused_ids

@@ -223,6 +223,15 @@ def test_human_table_validation(tmp_path):
 HEADER = "item_id,annotator_id,fluency,coherence\n"
 
 
+@pytest.mark.parametrize("rows", ["1,a,,4\n1,a,,9\n", "1,a,4,\n1,a,,9\n", "1,a,,\n1,a,5,\n"],
+                         ids=["coherence_only", "fluency_then_coherence", "empty_then_fluency"])
+def test_human_table_repeated_row_names_its_line(tmp_path, rows):
+    path = scores_csv(tmp_path, HEADER + rows)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "%s line 3: duplicate cell for item '1', annotator 'a'" % path)):
+        load_human_scores(path)
+
+
 @pytest.mark.parametrize("text, message", [
     ("item,rater,f,c\n1,a,2,3\n", "line 1: expected header"),
     (HEADER + "1,a,3,3\n2,a,3\n", "line 3: expected 4 fields, got 3"),

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from aem.autograd import Tape, Tensor, backward
+import aem.layers
+from aem.autograd import Tape, Tensor, attention_sequence, backward
 from aem.config import MODEL_KINDS
 from aem.data import DialoguePair, pairs_to_batch
-from aem.layers import greedy_decode
+from aem.layers import LuongAttention, greedy_decode
 from aem.model import DialogueModel, LossBreakdown, build_baseline, total_loss
 from helpers import tiny_config, toy_batch, toy_pairs
 
@@ -347,10 +348,10 @@ def test_attention_baseline_single_token_reduction():
     batch = Batch(np.array([[4]]), np.ones((1, 1)), np.array([[5, 2]]), np.ones((1, 2)))
     states, h = model.encode_source(batch)
     from aem.layers import decode_teacher_forced
-    features = decode_teacher_forced(model.tgt_dec, model.tgt_embed, h,
-                                     batch.target,
-                                     attention=model.attention, encoder_states=states,
-                                     encoder_mask=batch.source_mask)
+    features = decode_teacher_forced(
+        model.tgt_dec, model.tgt_embed, h, batch.target,
+        attend=lambda hiddens: model.attention.attentional_hidden(hiddens, states,
+                                                                  batch.source_mask))
     logits = model.tgt_proj.logits(features).values.reshape(1, 2, cfg.vocab_size)
     # hand-stepped first decode position
     def sig(v):
@@ -377,6 +378,28 @@ def test_attention_generate_zeroed_weights_degenerates_to_uniform():
     model.tgt_proj.b.values[:] = 0.0
     # uniform logits, PAD/BOS banned: argmax falls to EOS and output is empty
     assert model.generate([[4, 5], [6]]) == [[], []]
+
+
+@pytest.mark.parametrize("kind", ["seq2seq_attention", "aem_attention"])
+def test_attention_generate_runs_one_fused_attention_op_per_token(kind, monkeypatch):
+    # greedy decoding attends through attentional_hidden alone; context is
+    # kept for reading attention weights and must not be on the path
+    def refuse(*args):
+        raise AssertionError("greedy decoding called LuongAttention.context")
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return attention_sequence(*args)
+
+    monkeypatch.setattr(LuongAttention, "context", refuse)
+    monkeypatch.setattr(aem.layers, "attention_sequence", counted)
+    model = DialogueModel(kind, tiny_config())
+    model.tgt_proj.b.values[2] = -50.0  # EOS unreachable: every row runs to the cap
+    out = model.generate([[4, 5], [6]], max_len=5)
+    assert [len(row) for row in out] == [5, 5]
+    assert calls == [(2, 1, 4)] * 5
 
 
 def test_attention_generate_respects_length_cap():
