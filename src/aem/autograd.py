@@ -569,15 +569,27 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray)
     return out, int(mask.sum())
 
 
+# the most logits one block of linear_softmax_cross_entropy holds
+_BLOCK_LOGITS = 4 * 1024 * 1024
+
+
 def linear_softmax_cross_entropy(h: Tensor, w: Tensor, b: Tensor, targets: np.ndarray,
                                  mask: np.ndarray) -> tuple[Tensor, int]:
     """softmax_cross_entropy(add_bias(matmul(h, w), b), targets, mask) as
     one op: (N, H) features, (H, V) weights and (V,) bias.
 
-    Only mask != 0 rows are projected, `exp` runs once, and the (N, V)
-    logits never become a Tensor; backward writes dh, dw = h^T P and
-    db = sum of P rows straight from the kept softmax P, with exactly zero
-    dh on masked rows. The float32 forward loss equals the composite's.
+    Only mask != 0 rows are projected, in blocks of max(1, _BLOCK_LOGITS
+    // V) rows through one reused (rows, V) buffer, so the op never holds
+    more than one block of logits and the (N, V) logits never become a
+    Tensor. `exp` runs once per logit. The float32 loss equals the
+    composite's bit for bit.
+
+    Under a tape each block turns its softmax P into (P - onehot) * mask
+    at once and sums it into dh (exactly zero on masked rows), dw = h^T P
+    and db = sum of P rows; backward only scales those sums by the
+    upstream gradient. Scaling after the matmuls, and adding dw and db
+    block by block, changes the float32 gradients in their last bits
+    against scaling P first. Outside a tape the blocks form the loss only.
     """
     if (h.values.ndim != 2 or w.values.ndim != 2 or h.values.shape[1] != w.values.shape[0]
             or b.values.shape != (w.values.shape[1],)):
@@ -590,35 +602,44 @@ def linear_softmax_cross_entropy(h: Tensor, w: Tensor, b: Tensor, targets: np.nd
         raise ValueError(f"targets/mask must be length {n}, got {targets.shape} / {mask.shape}")
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise ValueError(f"target index out of range for {v} classes")
-    dtype = h.values.dtype
+    hv, wv = h.values, w.values
+    dtype = hv.dtype
     fmask = mask.astype(dtype)
     rows = np.flatnonzero(mask)
-    hk = h.values[rows]
-    z = hk @ w.values
-    z += b.values
-    z -= z.max(axis=1, keepdims=True)
-    kept, tk = np.arange(rows.size), targets[rows]
-    target_z = z[kept, tk]
-    e = np.exp(z, out=z)
-    sums = e.sum(axis=1)
+    block = max(1, _BLOCK_LOGITS // v)
+    buf = np.empty((min(block, rows.size), v), dtype=dtype)
+    grad = active_tape() is not None
+    if grad:
+        dh, dw, db = np.zeros_like(hv), np.zeros_like(wv), np.zeros(v, dtype=dtype)
     # per-row losses sit at their original positions so the sum runs in
     # the composite's order
     picked = np.zeros(n, dtype=dtype)
-    picked[rows] = target_z - np.log(sums)
-    loss = -(picked * fmask).sum()
-    out = Tensor(np.asarray(loss, dtype=dtype))
+    for start in range(0, rows.size, block):
+        r = rows[start : start + block]
+        hk, z = hv[r], buf[: r.size]
+        np.matmul(hk, wv, out=z)
+        z += b.values
+        z -= z.max(axis=1, keepdims=True)
+        kept, tk = np.arange(r.size), targets[r]
+        target_z = z[kept, tk]
+        e = np.exp(z, out=z)
+        sums = e.sum(axis=1)
+        picked[r] = target_z - np.log(sums)
+        if grad:
+            # (softmax - onehot) * mask, in place over the block's exp
+            weight = fmask[r]
+            e *= (weight / sums)[:, None]
+            e[kept, tk] -= weight
+            dh[r] = e @ wv.T
+            dw += hk.T @ e
+            db += e.sum(axis=0)
+    out = Tensor(np.asarray(-(picked * fmask).sum(), dtype=dtype))
 
-    def back(gout):
-        # (softmax - onehot) * mask * gout, in place over the kept exp
-        weight = fmask[rows] * gout
-        p = e
-        p *= (weight / sums)[:, None]
-        p[kept, tk] -= weight
-        dh = np.zeros_like(h.values)
-        dh[rows] = p @ w.values.T
-        _accum(h, dh)
-        _accum(w, hk.T @ p)
-        _accum(b, p.sum(axis=0))
+    if grad:
+        def back(gout):
+            _accum(h, dh * gout)
+            _accum(w, dw * gout)
+            _accum(b, db * gout)
 
-    _record(out, back)
+        _record(out, back)
     return out, int(mask.sum())

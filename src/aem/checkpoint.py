@@ -24,7 +24,13 @@ present or the optimizer is wanted, must each name every parameter with
 its shape and nothing else; an error names each entry that does not fit.
 
 A save writes <path>.tmp, fsyncs it and renames it over <path>, so a
-crash at any point leaves either the old or the new file whole.
+crash at any point leaves either the old or the new file whole. The
+write streams: header bytes and a byte view of each array go to the
+file one piece at a time, with the CRC updated piece by piece, so a save
+copies no array and builds no buffer the size of the file.
+checkpoint_bytes joins the same pieces. Parsing reads the file's bytes
+in place: the CRC runs over a memoryview of the body, and each array is
+copied once, straight from the file bytes into its own buffer.
 """
 
 import math
@@ -63,65 +69,103 @@ class Checkpoint:
                                   % (len(self.vocab), self.config.vocab_size))
 
 
-def _write_str(out, text):
+_U32 = struct.Struct("<I")
+
+
+def _str_bytes(text):
     data = text.encode("utf-8")
-    out.append(struct.pack("<I", len(data)))
-    out.append(data)
+    return _U32.pack(len(data)) + data
 
 
-def checkpoint_bytes(ckpt):
-    out = [MAGIC, struct.pack("<I", VERSION)]
-    _write_str(out, ckpt.kind)
+def _pieces(ckpt):
+    """The file up to its CRC: joined header bytes between the arrays, and
+    each array's values as a byte memoryview of the array itself."""
     snapshot = config_to_text(ckpt.config)
     snapshot += "epoch=%d\nadam_t=%d\nbest_val=%s\nstale=%d\n" % (
         ckpt.epoch, ckpt.adam_t, repr(ckpt.best_val), ckpt.stale)
-    _write_str(out, snapshot)
     entries = ckpt.vocab.id_to_token[4:]
-    out.append(struct.pack("<I", len(entries)))
-    for token in entries:
-        _write_str(out, token)
-    out.append(struct.pack("<I", len(ckpt.arrays)))
+    head = [MAGIC, _U32.pack(VERSION), _str_bytes(ckpt.kind), _str_bytes(snapshot),
+            _U32.pack(len(entries))]
+    head += [_str_bytes(token) for token in entries]
+    head.append(_U32.pack(len(ckpt.arrays)))
+    pieces = []
     for name in sorted(ckpt.arrays):
         values = ckpt.arrays[name]
         if values.dtype != np.float32:
             raise CheckpointError("array %s has dtype %s; checkpoints store float32"
                                   % (name, values.dtype))
-        _write_str(out, name)
-        out.append(struct.pack("<I", values.ndim))
-        out.append(struct.pack("<%dI" % values.ndim, *values.shape))
-        out.append(np.ascontiguousarray(values, dtype="<f4").tobytes())
-    body = b"".join(out)
-    return body + struct.pack("<I", zlib.crc32(body))
+        head += [_str_bytes(name), struct.pack("<%dI" % (values.ndim + 1), values.ndim,
+                                               *values.shape)]
+        pieces.append(b"".join(head))
+        head = []
+        flat = np.ascontiguousarray(values, dtype="<f4").reshape(-1)
+        pieces.append(memoryview(flat).cast("B"))
+    pieces.append(b"".join(head))
+    return pieces
+
+
+def checkpoint_bytes(ckpt):
+    body = b"".join(_pieces(ckpt))
+    return body + _U32.pack(zlib.crc32(body))
 
 
 class _Reader:
-    def __init__(self, data):
+    """Bounds-checked reads from the body of a file's bytes, data[:end]."""
+
+    def __init__(self, data, end):
         self.data = data
+        self.end = end
         self.pos = 0
 
-    def take(self, n):
-        if self.pos + n > len(self.data):
+    def skip(self, n):
+        """Step over n bytes and return the offset they start at."""
+        start = self.pos
+        if start + n > self.end:
             raise CheckpointError("truncated checkpoint")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
+        self.pos = start + n
+        return start
+
+    def u32s(self, count):
+        return struct.unpack_from("<%dI" % count, self.data, self.skip(4 * count))
 
     def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
+        return self.u32s(1)[0]
+
+    def texts(self, count):
+        """`count` strings, each a u32 byte length and UTF-8 bytes."""
+        data, pos, end = self.data, self.pos, self.end
+        out = []
+        for _ in range(count):
+            if pos + 4 > end:
+                raise CheckpointError("truncated checkpoint")
+            start = pos + 4
+            pos = start + _U32.unpack_from(data, pos)[0]
+            if pos > end:
+                raise CheckpointError("truncated checkpoint")
+            out.append(str(data[start:pos], "utf-8"))
+        self.pos = pos
+        return out
 
     def text(self):
-        return self.take(self.u32()).decode("utf-8")
+        return self.texts(1)[0]
+
+    def array(self, shape):
+        """float32 values of `shape`, copied straight out of the file bytes."""
+        count = math.prod(shape)
+        start = self.skip(4 * count)
+        return np.frombuffer(self.data, "<f4", count, start).reshape(shape).copy()
 
 
 def parse_checkpoint(data):
     if len(data) < 12:
         raise CheckpointError("truncated checkpoint")
-    body, stored = data[:-4], struct.unpack("<I", data[-4:])[0]
-    if zlib.crc32(body) != stored:
+    end = len(data) - 4
+    if zlib.crc32(memoryview(data)[:end]) != _U32.unpack_from(data, end)[0]:
         raise CheckpointError("checksum mismatch")
-    r = _Reader(body)
-    if r.take(4) != MAGIC:
+    if data[:4] != MAGIC:
         raise CheckpointError("bad magic; not a checkpoint file")
+    r = _Reader(data, end)
+    r.skip(4)
     version = r.u32()
     if version != VERSION:
         raise CheckpointError("unsupported format version %d" % version)
@@ -141,21 +185,19 @@ def parse_checkpoint(data):
         raise CheckpointError("kind tag %r disagrees with config kind %r"
                               % (kind, config.kind))
 
-    vocab = Vocabulary(r.text() for _ in range(r.u32()))
+    vocab = Vocabulary(r.texts(r.u32()))
     arrays = {}
     for _ in range(r.u32()):
         name = r.text()
-        shape = tuple(r.u32() for _ in range(r.u32()))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = r.take(4 * count)
-        arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    if r.pos != len(body):
+        arrays[name] = r.array(r.u32s(r.u32()))
+    if r.pos != end:
         raise CheckpointError("trailing bytes after the last array")
     return Checkpoint(kind, config, vocab, arrays, **progress)
 
 
 def save_checkpoint(path, model, vocab, adam=None, epoch=0, best_val=math.inf, stale=0):
-    """Serialize a model (and optionally its optimizer) to one file."""
+    """Serialize a model (and optionally its optimizer) to one file, piece
+    by piece: no buffer the size of the file is built."""
     arrays = {name: p.values for name, p in model.store.items()}
     adam_t = 0
     if adam is not None:
@@ -166,11 +208,15 @@ def save_checkpoint(path, model, vocab, adam=None, epoch=0, best_val=math.inf, s
     config = replace(model.config, kind=model.kind)
     ckpt = Checkpoint(model.kind, config, vocab, arrays,
                       epoch=epoch, adam_t=adam_t, best_val=best_val, stale=stale)
-    data = checkpoint_bytes(ckpt)
+    pieces = _pieces(ckpt)
     tmp = "%s.tmp" % path
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            crc = 0
+            for piece in pieces:
+                f.write(piece)
+                crc = zlib.crc32(piece, crc)
+            f.write(_U32.pack(crc))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

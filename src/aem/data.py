@@ -23,6 +23,8 @@ EOS_ID = 2
 UNK_ID = 3
 
 SPECIALS = ("<pad>", "<bos>", "<eos>", "<unk>")
+# a corpus may not spell these; a literal <unk> just encodes to UNK
+RESERVED = frozenset(SPECIALS[:3])
 
 
 def tokenize(utterance, lowercase=True):
@@ -98,7 +100,8 @@ def load_corpus(path, lowercase=True):
     """Read TAB-separated utterance pairs, tokenized with `lowercase`, in file order.
 
     Lines with an empty side are skipped (one warning with the total);
-    a line without exactly one TAB is an error naming the line.
+    a line without exactly one TAB, or with a <pad>, <bos> or <eos> token,
+    is an error naming the line.
     """
     pairs = []
     skipped = 0
@@ -112,6 +115,11 @@ def load_corpus(path, lowercase=True):
                 )
             src_text, tgt_text = line.split("\t")
             src, tgt = tokenize(src_text, lowercase), tokenize(tgt_text, lowercase)
+            for side, tokens in (("source", src), ("target", tgt)):
+                if not RESERVED.isdisjoint(tokens):
+                    token = next(t for t in tokens if t in RESERVED)
+                    raise ValueError("%s line %d: reserved token %r in the %s"
+                                     % (path, lineno, token, side))
             if not src or not tgt:
                 skipped += 1
                 continue

@@ -1,5 +1,7 @@
 """Small fixtures shared across test modules."""
 
+import tracemalloc
+
 from aem.autograd import (add, add_bias, attend, batched_dot, concat_cols, embedding_lookup,
                           lerp_mask, masked_softmax, matmul, mul, reshape, sigmoid, slice_cols,
                           stack_steps, tanh)
@@ -12,6 +14,22 @@ def tiny_config(**overrides):
                 seed=3, epochs=1)
     base.update(overrides)
     return RunConfig(**base).validate()
+
+
+def peak_traced_bytes(fn):
+    """Peak bytes allocated while fn() runs, above what was allocated when
+    it started. numpy reports its array buffers to tracemalloc."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 def toy_pairs():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import aem.autograd
 from aem.autograd import (
     Tape,
     Tensor,
@@ -32,7 +33,7 @@ from aem.autograd import (
     tanh,
 )
 from aem.gradcheck import check_gradients
-from helpers import composite_attention, composite_lstm
+from helpers import composite_attention, composite_lstm, peak_traced_bytes
 
 RNG = np.random.default_rng(20240815)
 
@@ -371,6 +372,88 @@ def test_linear_cross_entropy_errors_match_cross_entropy():
         linear_softmax_cross_entropy(h, Tensor(np.zeros((4, 6))), b, np.zeros(2, int), np.ones(2))
     with pytest.raises(ValueError, match="shape mismatch"):
         linear_softmax_cross_entropy(h, w, Tensor(np.zeros(5)), np.zeros(2, int), np.ones(2))
+
+
+def head_grads(head, h, w, b, targets, mask):
+    """(loss, n, dh, dw, db) of head under a tape, the loss scaled by 0.7."""
+    for t in (h, w, b):
+        t.grad = None
+    with Tape() as tape:
+        out, n = head(h, w, b, targets, mask)
+        loss = scale(out, 0.7)
+    backward(tape, loss)
+    return float(out.values), n, h.grad.copy(), w.grad.copy(), b.grad.copy()
+
+
+# blocks over the 7 kept rows at V=6: one row each; two rows (edges across
+# masked rows, the last block a single row); all rows in one block
+@pytest.mark.parametrize("budget", [1, 12, 4 * 1024 * 1024])
+def test_linear_cross_entropy_blocks_match_composite(monkeypatch, budget):
+    monkeypatch.setattr(aem.autograd, "_BLOCK_LOGITS", budget)
+    targets = np.array([1, 4, 0, 5, 3, 2, 0, 5, 1, 2])
+    mask = np.array([1, 0, 1, 1, 0, 0, 1, 1, 1, 1])
+    h, w, b = head_case(n=10)
+    loss = lambda: linear_softmax_cross_entropy(h, w, b, targets, mask)[0]
+    assert check_gradients(loss, [h, w, b]) < 1e-4
+    la, na, *ga = head_grads(composite_head, h, w, b, targets, mask)
+    lf, nf, *gf = head_grads(linear_softmax_cross_entropy, h, w, b, targets, mask)
+    assert na == nf == 7
+    np.testing.assert_allclose(lf, la, rtol=1e-12)
+    for a, f in zip(ga, gf):
+        np.testing.assert_allclose(f, a, rtol=1e-10, atol=1e-14)
+    assert np.all(gf[0][mask == 0] == 0)
+
+
+def test_linear_cross_entropy_float32_loss_bit_equal_to_composite_across_blocks(monkeypatch):
+    monkeypatch.setattr(aem.autograd, "_BLOCK_LOGITS", 3 * 50 + 49)  # 3 rows per block
+    targets = RNG.integers(0, 50, 40)
+    mask = (RNG.random(40) < 0.7).astype(np.float64)
+    h, w, b = head_case(n=40, hdim=16, v=50, dtype=np.float32)
+    fused, n = linear_softmax_cross_entropy(h, w, b, targets, mask)
+    composite, n_ref = composite_head(h, w, b, targets, mask)
+    assert n == n_ref > 3
+    assert fused.values.tobytes() == composite.values.tobytes()
+    # the gradients are scaled after the matmuls and summed block by
+    # block, so they may differ from the composite's in the last bits only
+    _, _, *ga = head_grads(composite_head, h, w, b, targets, mask)
+    _, _, *gf = head_grads(linear_softmax_cross_entropy, h, w, b, targets, mask)
+    for a, f in zip(ga, gf):
+        assert f.dtype == np.float32
+        np.testing.assert_allclose(f, a, rtol=1e-5, atol=1e-6)
+
+
+def test_linear_cross_entropy_all_masked_is_zero(monkeypatch):
+    monkeypatch.setattr(aem.autograd, "_BLOCK_LOGITS", 6)
+    h, w, b = head_case(n=4)
+    loss, n, dh, dw, db = head_grads(linear_softmax_cross_entropy, h, w, b,
+                                     np.array([1, 2, 3, 4]), np.zeros(4))
+    assert loss == 0 and n == 0
+    for g in (dh, dw, db):
+        assert not g.any()
+
+
+def test_linear_cross_entropy_holds_one_block_of_logits(monkeypatch):
+    monkeypatch.setattr(aem.autograd, "_BLOCK_LOGITS", 4096)
+    n, v = 512, 256  # N*V is 32 blocks
+    h, w, b = head_case(n=n, hdim=8, v=v, dtype=np.float32)
+    targets, mask = RNG.integers(0, v, n), np.ones(n)
+
+    def step():
+        with Tape() as tape:
+            out, _ = linear_softmax_cross_entropy(h, w, b, targets, mask)
+        backward(tape, out)
+
+    assert peak_traced_bytes(step) < n * v * 4 / 4
+    assert h.grad.shape == (n, 8) and w.grad.shape == (8, v)
+
+
+def test_linear_cross_entropy_without_tape_forms_no_gradient():
+    n, hdim, v = 4, 512, 512
+    h, w, b = head_case(n=n, hdim=hdim, v=v, dtype=np.float32)
+    targets, mask = RNG.integers(0, v, n), np.ones(n)
+    peak = peak_traced_bytes(lambda: linear_softmax_cross_entropy(h, w, b, targets, mask))
+    assert peak < hdim * v * 4 / 4
+    assert h.grad is None and w.grad is None
 
 
 def test_first_gradient_is_copied_not_aliased():

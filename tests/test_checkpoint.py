@@ -7,6 +7,7 @@ import pytest
 
 import aem.checkpoint
 from aem.checkpoint import (
+    Checkpoint,
     CheckpointError,
     checkpoint_bytes,
     load_checkpoint,
@@ -18,7 +19,7 @@ from aem.config import MODEL_KINDS
 from aem.data import Vocabulary
 from aem.model import DialogueModel
 from aem.rng import SplitMix64
-from helpers import tiny_config, toy_batch
+from helpers import peak_traced_bytes, tiny_config, toy_batch
 
 
 def tiny_vocab():
@@ -73,6 +74,54 @@ def test_second_save_is_byte_identical(tmp_path):
     save_checkpoint(a, model, tiny_vocab(), adam)
     save_checkpoint(b, model, tiny_vocab(), adam)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_saved_file_equals_checkpoint_bytes(tmp_path):
+    model, adam = trained_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, tiny_vocab(), adam, epoch=2, best_val=1.25, stale=1)
+    arrays = {name: p.values for name, p in model.store.items()}
+    for name in model.store.names():
+        arrays["adam.m." + name] = adam.m[name]
+        arrays["adam.v." + name] = adam.v[name]
+    ckpt = Checkpoint("aem", model.config, tiny_vocab(), arrays, epoch=2, adam_t=adam.t,
+                      best_val=1.25, stale=1)
+    assert path.read_bytes() == checkpoint_bytes(ckpt)
+
+
+def test_save_builds_no_file_sized_buffer(tmp_path):
+    cfg = tiny_config(hidden_size=32, embed_size=16, vocab_size=300)
+    model = DialogueModel("aem", cfg)
+    adam = model.make_optimizer()
+    vocab = Vocabulary("w%d" % i for i in range(296))
+    array_bytes = 3 * sum(p.values.nbytes for _, p in model.store.items())
+    path = tmp_path / "m.ckpt"
+    peak = peak_traced_bytes(lambda: save_checkpoint(path, model, vocab, adam))
+    assert peak < array_bytes / 4
+    assert path.stat().st_size > array_bytes
+
+
+def reseal(body):
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_parse_keeps_every_check():
+    model = DialogueModel("aem", tiny_config())
+    arrays = {name: p.values for name, p in model.store.items()}
+    vocab = Vocabulary(["ab", "cd", "ef"])
+    body = checkpoint_bytes(Checkpoint("aem", tiny_config(), vocab, arrays))[:-4]
+    assert parse_checkpoint(reseal(body)).vocab.id_to_token[4:] == ["ab", "cd", "ef"]
+    for cut in range(len(body)):
+        with pytest.raises(CheckpointError, match="^truncated checkpoint$"):
+            parse_checkpoint(reseal(body[:cut]))
+    with pytest.raises(CheckpointError, match="trailing bytes"):
+        parse_checkpoint(reseal(body + b"\0"))
+    repeated = body.replace(b"\x02\x00\x00\x00cd", b"\x02\x00\x00\x00ab", 1)
+    with pytest.raises(ValueError, match="duplicate token 'ab'"):
+        parse_checkpoint(reseal(repeated))
+    mistagged = checkpoint_bytes(Checkpoint("seq2seq", tiny_config(), vocab, arrays))
+    with pytest.raises(CheckpointError, match="kind tag 'seq2seq' disagrees"):
+        parse_checkpoint(mistagged)
 
 
 def test_model_rebuild_reproduces_generation(tmp_path):

@@ -246,6 +246,20 @@ def test_train_on_corpus_holding_a_special_token(workspace, capsys):
     assert vocab_lines == ["hello", "hi"]
 
 
+@pytest.mark.parametrize("corpus, side", [("train.tsv", "source"), ("valid.tsv", "target")])
+@pytest.mark.parametrize("token", ["<pad>", "<BOS>", "<eos>"])
+def test_reserved_token_in_corpus_names_file_line_and_side(workspace, capsys, corpus, side,
+                                                           token):
+    path = workspace / corpus
+    reserved = ("hello %s" % token, "hi") if side == "source" else ("hello", "hi %s" % token)
+    write_corpus(path, [("fine", "thanks"), reserved])
+    cfg = write_config(workspace, epochs=1)
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert ("error: %s line 2: reserved token %r in the %s" % (path, token.lower(), side)
+            in capsys.readouterr().err)
+    assert not (workspace / "ckpt" / "last.ckpt").exists()
+
+
 def trained_checkpoint(workspace, **overrides):
     cfg = write_config(workspace, **overrides)
     assert main(["train", "--config", str(cfg)]) == 0
