@@ -10,13 +10,15 @@ Training runs in float32; gradient-check tests build float64 graphs.
 Ops never broadcast except where stated (add_bias, lerp_mask).
 
 The model runs three fused ops: `lstm_sequence` runs a whole LSTM
-sequence as one record, `attention_sequence` runs Luong attention over
-every decoder step given to it (a whole teacher-forced target, or one
-greedy step), and `linear_softmax_cross_entropy` is the training output
-head. The composite ops they replace (matmul, add_bias, slice_cols,
-sigmoid, tanh, mul, lerp_mask, stack_steps, concat_cols, batched_dot,
+sequence as one record (one recurrence for every LSTM; an encoder reads
+each row's final state at its length), `attention_sequence` runs Luong
+attention over every decoder step given to it (a whole teacher-forced
+target, or one greedy step), and `linear_softmax_cross_entropy` is the
+training output head. The composite ops they replace (matmul, add_bias,
+slice_cols, sigmoid, tanh, mul, stack_steps, concat_cols, batched_dot,
 masked_softmax, attend, ...) stay for the rest of the model, for the
-release gate, and as the reference the fused ops are tested against.
+release gate, and as the reference the fused ops are tested against;
+lerp_mask, which the model no longer runs, stays for the last two.
 """
 
 from __future__ import annotations
@@ -299,8 +301,9 @@ def stack_steps(steps: list[Tensor]) -> Tensor:
 
 
 def lerp_mask(new: Tensor, prev: Tensor, keep: np.ndarray) -> Tensor:
-    """keep*new + (1-keep)*prev with a constant (B, 1) column; carries the
-    previous state through padded timesteps."""
+    """keep*new + (1-keep)*prev with a constant (B, 1) column: carried
+    through padded steps, the composite reference for a final state read
+    at each row's length."""
     _check_same_shape("lerp_mask", new, prev)
     keep = np.asarray(keep, dtype=new.values.dtype)
     out = Tensor(keep * new.values + (1.0 - keep) * prev.values)
@@ -314,23 +317,25 @@ def lerp_mask(new: Tensor, prev: Tensor, keep: np.ndarray) -> Tensor:
 
 
 def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
-                  keep: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+                  lengths: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """An LSTM over a whole sequence as one op: (B, T, E) inputs, initial
     [h; c] state (B, 2H), weights w (E, 4H), u (H, 4H) and bias b (4H,),
     the gate axis ordered [input, forget, cell candidate, output].
 
     Step t computes pre = (x_t w + h u) + b, c' = f*c + i*g and
-    h' = o*tanh(c'), with sigmoid i, f, o and tanh g. With a (B, T) keep
-    mask the carried state is keep*new + (1-keep)*prev, so padded steps
-    pass the state through. Returns the carried hiddens (B, T, H) and the
-    final [h; c]; in float32 both equal the composite chain of matmul,
-    add, add_bias, slice_cols, sigmoid, tanh, mul, lerp_mask, stack_steps
-    and concat_cols.
+    h' = o*tanh(c'), with sigmoid i, f, o and tanh g. Every row runs all T
+    steps. Returns the hiddens (B, T, H) and the final [h; c], read after
+    step T or, given (B,) `lengths` in 1..T, after step lengths[r] for row
+    r; the hiddens past a row's length are the recurrence over whatever
+    inputs sit there. In float32 both equal the composite chain of matmul,
+    add, add_bias, slice_cols, sigmoid, tanh, mul, stack_steps and
+    concat_cols.
 
     x w is one (T*B, E) x (E, 4H) matmul. Backward runs when either
     output has a gradient: it walks the steps in reverse to fill the
-    preactivation gradient of every step, then forms dw, du, db and dx
-    with one matmul or sum each.
+    preactivation gradient of every step, adding the final state's
+    gradient at each row's last step, then forms dw, du, db and dx with
+    one matmul or sum each.
     """
     xv, uv = x.values, u.values
     H = uv.shape[0]
@@ -342,10 +347,12 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
                          f"b {b.values.shape}")
     B, T, E = xv.shape
     dtype = xv.dtype
-    if keep is not None:
-        if np.shape(keep) != (B, T):
-            raise ValueError(f"lstm_sequence keep mask must be {(B, T)}, got {np.shape(keep)}")
-        keep = np.asarray(keep, dtype=dtype).T[:, :, None]
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+        if (lengths.shape != (B,) or not np.issubdtype(lengths.dtype, np.integer)
+                or lengths.min() < 1 or lengths.max() > T):
+            raise ValueError(f"lstm_sequence lengths must be {B} values in 1..{T}, "
+                             f"got {lengths!r}")
     # time-major: row t*B + b, so every step reads contiguous blocks
     xs = xv.transpose(1, 0, 2).reshape(T * B, E)
     xw = (xs @ w.values).reshape(T, B, 4 * H)
@@ -364,16 +371,13 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
         a += 1.0
         a *= 0.5
         np.tanh(pre[:, 2 * H : 3 * H], out=a[:, 2 * H : 3 * H])
-        c_new = a[:, H : 2 * H] * cs[t] + a[:, :H] * a[:, 2 * H : 3 * H]
-        h_new = a[:, 3 * H :] * np.tanh(c_new, out=tcs[t])
-        if keep is None:
-            hs[t + 1], cs[t + 1] = h_new, c_new
-        else:
-            k = keep[t]
-            hs[t + 1] = k * h_new + (1.0 - k) * hs[t]
-            cs[t + 1] = k * c_new + (1.0 - k) * cs[t]
+        c = np.multiply(a[:, H : 2 * H], cs[t], out=cs[t + 1])
+        c += a[:, :H] * a[:, 2 * H : 3 * H]
+        np.multiply(a[:, 3 * H :], np.tanh(c, out=tcs[t]), out=hs[t + 1])
     hiddens = Tensor(np.ascontiguousarray(hs[1:].transpose(1, 0, 2)))
-    final = Tensor(np.concatenate([hs[T], cs[T]], axis=1))
+    # each row's state after its last step: a gather only when lengths are given
+    last = (T, slice(None)) if lengths is None else (lengths, np.arange(B))
+    final = Tensor(np.concatenate([hs[last], cs[last]], axis=1))
 
     def back(g_hiddens, g_final):
         i, f, g, o = (acts[:, :, n * H : (n + 1) * H] for n in range(4))
@@ -384,30 +388,27 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
         dpre[:, :, 2] = i * (1.0 - g * g)
         dpre[:, :, 3] = tcs * o * (1.0 - o)
         dc_per_dh = o * (1.0 - tcs * tcs)
-        if g_final is None:
-            dh, dc = np.zeros((B, H), dtype=dtype), np.zeros((B, H), dtype=dtype)
-        else:
+        dh, dc = np.zeros((B, H), dtype=dtype), np.zeros((B, H), dtype=dtype)
+        ends = {}  # step index -> rows whose final state is read after it
+        if g_final is not None and lengths is None:
             dh, dc = g_final[:, :H], g_final[:, H:]
+        elif g_final is not None:
+            ends = {n - 1: np.flatnonzero(lengths == n) for n in np.unique(lengths)}
         g_steps = None if g_hiddens is None else g_hiddens.transpose(1, 0, 2)
         ut = np.ascontiguousarray(uv.T)
         for t in range(T - 1, -1, -1):
             if g_steps is not None:
                 dh = dh + g_steps[t]
-            if keep is None:
-                dh_new, dc_new = dh, dc
-            else:
-                k = keep[t]
-                dh_new, dc_new = dh * k, dc * k
-            dc_new = dc_new + dh_new * dc_per_dh[t]
+            rows = ends.get(t)
+            if rows is not None:
+                dh[rows] += g_final[rows, :H]
+                dc[rows] += g_final[rows, H:]
+            dc = dc + dh * dc_per_dh[t]
             d = dpre[t]
-            d[:, :3] *= dc_new[:, None, :]
-            d[:, 3] *= dh_new
-            dh_prev = d.reshape(B, 4 * H) @ ut
-            dc_prev = dc_new * f[t]
-            if keep is not None:
-                dh_prev += dh * (1.0 - k)
-                dc_prev += dc * (1.0 - k)
-            dh, dc = dh_prev, dc_prev
+            d[:, :3] *= dc[:, None, :]
+            d[:, 3] *= dh
+            dh = d.reshape(B, 4 * H) @ ut
+            dc = dc * f[t]
         _accum(state, np.concatenate([dh, dc], axis=1))
         flat = dpre.reshape(T * B, 4 * H)
         _accum(w, xs.T @ flat)

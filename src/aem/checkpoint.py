@@ -29,8 +29,9 @@ write streams: header bytes and a byte view of each array go to the
 file one piece at a time, with the CRC updated piece by piece, so a save
 copies no array and builds no buffer the size of the file.
 checkpoint_bytes joins the same pieces. Parsing reads the file's bytes
-in place: the CRC runs over a memoryview of the body, and each array is
-copied once, straight from the file bytes into its own buffer.
+in place: the CRC runs over a memoryview of the body, and each parsed
+array is a read-only view of them, so a load holds the file once and
+each array is copied once, into the model that takes it.
 """
 
 import math
@@ -150,10 +151,10 @@ class _Reader:
         return self.texts(1)[0]
 
     def array(self, shape):
-        """float32 values of `shape`, copied straight out of the file bytes."""
+        """float32 values of `shape`: a read-only view of the file bytes."""
         count = math.prod(shape)
         start = self.skip(4 * count)
-        return np.frombuffer(self.data, "<f4", count, start).reshape(shape).copy()
+        return np.frombuffer(self.data, "<f4", count, start).reshape(shape)
 
 
 def parse_checkpoint(data):
@@ -185,7 +186,11 @@ def parse_checkpoint(data):
         raise CheckpointError("kind tag %r disagrees with config kind %r"
                               % (kind, config.kind))
 
-    vocab = Vocabulary(r.texts(r.u32()))
+    tokens = r.texts(r.u32())
+    try:
+        vocab = Vocabulary(tokens, duplicate="vocabulary entry %d: duplicate token %r")
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from None
     arrays = {}
     for _ in range(r.u32()):
         name = r.text()

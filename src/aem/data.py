@@ -38,15 +38,16 @@ class Vocabulary:
     """Token/id bijection with four reserved specials at ids 0..3.
 
     `tokens` are the non-special entries in id order, as the lines of a
-    vocabulary file hold them, so a repeat is reported by that line.
+    vocabulary file hold them; a repeat raises ValueError(duplicate %
+    (its 1-based position in `tokens`, the token)).
     """
 
-    def __init__(self, tokens):
+    def __init__(self, tokens, duplicate="line %d: duplicate token %r in vocabulary"):
         self.id_to_token = list(SPECIALS) + list(tokens)
         self.token_to_id = {}
         for i, t in enumerate(self.id_to_token):
             if self.token_to_id.setdefault(t, i) != i:
-                raise ValueError("line %d: duplicate token %r in vocabulary" % (i - 3, t))
+                raise ValueError(duplicate % (i - 3, t))
 
     def __len__(self):
         return len(self.id_to_token)

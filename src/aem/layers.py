@@ -120,15 +120,23 @@ class LuongAttention:
 
 def encode_sequence(cell: LSTMCell, embedding: Embedding, tokens: np.ndarray,
                     mask: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Run the cell left to right from a zero state.
+    """Run the cell left to right from a zero state over (B, T) tokens
+    whose mask rows are ones up to each row's length, then zeros; a gap
+    or a row with no real token raises ValueError.
 
-    Padded positions carry the previous state through unchanged, so the
-    state after the last step is the state at each sequence's final
-    unmasked position. Returns (per-step hiddens (B, T, H), final
-    [h; c] of width 2H).
+    Returns (per-step hiddens (B, T, H), final [h; c] of width 2H read
+    at each row's last unmasked position). Hiddens at padded positions
+    run on over the padding; attention masks them out.
     """
+    mask = np.asarray(mask)
+    lengths = np.count_nonzero(mask, axis=1)
+    gaps = (mask != 0) != (np.arange(tokens.shape[1]) < lengths[:, None])
+    if gaps.any():
+        raise ValueError(f"encode_sequence mask row {int(gaps.any(axis=1).argmax())} has a gap")
+    if lengths.min() < 1:
+        raise ValueError(f"encode_sequence mask row {int(lengths.argmin())} has no real token")
     init = Tensor(np.zeros((tokens.shape[0], 2 * cell.hidden_size), dtype=cell.W.values.dtype))
-    return lstm_sequence(embedding.lookup(tokens), init, cell.W, cell.U, cell.b, mask)
+    return lstm_sequence(embedding.lookup(tokens), init, cell.W, cell.U, cell.b, lengths)
 
 
 def shifted_inputs(targets: np.ndarray, bos_id: int) -> np.ndarray:
@@ -174,7 +182,7 @@ def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
         x = embedding.lookup(current)
         h, state = cell.step(x, state)
         feed = h if attend is None else attend(reshape(h, (B, 1, cell.hidden_size)))
-        logits = proj.logits(feed).values.copy()
+        logits = proj.logits(feed).values
         logits[:, PAD_ID] = -np.inf
         logits[:, BOS_ID] = -np.inf
         chosen = logits.argmax(axis=1)

@@ -42,11 +42,11 @@ class LossBreakdown:
     After a train step, grad_norm is the global gradient norm before
     clipping and clipped whether it exceeded clip_norm."""
 
-    j1: float
-    j2: float
-    j3: float
-    j4: float
-    total: float
+    j1: float = 0.0
+    j2: float = 0.0
+    j3: float = 0.0
+    j4: float = 0.0
+    total: float = 0.0
     grad_norm: float = 0.0
     clipped: bool = False
 
@@ -64,6 +64,9 @@ class DialogueModel:
     learned mapping with t = h, which together with lambda1 = lambda2 = 0
     makes the full model step-for-step equivalent to the baseline.
 
+    `mapping` is None for the seq2seq kinds and under identity_map, and
+    `attention` None for the kinds without it.
+
     Parameters start from the seeded per-name uniform draw or, given
     `values` (name -> array, as a checkpoint stores them), from copies of
     those arrays with nothing drawn; model_from_checkpoint checks their
@@ -76,7 +79,6 @@ class DialogueModel:
                              % (kind, ", ".join(MODEL_KINDS)))
         self.kind = kind
         self.config = config
-        self.identity_map = identity_map
         H, E, V = config.hidden_size, config.embed_size, config.vocab_size
 
         store = ParamStore(dtype)
@@ -89,10 +91,9 @@ class DialogueModel:
             self.src_dec = LSTMCell(store, "theta.src_dec", E, H)
             self.src_proj = OutputProjection(store, "theta.src_dec.proj", H, V)
             self.tgt_enc = LSTMCell(store, "phi.tgt_enc", E, H)
-            if not identity_map:
-                self.mapping = MappingMLP(store, "gamma.map", 2 * H)
-        if self.has_attention:
-            self.attention = LuongAttention(store, "attn", H)
+        self.mapping = (MappingMLP(store, "gamma.map", 2 * H)
+                        if self.is_aem and not identity_map else None)
+        self.attention = LuongAttention(store, "attn", H) if kind.endswith("attention") else None
         self.store = store
         if values is None:
             uniform_init(store, -0.1, 0.1, seed=config.seed)
@@ -103,22 +104,11 @@ class DialogueModel:
     def is_aem(self):
         return self.kind.startswith("aem")
 
-    @property
-    def has_attention(self):
-        return self.kind.endswith("attention")
-
     # forward pieces ----------------------------------------------------
 
     def encode_source(self, batch):
         """Run the source encoder; returns (annotations, h)."""
         return encode_sequence(self.src_enc, self.src_embed, batch.source, batch.source_mask)
-
-    def encode_source_ae(self, batch):
-        """Source auto-encoder: h plus the summed reconstruction loss."""
-        states, h = self.encode_source(batch)
-        j1_sum, n = self._decode_loss(self.src_dec, self.src_embed, self.src_proj, h,
-                                      batch.source, batch.source_mask)
-        return h, j1_sum, n, states
 
     def encode_target_ae(self, batch):
         """Target auto-encoder: s plus the summed reconstruction loss."""
@@ -129,8 +119,8 @@ class DialogueModel:
         return s, j2_sum, n
 
     def _map(self, h):
-        """g(h), or h itself under identity_map."""
-        return h if self.identity_map else self.mapping.forward(h)
+        """g(h), or h itself when there is no mapping."""
+        return h if self.mapping is None else self.mapping.forward(h)
 
     def map_representation(self, h, s, detach_states=None):
         """t = g(h) and the matching loss 0.5 * ||t - s||^2 / batch.
@@ -155,16 +145,10 @@ class DialogueModel:
     def _attend(self, encoder_states, encoder_mask):
         """The decoders' `attend` over these annotations for attention
         kinds, None for the plain kinds."""
-        if not self.has_attention:
+        if self.attention is None:
             return None
         return lambda hiddens: self.attention.attentional_hidden(hiddens, encoder_states,
                                                                  encoder_mask)
-
-    def end_to_end_loss(self, init, batch, encoder_states=None):
-        """Decode the target teacher-forced from the given state."""
-        return self._decode_loss(self.tgt_dec, self.tgt_embed, self.tgt_proj, init,
-                                 batch.target, batch.target_mask,
-                                 self._attend(encoder_states, batch.source_mask))
 
     def _decode_loss(self, cell, embed, proj, init, tokens, mask, attend=None):
         """Decode (B, T) tokens teacher-forced from `init` and score them:
@@ -179,31 +163,31 @@ class DialogueModel:
     def loss_graph(self, batch):
         """Build the weighted total under the ambient tape.
 
-        Returns (total Tensor, LossBreakdown of the current values).
+        Returns (total Tensor, LossBreakdown of the current values); the
+        plain kinds leave j1, j2 and j3 at 0.
         """
         cfg = self.config
+        states, h = self.encode_source(batch)
+        init, losses, rest = h, {}, None
         if self.is_aem:
-            h, j1_sum, n_src, states = self.encode_source_ae(batch)
+            j1_sum, n_src = self._decode_loss(self.src_dec, self.src_embed, self.src_proj, h,
+                                              batch.source, batch.source_mask)
             s, j2_sum, n_tgt = self.encode_target_ae(batch)
-            t, j3 = self.map_representation(h, s)
-            j4_sum, _ = self.end_to_end_loss(t, batch, states)
+            init, j3 = self.map_representation(h, s)
             j1 = scale(j1_sum, 1.0 / n_src)
             j2 = scale(j2_sum, 1.0 / n_tgt)
-            j4 = scale(j4_sum, 1.0 / n_tgt)
-            total = add(add(scale(add(j1, j2), cfg.lambda1), scale(j3, cfg.lambda2)),
-                        scale(j4, cfg.lambda3))
-            parts = LossBreakdown(
-                j1=float(j1.values), j2=float(j2.values), j3=float(j3.values),
-                j4=float(j4.values), total=float(total.values))
-        else:
-            states, h = self.encode_source(batch)
-            j4_sum, n_tgt = self.end_to_end_loss(h, batch, states)
-            j4 = scale(j4_sum, 1.0 / n_tgt)
-            total = scale(j4, cfg.lambda3)
-            parts = LossBreakdown(j1=0.0, j2=0.0, j3=0.0, j4=float(j4.values),
-                                  total=float(total.values))
-        for name in ("j1", "j2", "j3", "j4", "total"):
-            if not np.isfinite(getattr(parts, name)):
+            rest = add(scale(add(j1, j2), cfg.lambda1), scale(j3, cfg.lambda2))
+            losses = dict(j1=j1, j2=j2, j3=j3)
+        j4_sum, n_tgt = self._decode_loss(self.tgt_dec, self.tgt_embed, self.tgt_proj, init,
+                                          batch.target, batch.target_mask,
+                                          self._attend(states, batch.source_mask))
+        j4 = scale(j4_sum, 1.0 / n_tgt)
+        total = scale(j4, cfg.lambda3)
+        total = total if rest is None else add(rest, total)
+        losses.update(j4=j4, total=total)
+        parts = LossBreakdown(**{name: float(t.values) for name, t in losses.items()})
+        for name, value in losses.items():
+            if not np.isfinite(value.values):
                 raise FloatingPointError("non-finite %s" % name)
         return total, parts
 
@@ -250,7 +234,7 @@ class DialogueModel:
         # the losses guard training; generation has only this check
         if not np.isfinite(h.values).all():
             raise FloatingPointError("non-finite h state")
-        init = self._map(h) if self.is_aem else h
+        init = self._map(h)
         return greedy_decode(self.tgt_dec, self.tgt_embed, self.tgt_proj, init,
                              max_len=max_len, attend=self._attend(states, mask))
 

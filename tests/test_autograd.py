@@ -472,8 +472,8 @@ def test_first_gradient_is_copied_not_aliased():
     assert not np.shares_memory(a.grad, b.grad)
 
 
-# rows padded in the middle, at the end, and not at all
-PADDED_KEEP = np.array([[1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+# rows that end before T, and one that runs to T
+MIXED_LENGTHS = np.array([3, 2, 4])
 
 
 def lstm_case(T=4, zero_init=False, B=3, V=5, E=3, H=2):
@@ -483,11 +483,22 @@ def lstm_case(T=4, zero_init=False, B=3, V=5, E=3, H=2):
     return table, ids, init, w, u, b
 
 
-def fused_lstm(table, ids, init, w, u, b, keep=None):
-    return lstm_sequence(embedding_lookup(table, ids), init, w, u, b, keep)
+def fused_lstm(table, ids, init, w, u, b, lengths=None):
+    return lstm_sequence(embedding_lookup(table, ids), init, w, u, b, lengths)
 
 
-def lstm_loss(run, case, keep, on):
+def composite_split(table, ids, init, w, u, b, lengths=None):
+    """What lstm_sequence computes, from the composite chain: the hiddens
+    of the plain recurrence, and the final state carried through the
+    prefix mask of `lengths` to each row's last step."""
+    hiddens, final = composite_lstm(table, ids, init, w, u, b)
+    if lengths is not None:
+        keep = (np.arange(ids.shape[1]) < lengths[:, None]).astype(init.dtype)
+        _, final = composite_lstm(table, ids, init, w, u, b, keep)
+    return hiddens, final
+
+
+def lstm_loss(run, case, lengths, on):
     """Scalar loss on the hiddens, the final state, or both, contracted
     against fixed weights."""
     table, ids, init, w, u, b = case
@@ -496,7 +507,7 @@ def lstm_loss(run, case, keep, on):
     wf = Tensor(np.linspace(1.2, -0.8, B * 2 * H).reshape(B, 2 * H))
 
     def loss():
-        hiddens, final = run(table, ids, init, w, u, b, keep)
+        hiddens, final = run(table, ids, init, w, u, b, lengths)
         parts = []
         if on in ("hiddens", "both"):
             parts.append(sum_all(mul(hiddens, wh)))
@@ -508,36 +519,37 @@ def lstm_loss(run, case, keep, on):
 
 
 LSTM_CASES = [
-    pytest.param(dict(T=4), PADDED_KEEP, "both", id="padded-middle-and-end"),
+    pytest.param(dict(T=4), MIXED_LENGTHS, "both", id="mixed-lengths"),
+    pytest.param(dict(T=4), np.array([4, 4, 4]), "both", id="all-full"),
     pytest.param(dict(T=1), None, "both", id="single-step"),
-    pytest.param(dict(T=1), PADDED_KEEP[:, :1], "final", id="single-step-masked"),
-    pytest.param(dict(T=4, zero_init=True), PADDED_KEEP, "final", id="encoder-final-only"),
+    pytest.param(dict(T=1), np.array([1, 1, 1]), "final", id="single-step-masked"),
+    pytest.param(dict(T=4, zero_init=True), MIXED_LENGTHS, "final", id="encoder-final-only"),
     pytest.param(dict(T=4), None, "hiddens", id="decoder-hiddens-only"),
-    pytest.param(dict(T=4), PADDED_KEEP, "hiddens", id="padded-hiddens-only"),
+    pytest.param(dict(T=4), MIXED_LENGTHS, "hiddens", id="padded-hiddens-only"),
 ]
 
 
-@pytest.mark.parametrize("shape, keep, on", LSTM_CASES)
-def test_lstm_sequence_gradient_vs_finite_differences(shape, keep, on):
+@pytest.mark.parametrize("shape, lengths, on", LSTM_CASES)
+def test_lstm_sequence_gradient_vs_finite_differences(shape, lengths, on):
     case = lstm_case(**shape)
     table, _, init, w, u, b = case
-    assert check_gradients(lstm_loss(fused_lstm, case, keep, on), [table, init, w, u, b]) < 1e-4
+    assert check_gradients(lstm_loss(fused_lstm, case, lengths, on), [table, init, w, u, b]) < 1e-4
 
 
-@pytest.mark.parametrize("shape, keep, on", LSTM_CASES)
-def test_lstm_sequence_matches_composite_chain(shape, keep, on):
+@pytest.mark.parametrize("shape, lengths, on", LSTM_CASES)
+def test_lstm_sequence_matches_composite_chain(shape, lengths, on):
     case = lstm_case(**shape)
     leaves = [case[0]] + list(case[2:])
     results = []
-    for run in (composite_lstm, fused_lstm):
+    for run in (composite_split, fused_lstm):
         for t in leaves:
             t.grad = None
-        loss_fn = lstm_loss(run, case, keep, on)
+        loss_fn = lstm_loss(run, case, lengths, on)
         with Tape() as tape:
             tape.watch(leaves)
             loss = loss_fn()
         backward(tape, loss)
-        values = run(*case, keep)
+        values = run(*case, lengths)
         results.append([v.values for v in values] + [t.grad.copy() for t in leaves])
     for ref, got in zip(*results):
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
@@ -551,7 +563,7 @@ def test_lstm_sequence_is_one_record_and_backward_runs_from_either_output():
             t.grad = None
         with Tape() as tape:
             x = embedding_lookup(table, ids)
-            outs = lstm_sequence(x, init, w, u, b, PADDED_KEEP)
+            outs = lstm_sequence(x, init, w, u, b, MIXED_LENGTHS)
             loss = sum_all(outs[pick])
         assert len(tape) == 3
         backward(tape, loss)
@@ -563,11 +575,11 @@ def test_lstm_sequence_float32_forward_bit_equal_to_composite():
     table, w, u, b = (Tensor(RNG.uniform(-0.3, 0.3, shape).astype(np.float32))
                       for shape in ((V, E), (E, 4 * H), (H, 4 * H), (4 * H,)))
     ids = RNG.integers(0, V, (B, T))
-    keep = (np.arange(T) < RNG.integers(1, T + 1, B)[:, None]).astype(np.float32)
-    for init, mask in ((np.zeros((B, 2 * H)), keep), (RNG.normal(size=(B, 2 * H)), None)):
+    lengths = RNG.integers(1, T + 1, B)
+    for init, rows in ((np.zeros((B, 2 * H)), lengths), (RNG.normal(size=(B, 2 * H)), None)):
         init = Tensor(init.astype(np.float32))
-        fused = fused_lstm(table, ids, init, w, u, b, mask)
-        ref = composite_lstm(table, ids, init, w, u, b, mask)
+        fused = fused_lstm(table, ids, init, w, u, b, rows)
+        ref = composite_split(table, ids, init, w, u, b, rows)
         for got, want in zip(fused, ref):
             assert got.dtype == np.float32
             assert got.values.tobytes() == want.values.tobytes()
@@ -582,8 +594,9 @@ def test_lstm_sequence_shape_errors():
         lstm_sequence(x, init, u, u, b)
     with pytest.raises(ValueError, match="lstm_sequence shape mismatch"):
         lstm_sequence(Tensor(np.zeros((3, 0, 3))), init, w, u, b)
-    with pytest.raises(ValueError, match="keep mask"):
-        lstm_sequence(x, init, w, u, b, np.ones((3, 2)))
+    for lengths in ([1, 2], [[1, 2, 3]], [0, 2, 3], [1, 5, 3], [1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="lstm_sequence lengths"):
+            lstm_sequence(x, init, w, u, b, np.array(lengths))
 
 
 def attention_case(B=3, T=4, S=5, H=3, dtype=np.float64):

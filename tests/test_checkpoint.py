@@ -101,6 +101,16 @@ def test_save_builds_no_file_sized_buffer(tmp_path):
     assert path.stat().st_size > array_bytes
 
 
+def test_load_holds_the_file_once(tmp_path):
+    cfg = tiny_config(hidden_size=32, embed_size=16, vocab_size=300)
+    model = DialogueModel("aem_attention", cfg)
+    vocab = Vocabulary("w%d" % i for i in range(296))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, vocab, model.make_optimizer())
+    peak = peak_traced_bytes(lambda: load_checkpoint(path))
+    assert peak < 1.25 * path.stat().st_size
+
+
 def reseal(body):
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -122,6 +132,18 @@ def test_parse_keeps_every_check():
     mistagged = checkpoint_bytes(Checkpoint("seq2seq", tiny_config(), vocab, arrays))
     with pytest.raises(CheckpointError, match="kind tag 'seq2seq' disagrees"):
         parse_checkpoint(mistagged)
+
+
+def test_repeated_vocabulary_entry_is_named_by_entry():
+    model = DialogueModel("aem", tiny_config())
+    arrays = {name: p.values for name, p in model.store.items()}
+    body = checkpoint_bytes(Checkpoint("aem", tiny_config(), Vocabulary(["ab", "cd", "ef"]),
+                                       arrays))[:-4]
+    repeated = body.replace(b"\x02\x00\x00\x00cd", b"\x02\x00\x00\x00ab", 1)
+    with pytest.raises(CheckpointError) as info:
+        parse_checkpoint(reseal(repeated))
+    assert str(info.value) == "vocabulary entry 2: duplicate token 'ab'"
+    assert "line" not in str(info.value)
 
 
 def test_model_rebuild_reproduces_generation(tmp_path):

@@ -108,14 +108,23 @@ def test_encode_batched_equals_unbatched():
 def test_encode_final_state_read_at_last_unmasked():
     store, cell = make_cell(seed=9)
     emb = embedding_with(store)
-    # identical rows, one padded longer; padding must not move the state
+    # identical rows, one padded longer; padding must not move the final state
     tokens = np.array([[1, 2, 0], [1, 2, 5]])
     mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
-    states, final = encode_sequence(cell, emb, tokens, mask)
-    np.testing.assert_array_equal(states.values[0, 2, :], states.values[0, 1, :])
+    _, final = encode_sequence(cell, emb, tokens, mask)
     _, short = encode_sequence(cell, emb, tokens[:1, :2], mask[:1, :2])
     np.testing.assert_allclose(final.values[0], short.values[0], rtol=1e-12, atol=1e-15)
     assert not np.array_equal(final.values[1], final.values[0])
+
+
+def test_encode_refuses_mask_with_gap():
+    store, cell = make_cell(seed=9)
+    emb = embedding_with(store)
+    tokens = np.array([[1, 2, 3], [1, 0, 3]])
+    with pytest.raises(ValueError, match="mask row 1 has a gap"):
+        encode_sequence(cell, emb, tokens, np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))
+    with pytest.raises(ValueError, match="mask row 0 has no real token"):
+        encode_sequence(cell, emb, tokens, np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
 
 
 def test_encode_zero_weights_zero_final():
@@ -337,7 +346,10 @@ def test_float32_sequences_and_greedy_ids_bit_equal_to_composite(monkeypatch):
     zero = Tensor(np.zeros((B, 2 * H), dtype=np.float32))
     ref_states, ref_final = composite_lstm(emb.table, tokens, zero, cell.W, cell.U, cell.b, mask)
     assert states.dtype == final.dtype == np.float32
-    assert states.values.tobytes() == ref_states.values.tobytes()
+    # past each row's length the hiddens run on over padding, which
+    # attention masks out; only the real positions are compared
+    real = mask > 0
+    assert states.values[real].tobytes() == ref_states.values[real].tobytes()
     assert final.values.tobytes() == ref_final.values.tobytes()
 
     ref_hiddens, _ = composite_lstm(emb.table, shifted_inputs(targets, 1), final,

@@ -78,7 +78,7 @@ def j3_grads(detach_states):
     batch = toy_batch()
     with Tape() as tape:
         tape.watch(model.store.tensors())
-        h, _, _, _ = model.encode_source_ae(batch)
+        _, h = model.encode_source(batch)
         s, _, _ = model.encode_target_ae(batch)
         _, j3 = model.map_representation(h, s, detach_states=detach_states)
         backward(tape, j3)
