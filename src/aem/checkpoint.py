@@ -42,14 +42,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import RunConfig, config_to_text, parse_config_text
+from .config import RunConfig, _parse_value, config_to_text, parse_config_text
 from .data import Vocabulary
 from .model import DialogueModel
 from .params import CheckpointError
 
 MAGIC = b"AEM1"
 VERSION = 1
-PROGRESS_KEYS = ("epoch", "adam_t", "best_val", "stale")
 
 
 @dataclass
@@ -174,14 +173,17 @@ def parse_checkpoint(data):
 
     progress = {"epoch": 0, "adam_t": 0, "best_val": math.inf, "stale": 0}
     config_lines = []
-    for line in r.text().splitlines():
-        key = line.split("=", 1)[0]
-        if key in PROGRESS_KEYS:
-            raw = line.split("=", 1)[1]
-            progress[key] = float(raw) if key == "best_val" else int(raw)
-        else:
+    snapshot = r.text()
+    try:
+        for line in snapshot.splitlines():
+            key, sep, raw = line.partition("=")
+            if sep and key in progress:
+                progress[key] = _parse_value(key, raw, type(progress[key]))
+                line = ""  # config errors keep the snapshot's line numbers
             config_lines.append(line)
-    config = parse_config_text("\n".join(config_lines))
+        config = parse_config_text("\n".join(config_lines))
+    except ValueError as exc:
+        raise CheckpointError("config snapshot: %s" % exc) from None
     if config.kind != kind:
         raise CheckpointError("kind tag %r disagrees with config kind %r"
                               % (kind, config.kind))

@@ -1,18 +1,19 @@
 """Command-line entry points: train, generate, evaluate, chat.
 
 Diagnostics go to stderr and every command exits nonzero on error.
-Training appends one machine-readable line per epoch, of the form
+Training writes one machine-readable line per epoch, of the form
 
   epoch=<n> j1=<..> j2=<..> j3=<..> j4=<..> total=<..> val_total=<..>
 
-to stdout and to <ckpt_dir>/metrics.log, and maintains last.ckpt plus
-best.ckpt (lowest validation total).
+to stdout and to <ckpt_dir>/metrics.log (emptied on a fresh start), and
+saves best.ckpt (lowest validation total) when an epoch improves, then last.ckpt.
 """
 
 import argparse
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 from .checkpoint import CheckpointError, load_checkpoint, model_from_checkpoint, save_checkpoint
@@ -57,9 +58,9 @@ def _parse_overrides(items):
 
 
 def _drop_metrics_after(path, epoch):
-    """Remove the metrics lines of epochs past `epoch`. A crash between a
-    line's append and that epoch's last.ckpt save leaves one, which the
-    resumed run would otherwise write a second time."""
+    """Remove the metrics lines of epochs past `epoch`, all of them for a
+    fresh start (epoch 0). A crash between a line's append and that epoch's
+    last.ckpt save leaves one, which the rerun would write a second time."""
     if not os.path.isfile(path):
         return
     lines = _read_lines(path)
@@ -118,8 +119,7 @@ def fit(model, adam, train_pairs, valid_batches, cfg, on_epoch, select="total",
 
 
 def cmd_train(args):
-    overrides = _parse_overrides(args.set)
-    cfg = load_config(args.config, overrides)
+    cfg = load_config(args.config, _parse_overrides(args.set))
     _require_file(cfg.train_path, "training corpus")
     pairs = load_corpus(cfg.train_path, cfg.lowercase)
     if args.merge_valid:
@@ -130,16 +130,19 @@ def cmd_train(args):
 
     os.makedirs(cfg.ckpt_dir, exist_ok=True)
     if args.resume:
-        ckpt, (model, adam) = _load_model(args.resume, cfg.kind, with_optimizer=True)
         # the embeddings were trained on the checkpoint's ids
-        vocab = ckpt.vocab
-    elif cfg.vocab_path and os.path.isfile(cfg.vocab_path):
-        vocab = Vocabulary.load(cfg.vocab_path)
+        model, adam, vocab, progress = _load_model(args.resume, cfg.kind, with_optimizer=True)
     else:
-        both_sides = (side for p in pairs for side in (p.source, p.target))
-        vocab = build_vocab(both_sides, max_size=cfg.vocab_size)
-        vocab.save(cfg.vocab_path or os.path.join(cfg.ckpt_dir, "vocab.txt"))
-    cfg = replace(cfg, vocab_size=len(vocab))
+        if cfg.vocab_path and os.path.isfile(cfg.vocab_path):
+            vocab = Vocabulary.load(cfg.vocab_path)
+        else:
+            both_sides = (side for p in pairs for side in (p.source, p.target))
+            vocab = build_vocab(both_sides, max_size=cfg.vocab_size)
+            vocab.save(cfg.vocab_path or os.path.join(cfg.ckpt_dir, "vocab.txt"))
+        model = DialogueModel(cfg.kind, replace(cfg, vocab_size=len(vocab)))
+        adam = model.make_optimizer()
+        progress = (0, math.inf, 0)
+    start_epoch, best_val, stale = progress
 
     train_pairs = encode_pairs(pairs, vocab)
     valid_batches = []
@@ -150,20 +153,15 @@ def cmd_train(args):
                                      epoch=0, max_len=cfg.max_train_len)
 
     metrics_path = os.path.join(cfg.ckpt_dir, "metrics.log")
-    if args.resume:
-        start_epoch, best_val, stale = ckpt.epoch, ckpt.best_val, ckpt.stale
-        _drop_metrics_after(metrics_path, start_epoch)
-    else:
-        model = DialogueModel(cfg.kind, cfg)
-        adam = model.make_optimizer()
-        start_epoch, best_val, stale = 0, math.inf, 0
+    _drop_metrics_after(metrics_path, start_epoch)
 
     def log_and_save(epoch, train_mean, val_mean, best, stale):
         line = _metrics_line(epoch, train_mean, val_mean["total"])
         print(line)
         with open(metrics_path, "a", encoding="utf-8") as f:
             f.write(line + "\n")
-        for name in ("last.ckpt", "best.ckpt") if stale == 0 else ("last.ckpt",):
+        # best first: no last.ckpt records a best.ckpt not yet written
+        for name in ("best.ckpt", "last.ckpt") if stale == 0 else ("last.ckpt",):
             save_checkpoint(os.path.join(cfg.ckpt_dir, name), model, vocab, adam,
                             epoch=epoch, best_val=best, stale=stale)
 
@@ -173,13 +171,16 @@ def cmd_train(args):
 
 
 def _load_model(path, expected_kind=None, with_optimizer=False):
-    """(checkpoint, model_from_checkpoint of it) for the file at `path`;
-    every error names the file."""
+    """(model, Adam or None, vocabulary, (epoch, best_val, stale)) from the
+    checkpoint at `path`; every error names the file. The parsed file is
+    released on return, so the caller holds the model's arrays once."""
     ckpt = load_checkpoint(path)
     try:
-        return ckpt, model_from_checkpoint(ckpt, expected_kind, with_optimizer)
+        loaded = model_from_checkpoint(ckpt, expected_kind, with_optimizer)
     except ValueError as exc:
         raise CheckpointError("%s: %s" % (path, exc)) from exc
+    model, adam = loaded if with_optimizer else (loaded, None)
+    return model, adam, ckpt.vocab, (ckpt.epoch, ckpt.best_val, ckpt.stale)
 
 
 def _respond(model, vocab, text):
@@ -191,18 +192,18 @@ def _respond(model, vocab, text):
 
 
 def cmd_generate(args):
-    ckpt, model = _load_model(args.ckpt)
+    model, _, vocab, _ = _load_model(args.ckpt)
     lines = _read_lines(args.infile)
     sources = []
     for lineno, line in enumerate(lines, start=1):
         tokens = tokenize(line, lowercase=model.config.lowercase)
         if not tokens:
             raise ValueError("%s: input line %d is empty" % (args.infile, lineno))
-        sources.append(ckpt.vocab.encode(tokens))
+        sources.append(vocab.encode(tokens))
     responses = model.generate(sources)
     with open(args.outfile, "w", encoding="utf-8") as f:
         for ids in responses:
-            f.write(" ".join(ckpt.vocab.decode(ids)) + "\n")
+            f.write(" ".join(vocab.decode(ids)) + "\n")
     return 0
 
 
@@ -224,9 +225,8 @@ def cmd_evaluate(args):
 
 
 def cmd_chat(args):
-    ckpt, model = _load_model(args.ckpt)
-    log = open(args.log, "a", encoding="utf-8") if args.log else None
-    try:
+    model, _, vocab, _ = _load_model(args.ckpt)
+    with open(args.log, "a", encoding="utf-8") if args.log else nullcontext() as log:
         while True:
             print("> ", end="", file=sys.stderr, flush=True)
             try:
@@ -240,14 +240,11 @@ def cmd_chat(args):
                 return 0
             if not line:
                 continue
-            reply = _respond(model, ckpt.vocab, line)
+            reply = _respond(model, vocab, line)
             print(reply)
             if log:
                 log.write("you: %s\nmodel: %s\n" % (line, reply))
                 log.flush()
-    finally:
-        if log:
-            log.close()
 
 
 def build_parser():

@@ -65,9 +65,15 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
+        """Read a vocabulary file; an empty line, a token holding whitespace
+        (which `tokenize` never yields) or a repeat is an error naming it."""
         with open(path, encoding="utf-8") as f:
             tokens = [line.rstrip("\n") for line in f]
         try:
+            for lineno, token in enumerate(tokens, start=1):
+                if token.split() != [token]:
+                    raise ValueError("line %d: %r is empty or holds whitespace"
+                                     % (lineno, token))
             return cls(tokens)
         except ValueError as exc:
             raise ValueError("%s %s" % (path, exc)) from None

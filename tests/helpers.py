@@ -16,20 +16,28 @@ def tiny_config(**overrides):
     return RunConfig(**base).validate()
 
 
-def peak_traced_bytes(fn):
-    """Peak bytes allocated while fn() runs, above what was allocated when
-    it started. numpy reports its array buffers to tracemalloc."""
+def traced_bytes(fn):
+    """(fn(), bytes still allocated once it has returned, peak bytes while
+    it ran), both above what was allocated when it started. numpy reports
+    its array buffers to tracemalloc."""
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+        return result, held - base, peak - base
     finally:
         if not was_tracing:
             tracemalloc.stop()
+
+
+def peak_traced_bytes(fn):
+    """Peak bytes allocated while fn() runs, above what was allocated when
+    it started."""
+    return traced_bytes(fn)[2]
 
 
 def toy_pairs():

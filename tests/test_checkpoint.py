@@ -15,6 +15,7 @@ from aem.checkpoint import (
     parse_checkpoint,
     save_checkpoint,
 )
+from aem.cli import main
 from aem.config import MODEL_KINDS
 from aem.data import Vocabulary
 from aem.model import DialogueModel
@@ -54,17 +55,14 @@ def test_stale_count_round_trips_and_defaults_to_zero(tmp_path):
     model, adam = trained_model()
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model, tiny_vocab(), adam, epoch=4, stale=2)
-    data = path.read_bytes()
     assert load_checkpoint(path).stale == 2
 
     # a checkpoint written before the key existed: drop its line
-    start = 8 + 4 + len(b"aem")
-    (length,) = struct.unpack("<I", data[start:start + 4])
-    text = data[start + 4:start + 4 + length].replace(b"stale=2\n", b"")
-    assert len(text) < length
-    body = (data[:start] + struct.pack("<I", len(text)) + text
-            + data[start + 4 + length:-4])
-    legacy = parse_checkpoint(body + struct.pack("<I", zlib.crc32(body)))
+    def drop_stale(text):
+        assert "stale=2\n" in text
+        return text.replace("stale=2\n", "")
+
+    legacy = parse_checkpoint(with_snapshot(path.read_bytes(), drop_stale))
     assert (legacy.epoch, legacy.stale) == (4, 0)
 
 
@@ -113,6 +111,54 @@ def test_load_holds_the_file_once(tmp_path):
 
 def reseal(body):
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def with_snapshot(data, edit):
+    """Checkpoint bytes `data` with the config snapshot text replaced by
+    edit(text), resealed."""
+    start = 12 + struct.unpack_from("<I", data, 8)[0]  # past magic, version, kind
+    (length,) = struct.unpack_from("<I", data, start)
+    text = edit(data[start + 4:start + 4 + length].decode("utf-8")).encode("utf-8")
+    return reseal(data[:start] + struct.pack("<I", len(text)) + text
+                  + data[start + 4 + length:-4])
+
+
+def saved_with_snapshot(tmp_path, old, new):
+    """A saved checkpoint (epoch 2) whose snapshot has `old` replaced by `new`."""
+    model, adam = trained_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, tiny_vocab(), adam, epoch=2)
+    path.write_bytes(with_snapshot(path.read_bytes(), lambda text: text.replace(old, new, 1)))
+    return path
+
+
+def test_bare_progress_key_fails_generate_with_the_file_and_line(tmp_path, capsys):
+    path = saved_with_snapshot(tmp_path, "epoch=2\n", "epoch\n")
+    infile = tmp_path / "in.txt"
+    infile.write_text("hi\n", encoding="utf-8")
+    assert main(["generate", "--ckpt", str(path), "--in", str(infile),
+                 "--out", str(tmp_path / "out.txt")]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"^error: %s: config snapshot: line \d+: expected key=value, got 'epoch'$"
+                     % re.escape(str(path)), err, re.M), err
+
+
+@pytest.mark.parametrize("line, bad, typ", [("epoch=2", "x", "int"),
+                                            ("best_val=inf", "low", "float"),
+                                            ("stale=0", "1.5", "int")])
+def test_bad_progress_value_names_the_key(tmp_path, line, bad, typ):
+    key = line.split("=")[0]
+    path = saved_with_snapshot(tmp_path, line + "\n", "%s=%s\n" % (key, bad))
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == "%s: config snapshot: %s expects %s, got %r" % (path, key, typ, bad)
+
+
+def test_unknown_snapshot_key_is_named_by_snapshot_line(tmp_path):
+    path = saved_with_snapshot(tmp_path, "\nhidden_size=", "\nhiden_size=")
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == "%s: config snapshot: line 4: unknown key 'hiden_size'" % path
 
 
 def test_parse_keeps_every_check():

@@ -1,14 +1,15 @@
+import math
 import os
 
 import numpy as np
 import pytest
 
 import aem.cli
-from aem.checkpoint import checkpoint_bytes, load_checkpoint
+from aem.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from aem.cli import fit, main
 from aem.data import UNK_ID, Vocabulary, build_vocab, load_corpus
-from aem.model import LossBreakdown
-from helpers import tiny_config, toy_batch, toy_pairs
+from aem.model import DialogueModel, LossBreakdown
+from helpers import tiny_config, toy_batch, toy_pairs, traced_bytes
 
 TOY_PAIRS = [
     ("hello there", "hi friend"),
@@ -155,6 +156,70 @@ def test_resume_after_crash_between_metrics_and_checkpoint(workspace, monkeypatc
     assert main(["train", "--config", str(cfg), "--resume", str(ckpt_dir / "last.ckpt")]) == 0
     for name in names:
         assert (ckpt_dir / name).read_bytes() == straight[name], name
+
+
+@pytest.mark.parametrize("window", ["first", "last"])
+@pytest.mark.parametrize("killed_in", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["aem", "seq2seq_attention"])
+def test_kill_after_a_checkpoint_write_then_restart_matches_uninterrupted_run(
+        workspace, monkeypatch, kind, killed_in, window):
+    # the run dies right after epoch `killed_in`'s first or last checkpoint
+    # write, then resumes from last.ckpt, or starts afresh if there is none
+    cfg = write_config(workspace, kind=kind, epochs=6, patience=2)
+    ckpt_dir = workspace / "ckpt"
+    names = ("metrics.log", "last.ckpt", "best.ckpt")
+    save = aem.cli.save_checkpoint
+    writes = []
+
+    def save_and_count(path, *args, epoch, **kwargs):
+        save(path, *args, epoch=epoch, **kwargs)
+        writes.append(epoch)
+
+    monkeypatch.setattr(aem.cli, "save_checkpoint", save_and_count)
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert max(writes) >= 3
+    straight = {name: (ckpt_dir / name).read_bytes() for name in names}
+    for name in names:
+        os.remove(ckpt_dir / name)
+
+    kill_at = writes.count(killed_in) if window == "last" else 1
+    seen = []
+
+    def save_or_die(path, *args, epoch, **kwargs):
+        save(path, *args, epoch=epoch, **kwargs)
+        seen.append(epoch)
+        if seen.count(killed_in) == kill_at:
+            raise OSError("killed after saving %s" % path)
+
+    monkeypatch.setattr(aem.cli, "save_checkpoint", save_or_die)
+    assert main(["train", "--config", str(cfg)]) == 1
+    monkeypatch.undo()
+    last = ckpt_dir / "last.ckpt"
+    resume = ["--resume", str(last)] if last.exists() else []
+    assert main(["train", "--config", str(cfg)] + resume) == 0
+    for name in names:
+        assert (ckpt_dir / name).read_bytes() == straight[name], name
+
+
+def test_fresh_run_starts_the_metrics_log_empty(workspace, capsys):
+    cfg = write_config(workspace, epochs=2)
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("epoch=")]
+    assert len(lines) == 4
+    logged = (workspace / "ckpt" / "metrics.log").read_text(encoding="utf-8").splitlines()
+    assert logged == lines[2:]
+
+
+def test_fresh_run_rejects_malformed_metrics_log(workspace, capsys):
+    metrics = workspace / "ckpt" / "metrics.log"
+    metrics.parent.mkdir()
+    metrics.write_text("garbage\n", encoding="utf-8")
+    cfg = write_config(workspace, epochs=1)
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert ("error: %s line 1: expected epoch=<n> first" % metrics
+            in capsys.readouterr().err)
+    assert not (workspace / "ckpt" / "last.ckpt").exists()
 
 
 def test_resume_rejects_malformed_metrics_log(workspace, capsys):
@@ -368,6 +433,25 @@ def test_vocabulary_size_mismatch_fails_resume_and_generate(workspace, capsys, e
     assert "error: %s: " % last in err and sizes in err
 
 
+@pytest.mark.parametrize("with_optimizer", [False, True])
+def test_load_model_holds_the_model_arrays_once(tmp_path, with_optimizer):
+    # generate and chat keep the parameters; a resume also the two moment sets
+    cfg = tiny_config(hidden_size=64, embed_size=32, vocab_size=300)
+    model = DialogueModel("aem_attention", cfg)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, Vocabulary("w%d" % i for i in range(296)),
+                    model.make_optimizer())
+    array_bytes = sum(p.values.nbytes for _, p in model.store.items())
+    array_bytes *= 3 if with_optimizer else 1
+    del model
+    loaded, held, _ = traced_bytes(
+        lambda: aem.cli._load_model(str(path), with_optimizer=with_optimizer))
+    model, adam, vocab, progress = loaded
+    assert (adam is not None) == with_optimizer
+    assert len(vocab) == 300 and progress == (0, math.inf, 0)
+    assert held < 1.25 * array_bytes
+
+
 def test_generate_handles_oov_via_unk(workspace, capsys):
     ckpt = trained_checkpoint(workspace, epochs=1)
     infile = workspace / "in.txt"
@@ -453,7 +537,7 @@ def test_nan_abort_keeps_last_checkpoint(workspace, capsys, monkeypatch):
 
     def save_then_poison(path, model, *args, **kwargs):
         save(path, model, *args, **kwargs)
-        if path.endswith("best.ckpt"):
+        if path.endswith("last.ckpt"):
             model.src_proj.b.values[0] = np.nan
 
     monkeypatch.setattr(aem.cli, "save_checkpoint", save_then_poison)

@@ -73,6 +73,24 @@ def test_vocab_load_duplicate_names_file_line_and_token(tmp_path):
         Vocabulary.load(p)
 
 
+@pytest.mark.parametrize("text, lineno, token",
+                         [("a\n\nb\n", 2, ""), ("a\n b\n", 2, " b"), ("a\tb\nc\n", 1, "a\tb")],
+                         ids=["empty", "leading-space", "tab"])
+def test_vocab_load_refuses_empty_or_whitespace_token_naming_file_and_line(tmp_path, text,
+                                                                          lineno, token):
+    p = tmp_path / "vocab.txt"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        Vocabulary.load(p)
+    assert str(info.value) == "%s line %d: %r is empty or holds whitespace" % (p, lineno, token)
+
+
+def test_vocab_load_reads_crlf_lines_as_their_tokens(tmp_path):
+    p = tmp_path / "vocab.txt"
+    p.write_bytes(b"a\r\nb\r\n")
+    assert Vocabulary.load(p).id_to_token[4:] == ["a", "b"]
+
+
 def test_vocab_save_load_identical(tmp_path):
     vocab = build_vocab([["b", "a", "a", "c"]], max_size=7)
     p = tmp_path / "vocab.txt"

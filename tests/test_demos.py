@@ -27,6 +27,6 @@ def test_scaled_comparison_runs_at_toy_size():
 
 
 @pytest.mark.parametrize("name", ["autodiff_basics.py", "metrics_walkthrough.py",
-                                  "representation_matching.py"])
+                                  "representation_matching.py", "train_and_chat.py"])
 def test_demo_runs(name):
     assert run_demo(name)
