@@ -467,11 +467,30 @@ def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
     return out
 
 
-def attention_sequence(hiddens: Tensor, states: Tensor, mask: np.ndarray, w_a: Tensor,
-                       w_c: Tensor) -> Tensor:
+class AttentionMask:
+    """A (B, S) encoder mask converted to `dtype` and checked once against
+    `positions` (B, S): attention_sequence takes it in place of the raw
+    mask and skips both, so greedy decoding, which attends over the same
+    encoder states once per token, pays for them once per reply."""
+
+    __slots__ = ("positions", "keep")
+
+    def __init__(self, mask: np.ndarray, positions: tuple[int, int], dtype):
+        mask = np.asarray(mask, dtype=dtype)
+        if mask.shape != positions:
+            raise ValueError(f"mask shape {mask.shape} != states positions {positions}")
+        if np.any(mask.sum(axis=1) == 0):
+            raise ValueError("attention_sequence: a row has no unmasked positions")
+        self.positions = positions
+        self.keep = mask[:, None, :] > 0
+
+
+def attention_sequence(hiddens: Tensor, states: Tensor, mask: np.ndarray | AttentionMask,
+                       w_a: Tensor, w_c: Tensor) -> Tensor:
     """Luong general-score attention for every decoder step as one op:
     (B, T, H) decoder hiddens against (B, S, H) encoder states with a
-    (B, S) mask, weights w_a (H, H) and w_c (2H, H).
+    (B, S) mask, raw or as an AttentionMask, weights w_a (H, H) and w_c
+    (2H, H).
 
     Step t scores s_t = (h_t w_a) . states, takes the masked softmax over
     positions, the context c_t = sum of weighted states, and returns
@@ -492,16 +511,15 @@ def attention_sequence(hiddens: Tensor, states: Tensor, mask: np.ndarray, w_a: T
                          f"{sv.shape}, w_a {w_a.values.shape}, w_c {w_c.values.shape}")
     B, T, H = hv.shape
     dtype = hv.dtype
-    mask = np.asarray(mask, dtype=dtype)
-    if mask.shape != sv.shape[:2]:
-        raise ValueError(f"mask shape {mask.shape} != states positions {sv.shape[:2]}")
-    if np.any(mask.sum(axis=1) == 0):
-        raise ValueError("attention_sequence: a row has no unmasked positions")
+    if not isinstance(mask, AttentionMask):
+        mask = AttentionMask(mask, sv.shape[:2], dtype)
+    elif mask.positions != sv.shape[:2]:
+        raise ValueError(f"mask shape {mask.positions} != states positions {sv.shape[:2]}")
+    keep = mask.keep
     flat = hv.reshape(B * T, H)
     proj = (flat @ w_a.values).reshape(B, T, H)
     # einsum, not matmul, for the forward: it sums in the composite ops' order
     scores = np.einsum("bth,bsh->bts", proj, sv)
-    keep = mask[:, None, :] > 0
     neg = np.where(keep, scores, -np.inf)
     e = np.exp(neg - neg.max(axis=2, keepdims=True))
     e = np.where(keep, e, 0.0).astype(dtype)

@@ -23,8 +23,9 @@ array group: the parameters, and the moments when any adam.* array is
 present or the optimizer is wanted, must each name every parameter with
 its shape and nothing else; an error names each entry that does not fit.
 
-A save writes <path>.tmp, fsyncs it and renames it over <path>, so a
-crash at any point leaves either the old or the new file whole. The
+A save writes <path>.tmp, fsyncs it and renames it over <path>
+(`atomic_write`, which the CLI's metrics.log trim uses too), so a crash
+at any point leaves either the old or the new file whole. The
 write streams: header bytes and a byte view of each array go to the
 file one piece at a time, with the CRC updated piece by piece, so a save
 copies no array and builds no buffer the size of the file.
@@ -38,6 +39,7 @@ import math
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -216,14 +218,24 @@ def save_checkpoint(path, model, vocab, adam=None, epoch=0, best_val=math.inf, s
     ckpt = Checkpoint(model.kind, config, vocab, arrays,
                       epoch=epoch, adam_t=adam_t, best_val=best_val, stale=stale)
     pieces = _pieces(ckpt)
+    with atomic_write(path) as f:
+        crc = 0
+        for piece in pieces:
+            f.write(piece)
+            crc = zlib.crc32(piece, crc)
+        f.write(_U32.pack(crc))
+
+
+@contextmanager
+def atomic_write(path):
+    """A binary file whose bytes replace `path` whole: they go to
+    <path>.tmp, which is flushed, fsynced and renamed over `path` when the
+    block ends. If anything raises, the temp file is removed and `path`
+    keeps its previous bytes."""
     tmp = "%s.tmp" % path
     try:
         with open(tmp, "wb") as f:
-            crc = 0
-            for piece in pieces:
-                f.write(piece)
-                crc = zlib.crc32(piece, crc)
-            f.write(_U32.pack(crc))
+            yield f
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

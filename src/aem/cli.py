@@ -5,18 +5,20 @@ Training writes one machine-readable line per epoch, of the form
 
   epoch=<n> j1=<..> j2=<..> j3=<..> j4=<..> total=<..> val_total=<..>
 
-to stdout and to <ckpt_dir>/metrics.log (emptied on a fresh start), and
-saves best.ckpt (lowest validation total) when an epoch improves, then last.ckpt.
+to stdout and to <ckpt_dir>/metrics.log (emptied on a fresh start, after
+an older run's checkpoints are removed), and saves best.ckpt (lowest
+validation total) when an epoch improves, then last.ckpt.
 """
 
 import argparse
 import math
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import replace
 
-from .checkpoint import CheckpointError, load_checkpoint, model_from_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, atomic_write, load_checkpoint, model_from_checkpoint, \
+    save_checkpoint
 from .config import load_config
 from .data import Vocabulary, build_vocab, encode_pairs, load_corpus, make_batches, tokenize
 from .metrics import eval_report, format_report, load_human_scores
@@ -72,8 +74,9 @@ def _drop_metrics_after(path, epoch):
         if int(value) <= epoch:
             kept.append(line)
     if len(kept) < len(lines):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("".join(line + "\n" for line in kept))
+        # replaced whole: a kill mid-trim must not lose the kept epochs
+        with atomic_write(path) as f:
+            f.write("".join(line + "\n" for line in kept).encode("utf-8"))
 
 
 def fit(model, adam, train_pairs, valid_batches, cfg, on_epoch, select="total",
@@ -134,7 +137,7 @@ def cmd_train(args):
         model, adam, vocab, progress = _load_model(args.resume, cfg.kind, with_optimizer=True)
     else:
         if cfg.vocab_path and os.path.isfile(cfg.vocab_path):
-            vocab = Vocabulary.load(cfg.vocab_path)
+            vocab = Vocabulary.load(cfg.vocab_path, cfg.lowercase)
         else:
             both_sides = (side for p in pairs for side in (p.source, p.target))
             vocab = build_vocab(both_sides, max_size=cfg.vocab_size)
@@ -153,6 +156,12 @@ def cmd_train(args):
                                      epoch=0, max_len=cfg.max_train_len)
 
     metrics_path = os.path.join(cfg.ckpt_dir, "metrics.log")
+    if not args.resume:
+        # an older run's checkpoints go before its log: --resume after a
+        # crash in this run's first epoch must not continue that run
+        for name in ("last.ckpt", "best.ckpt"):
+            with suppress(FileNotFoundError):
+                os.remove(os.path.join(cfg.ckpt_dir, name))
     _drop_metrics_after(metrics_path, start_epoch)
 
     def log_and_save(epoch, train_mean, val_mean, best, stale):

@@ -64,9 +64,11 @@ class Vocabulary:
                 f.write(token + "\n")
 
     @classmethod
-    def load(cls, path):
-        """Read a vocabulary file; an empty line, a token holding whitespace
-        (which `tokenize` never yields) or a repeat is an error naming it."""
+    def load(cls, path, lowercase=True):
+        """Read a vocabulary file for a run that tokenizes with `lowercase`.
+        An empty line, a token holding whitespace or, under lowercase, an
+        upper-case letter (none of which `tokenize` yields) or a repeat is
+        an error naming the file and line."""
         with open(path, encoding="utf-8") as f:
             tokens = [line.rstrip("\n") for line in f]
         try:
@@ -74,6 +76,9 @@ class Vocabulary:
                 if token.split() != [token]:
                     raise ValueError("line %d: %r is empty or holds whitespace"
                                      % (lineno, token))
+                if lowercase and token != token.lower():
+                    raise ValueError("line %d: %r is not lower case, and lowercase = true "
+                                     "never yields it" % (lineno, token))
             return cls(tokens)
         except ValueError as exc:
             raise ValueError("%s %s" % (path, exc)) from None

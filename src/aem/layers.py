@@ -12,7 +12,8 @@ All parameters are registered in a ParamStore under the prefix given at
 construction, in the store's dtype, so layer code never owns arrays
 directly and checkpoints are a flat name -> array map. The training
 loss head is `linear_softmax_cross_entropy` over an OutputProjection's
-W and b; `logits` serves greedy decoding.
+W and b; greedy decoding computes `logits`' h W + b straight from the
+arrays, with no op records.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import (
+    AttentionMask,
     Tensor,
     add_bias,
     attend,
@@ -111,10 +113,11 @@ class LuongAttention:
         return attend(weights, encoder_states), weights
 
     def attentional_hidden(self, decoder_hiddens: Tensor, encoder_states: Tensor,
-                           mask: np.ndarray) -> Tensor:
+                           mask: np.ndarray | AttentionMask) -> Tensor:
         """tanh([c_t; h_t] W_c), c_t as in context(h_t), for every step of
         (B, T, H) decoder hiddens, as (B*T, H) rows b*T + t: one op for a
-        whole teacher-forced target or one greedy step."""
+        whole teacher-forced target or one greedy step. A mask given as an
+        AttentionMask is not checked again."""
         return attention_sequence(decoder_hiddens, encoder_states, mask, self.W_a, self.W_c)
 
 
@@ -172,24 +175,31 @@ def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
     """Argmax decoding from `init`, at most max_len tokens per sequence,
     stopping at EOS, with `attend` as in decode_teacher_forced applied to
     each step's (B, 1, H) hiddens. PAD and BOS are never emitted; argmax
-    ties break toward the lowest token id."""
+    ties break toward the lowest token id.
+
+    Per token only the recurrence runs: lstm_sequence over the (B, 1, E)
+    embedding rows of the last ids (argmax ids, in range by
+    construction), `attend` on its hiddens, and logits = feed @ W + b.
+    Per-reply work, such as checking the encoder mask, belongs in
+    `attend`'s construction."""
     B = init.values.shape[0]
+    table, W, b = embedding.table.values, proj.W.values, proj.b.values
     state = init
-    current = np.full(B, BOS_ID, dtype=np.int64)
+    current = np.full((B, 1), BOS_ID, dtype=np.int64)
     finished = np.zeros(B, dtype=bool)
     columns = []
     for _ in range(max_len):
-        x = embedding.lookup(current)
-        h, state = cell.step(x, state)
-        feed = h if attend is None else attend(reshape(h, (B, 1, cell.hidden_size)))
-        logits = proj.logits(feed).values
+        hiddens, state = lstm_sequence(Tensor(table[current]), state, cell.W, cell.U, cell.b)
+        feed = hiddens.values.reshape(B, -1) if attend is None else attend(hiddens).values
+        logits = feed @ W
+        logits += b
         logits[:, PAD_ID] = -np.inf
         logits[:, BOS_ID] = -np.inf
         chosen = logits.argmax(axis=1)
         chosen = np.where(finished, PAD_ID, chosen)
         columns.append(chosen)
         finished |= chosen == EOS_ID
-        current = chosen
+        current = chosen[:, None]
         if finished.all():
             break
     out: list[list[int]] = []

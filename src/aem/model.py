@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tape, add, backward, detach, linear_softmax_cross_entropy, mul, scale, \
-    sub, sum_all
+from .autograd import AttentionMask, Tape, add, backward, detach, linear_softmax_cross_entropy, \
+    mul, scale, sub, sum_all
 from .config import MODEL_KINDS
 from .data import Batch, pad_sequences
 from .layers import Embedding, LSTMCell, LuongAttention, MappingMLP, OutputProjection, \
@@ -144,11 +144,12 @@ class DialogueModel:
 
     def _attend(self, encoder_states, encoder_mask):
         """The decoders' `attend` over these annotations for attention
-        kinds, None for the plain kinds."""
+        kinds, None for the plain kinds. The mask is converted and checked
+        here, once, however many steps the decoder attends."""
         if self.attention is None:
             return None
-        return lambda hiddens: self.attention.attentional_hidden(hiddens, encoder_states,
-                                                                 encoder_mask)
+        mask = AttentionMask(encoder_mask, encoder_states.shape[:2], encoder_states.dtype)
+        return lambda hiddens: self.attention.attentional_hidden(hiddens, encoder_states, mask)
 
     def _decode_loss(self, cell, embed, proj, init, tokens, mask, attend=None):
         """Decode (B, T) tokens teacher-forced from `init` and score them:

@@ -16,6 +16,23 @@ def tiny_config(**overrides):
     return RunConfig(**base).validate()
 
 
+class HalfWrite:
+    """A file whose write stores half the bytes, then fails as a full disk would."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
 def traced_bytes(fn):
     """(fn(), bytes still allocated once it has returned, peak bytes while
     it ran), both above what was allocated when it started. numpy reports

@@ -20,7 +20,7 @@ from aem.config import MODEL_KINDS
 from aem.data import Vocabulary
 from aem.model import DialogueModel
 from aem.rng import SplitMix64
-from helpers import peak_traced_bytes, tiny_config, toy_batch
+from helpers import HalfWrite, peak_traced_bytes, tiny_config, toy_batch
 
 
 def tiny_vocab():
@@ -293,23 +293,6 @@ def test_failed_save_keeps_previous_file(tmp_path):
         save_checkpoint(str(path), wide, tiny_vocab(), epoch=4)
     assert path.read_bytes() == before
     assert load_checkpoint(path).epoch == 3
-
-
-class HalfWrite:
-    """A file whose write stores half the bytes, then fails as a full disk would."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.f.close()
-
-    def write(self, data):
-        self.f.write(data[: len(data) // 2])
-        raise OSError(28, "No space left on device")
 
 
 @pytest.mark.parametrize("step", ["write", "fsync", "replace"])

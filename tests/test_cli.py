@@ -4,12 +4,13 @@ import os
 import numpy as np
 import pytest
 
+import aem.checkpoint
 import aem.cli
 from aem.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from aem.cli import fit, main
 from aem.data import UNK_ID, Vocabulary, build_vocab, load_corpus
 from aem.model import DialogueModel, LossBreakdown
-from helpers import tiny_config, toy_batch, toy_pairs, traced_bytes
+from helpers import HalfWrite, tiny_config, toy_batch, toy_pairs, traced_bytes
 
 TOY_PAIRS = [
     ("hello there", "hi friend"),
@@ -211,6 +212,65 @@ def test_fresh_run_starts_the_metrics_log_empty(workspace, capsys):
     assert logged == lines[2:]
 
 
+def test_fresh_run_removes_an_older_runs_checkpoints(workspace, capsys, monkeypatch):
+    # a fresh run empties metrics.log; were the older run's checkpoints
+    # kept until its first save, a crash before it and a --resume would
+    # continue the older run under the new run's log
+    assert main(["train", "--config", str(write_config(workspace, epochs=2, seed=1))]) == 0
+    ckpt_dir = workspace / "ckpt"
+    assert (ckpt_dir / "last.ckpt").is_file() and (ckpt_dir / "best.ckpt").is_file()
+
+    def die(path, *args, **kwargs):
+        raise OSError("killed before saving %s" % path)
+
+    monkeypatch.setattr(aem.cli, "save_checkpoint", die)
+    cfg = write_config(workspace, epochs=2, seed=2)
+    assert main(["train", "--config", str(cfg)]) == 1
+    monkeypatch.undo()
+    assert not (ckpt_dir / "last.ckpt").exists() and not (ckpt_dir / "best.ckpt").exists()
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--resume", str(ckpt_dir / "last.ckpt")]) == 1
+    assert str(ckpt_dir / "last.ckpt") in capsys.readouterr().err
+
+
+def test_metrics_trim_that_fails_midway_keeps_the_whole_log(tmp_path, monkeypatch):
+    # the trim on resume or a fresh start replaces the log whole: a write
+    # that dies midway (a kill, a full disk) leaves every epoch it had
+    path = tmp_path / "metrics.log"
+    path.write_text("".join("epoch=%d total=1.0\n" % n for n in (1, 2, 3)), encoding="utf-8")
+    before = path.read_bytes()
+
+    def half_writing_open(file, mode="r", **kwargs):
+        f = open(file, mode, **kwargs)
+        return HalfWrite(f) if "w" in mode else f
+
+    for module in (aem.cli, aem.checkpoint):
+        monkeypatch.setattr(module, "open", half_writing_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        aem.cli._drop_metrics_after(str(path), 1)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.log"]
+    aem.cli._drop_metrics_after(str(path), 1)
+    assert path.read_text(encoding="utf-8") == "epoch=1 total=1.0\n"
+
+
+@pytest.mark.parametrize("lowercase", [True, False])
+def test_train_checks_vocabulary_file_case_against_lowercase(workspace, capsys, lowercase):
+    vocab_path = workspace / "vocab.txt"
+    vocab_path.write_text("hello\nThere\n", encoding="utf-8")
+    cfg = write_config(workspace, epochs=1, vocab_path=str(vocab_path),
+                       lowercase=str(lowercase).lower())
+    if lowercase:
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert ("error: %s line 2: 'There' is not lower case" % vocab_path
+                in capsys.readouterr().err)
+    else:
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert load_checkpoint(workspace / "ckpt" / "last.ckpt").vocab.id_to_token[4:] == [
+            "hello", "There"]
+
+
 def test_fresh_run_rejects_malformed_metrics_log(workspace, capsys):
     metrics = workspace / "ckpt" / "metrics.log"
     metrics.parent.mkdir()
@@ -298,7 +358,7 @@ def test_train_keeps_case_when_lowercase_is_off(workspace, capsys):
     write_corpus(workspace / "valid.tsv", [("Hello", "Hi Friend")])
     cfg = write_config(workspace, epochs=1, lowercase="false")
     assert main(["train", "--config", str(cfg)]) == 0
-    vocab = Vocabulary.load(workspace / "ckpt" / "vocab.txt")
+    vocab = Vocabulary.load(workspace / "ckpt" / "vocab.txt", lowercase=False)
     assert {"Hello", "There", "Hi", "Friend", "hello", "hi"} == set(vocab.id_to_token[4:])
     assert UNK_ID not in vocab.encode("Hello There".split())
 

@@ -85,6 +85,19 @@ def test_vocab_load_refuses_empty_or_whitespace_token_naming_file_and_line(tmp_p
     assert str(info.value) == "%s line %d: %r is empty or holds whitespace" % (p, lineno, token)
 
 
+def test_vocab_load_refuses_upper_case_only_under_lowercase(tmp_path):
+    # lowercase tokenization never yields 'Hello': listed, it would leave
+    # 'hello' encoding to <unk>
+    p = tmp_path / "vocab.txt"
+    p.write_text("there\nHello\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        Vocabulary.load(p)
+    assert str(info.value) == ("%s line 2: 'Hello' is not lower case, and lowercase = true "
+                               "never yields it" % p)
+    kept = Vocabulary.load(p, lowercase=False)
+    assert kept.encode(tokenize("Hello there", lowercase=False)) == [5, 4]
+
+
 def test_vocab_load_reads_crlf_lines_as_their_tokens(tmp_path):
     p = tmp_path / "vocab.txt"
     p.write_bytes(b"a\r\nb\r\n")

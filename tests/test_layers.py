@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from aem.autograd import (Tape, Tensor, backward, concat_cols, mul, reshape, slice_cols,
-                          softmax_cross_entropy, sum_all)
+import aem.layers
+from aem.autograd import (AttentionMask, Tape, Tensor, backward, concat_cols, mul, reshape,
+                          slice_cols, softmax_cross_entropy, sum_all)
 from aem.gradcheck import check_gradients
 from aem.layers import (
     Embedding,
@@ -361,16 +362,28 @@ def test_float32_sequences_and_greedy_ids_bit_equal_to_composite(monkeypatch):
     ref_attended = composite_attention(ref_hiddens, ref_states, mask, attn.W_a, attn.W_c)
     assert attended.values.tobytes() == ref_attended.values.tobytes()
 
-    fused_ids = greedy_decode(dec, emb, proj, final, 12, attend)
+    # greedy decoding attends through a mask checked once, as the model does
+    checked = AttentionMask(mask, (B, T), np.float32)
+    greedy_attend = lambda hiddens: attn.attentional_hidden(hiddens, states, checked)
+    fused_ids = greedy_decode(dec, emb, proj, final, 12, greedy_attend)
 
-    def composite_step(cell, x, state):
-        h, c = composite_lstm_step(x, slice_cols(state, 0, H), slice_cols(state, H, 2 * H),
-                                   cell.W, cell.U, cell.b)
-        return h, concat_cols(h, c)
+    swapped = []
 
-    def composite_attentional_hidden(attn, hiddens, encoder_states, mask):
-        return composite_attention(hiddens, encoder_states, mask, attn.W_a, attn.W_c)
+    def composite_sequence(x, state, w, u, b):
+        # greedy decoding runs the LSTM one (B, 1, E) step at a time
+        assert x.shape == (B, 1, E)
+        swapped.append("lstm")
+        h, c = composite_lstm_step(reshape(x, (B, E)), slice_cols(state, 0, H),
+                                   slice_cols(state, H, 2 * H), w, u, b)
+        return reshape(h, (B, 1, H)), concat_cols(h, c)
 
-    monkeypatch.setattr(LSTMCell, "step", composite_step)
-    monkeypatch.setattr(LuongAttention, "attentional_hidden", composite_attentional_hidden)
-    assert greedy_decode(dec, emb, proj, final, 12, attend) == fused_ids
+    def composite_attention_sequence(hiddens, encoder_states, checked_mask, w_a, w_c):
+        assert checked_mask is checked
+        swapped.append("attention")
+        return composite_attention(hiddens, encoder_states, mask, w_a, w_c)
+
+    monkeypatch.setattr(aem.layers, "lstm_sequence", composite_sequence)
+    monkeypatch.setattr(aem.layers, "attention_sequence", composite_attention_sequence)
+    assert greedy_decode(dec, emb, proj, final, 12, greedy_attend) == fused_ids
+    # both fused ops were swapped out on every decoded token
+    assert swapped and swapped == ["lstm", "attention"] * (len(swapped) // 2)

@@ -402,6 +402,30 @@ def test_attention_generate_runs_one_fused_attention_op_per_token(kind, monkeypa
     assert calls == [(2, 1, 4)] * 5
 
 
+@pytest.mark.parametrize("kind", ["seq2seq_attention", "aem_attention"])
+def test_attention_generate_checks_the_encoder_mask_once(kind, monkeypatch):
+    # the encoder mask is the same for every token of a reply: it is read
+    # (converted and checked) once per generate call, not once per token
+    reads = []
+
+    class CountedMask:
+        def __init__(self, mask):
+            self.mask = mask
+
+        def __array__(self, dtype=None, copy=None):
+            reads.append(dtype)
+            return np.asarray(self.mask, dtype=dtype)
+
+    build = DialogueModel._attend
+    monkeypatch.setattr(DialogueModel, "_attend",
+                        lambda self, states, mask: build(self, states, CountedMask(mask)))
+    model = DialogueModel(kind, tiny_config())
+    model.tgt_proj.b.values[2] = -50.0  # EOS unreachable: every row runs to the cap
+    out = model.generate([[4, 5], [6]], max_len=5)
+    assert [len(row) for row in out] == [5, 5]
+    assert len(reads) == 1
+
+
 def test_attention_generate_respects_length_cap():
     out = DialogueModel("aem_attention", tiny_config()).generate([[4, 5]])
     assert len(out) == 1 and len(out[0]) <= 15
