@@ -44,9 +44,6 @@ class Tensor:
     def dtype(self):
         return self.values.dtype
 
-    def item(self) -> float:
-        return float(self.values)
-
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor{tag}(shape={self.values.shape}, dtype={self.values.dtype})"
@@ -556,6 +553,17 @@ def sum_all(x: Tensor) -> Tensor:
     return out
 
 
+def _checked_targets(targets, mask, n, v):
+    """targets and mask as arrays, each of length n, targets in [0, v)."""
+    targets = np.asarray(targets)
+    mask = np.asarray(mask)
+    if targets.shape != (n,) or mask.shape != (n,):
+        raise ValueError(f"targets/mask must be length {n}, got {targets.shape} / {mask.shape}")
+    if targets.size and (targets.min() < 0 or targets.max() >= v):
+        raise ValueError(f"target index out of range for {v} classes")
+    return targets, mask
+
+
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> tuple[Tensor, int]:
     """Sum over mask==1 rows of -log softmax(logits)[target].
 
@@ -563,13 +571,8 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray)
     per-token mean. Backward is (softmax - onehot) on unmasked rows and
     exactly zero on masked rows.
     """
-    targets = np.asarray(targets)
-    mask = np.asarray(mask)
     n, v = logits.values.shape
-    if targets.shape != (n,) or mask.shape != (n,):
-        raise ValueError(f"targets/mask must be length {n}, got {targets.shape} / {mask.shape}")
-    if targets.size and (targets.min() < 0 or targets.max() >= v):
-        raise ValueError(f"target index out of range for {v} classes")
+    targets, mask = _checked_targets(targets, mask, n, v)
     shifted = logits.values - logits.values.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - lse
@@ -614,13 +617,8 @@ def linear_softmax_cross_entropy(h: Tensor, w: Tensor, b: Tensor, targets: np.nd
             or b.values.shape != (w.values.shape[1],)):
         raise ValueError(f"linear_softmax_cross_entropy shape mismatch: {h.values.shape} x "
                          f"{w.values.shape} + {b.values.shape}")
-    targets = np.asarray(targets)
-    mask = np.asarray(mask)
     n, v = h.values.shape[0], w.values.shape[1]
-    if targets.shape != (n,) or mask.shape != (n,):
-        raise ValueError(f"targets/mask must be length {n}, got {targets.shape} / {mask.shape}")
-    if targets.size and (targets.min() < 0 or targets.max() >= v):
-        raise ValueError(f"target index out of range for {v} classes")
+    targets, mask = _checked_targets(targets, mask, n, v)
     hv, wv = h.values, w.values
     dtype = hv.dtype
     fmask = mask.astype(dtype)

@@ -198,6 +198,8 @@ def parse_checkpoint(data):
     arrays = {}
     for _ in range(r.u32()):
         name = r.text()
+        if name in arrays:
+            raise CheckpointError("array %s appears twice" % name)
         arrays[name] = r.array(r.u32s(r.u32()))
     if r.pos != end:
         raise CheckpointError("trailing bytes after the last array")

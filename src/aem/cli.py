@@ -152,7 +152,8 @@ def cmd_train(args):
     if cfg.valid_path and not args.merge_valid:
         _require_file(cfg.valid_path, "validation corpus")
         valid_pairs = encode_pairs(load_corpus(cfg.valid_path, cfg.lowercase), vocab)
-        valid_batches = make_batches(valid_pairs, cfg.batch_size, seed=cfg.seed,
+        # seeded as fit seeds the training batches: on --resume, by the checkpoint
+        valid_batches = make_batches(valid_pairs, cfg.batch_size, seed=model.config.seed,
                                      epoch=0, max_len=cfg.max_train_len)
 
     metrics_path = os.path.join(cfg.ckpt_dir, "metrics.log")
@@ -192,27 +193,23 @@ def _load_model(path, expected_kind=None, with_optimizer=False):
     return model, adam, ckpt.vocab, (ckpt.epoch, ckpt.best_val, ckpt.stale)
 
 
-def _respond(model, vocab, text):
-    tokens = tokenize(text, lowercase=model.config.lowercase)
-    if not tokens:
-        raise ValueError("empty utterance")
-    out = model.generate([vocab.encode(tokens)])[0]
-    return " ".join(vocab.decode(out))
-
-
-def cmd_generate(args):
-    model, _, vocab, _ = _load_model(args.ckpt)
-    lines = _read_lines(args.infile)
+def _replies(model, vocab, lines, source):
+    """The model's reply text to each input line, tokenized with its
+    `lowercase`; an empty line fails naming `source` and the line."""
     sources = []
     for lineno, line in enumerate(lines, start=1):
         tokens = tokenize(line, lowercase=model.config.lowercase)
         if not tokens:
-            raise ValueError("%s: input line %d is empty" % (args.infile, lineno))
+            raise ValueError("%s: input line %d is empty" % (source, lineno))
         sources.append(vocab.encode(tokens))
-    responses = model.generate(sources)
+    return [" ".join(vocab.decode(ids)) for ids in model.generate(sources)]
+
+
+def cmd_generate(args):
+    model, _, vocab, _ = _load_model(args.ckpt)
+    replies = _replies(model, vocab, _read_lines(args.infile), args.infile)
     with open(args.outfile, "w", encoding="utf-8") as f:
-        for ids in responses:
-            f.write(" ".join(vocab.decode(ids)) + "\n")
+        f.write("".join(reply + "\n" for reply in replies))
     return 0
 
 
@@ -249,7 +246,7 @@ def cmd_chat(args):
                 return 0
             if not line:
                 continue
-            reply = _respond(model, vocab, line)
+            (reply,) = _replies(model, vocab, [line], "stdin")
             print(reply)
             if log:
                 log.write("you: %s\nmodel: %s\n" % (line, reply))

@@ -58,6 +58,8 @@ class RunConfig:
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError("%s must lie in [0, 1), got %r" % (name, getattr(self, name)))
+        if not self.ckpt_dir:
+            raise ValueError("ckpt_dir must not be empty")
         if self.kind not in MODEL_KINDS:
             raise ValueError("unknown model kind %r, expected one of %s"
                              % (self.kind, ", ".join(MODEL_KINDS)))

@@ -177,38 +177,33 @@ def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
     each step's (B, 1, H) hiddens. PAD and BOS are never emitted; argmax
     ties break toward the lowest token id.
 
-    Per token only the recurrence runs: lstm_sequence over the (B, 1, E)
-    embedding rows of the last ids (argmax ids, in range by
-    construction), `attend` on its hiddens, and logits = feed @ W + b.
-    Per-reply work, such as checking the encoder mask, belongs in
+    Per reply the bias is copied once with -inf at PAD and BOS; per token
+    only the recurrence runs: lstm_sequence over the (B, 1, E) embedding
+    rows of the last ids (argmax ids, in range by construction), `attend`
+    on its hiddens, and logits = feed @ W + bias. Finished rows are fed
+    PAD. Per-reply work, such as checking the encoder mask, belongs in
     `attend`'s construction."""
     B = init.values.shape[0]
-    table, W, b = embedding.table.values, proj.W.values, proj.b.values
+    table, W = embedding.table.values, proj.W.values
+    bias = proj.b.values.copy()
+    bias[[PAD_ID, BOS_ID]] = -np.inf
     state = init
     current = np.full((B, 1), BOS_ID, dtype=np.int64)
+    tokens = np.empty((B, max_len), dtype=np.int64)
+    lengths = np.full(B, max_len)
     finished = np.zeros(B, dtype=bool)
-    columns = []
-    for _ in range(max_len):
+    for step in range(max_len):
         hiddens, state = lstm_sequence(Tensor(table[current]), state, cell.W, cell.U, cell.b)
         feed = hiddens.values.reshape(B, -1) if attend is None else attend(hiddens).values
         logits = feed @ W
-        logits += b
-        logits[:, PAD_ID] = -np.inf
-        logits[:, BOS_ID] = -np.inf
-        chosen = logits.argmax(axis=1)
-        chosen = np.where(finished, PAD_ID, chosen)
-        columns.append(chosen)
-        finished |= chosen == EOS_ID
-        current = chosen[:, None]
+        logits += bias
+        chosen = np.where(finished, PAD_ID, logits.argmax(axis=1))
+        tokens[:, step] = chosen
+        # only non-finite logits pick the banned PAD or BOS: they end a reply too
+        ended = ~finished & (chosen <= EOS_ID)
+        lengths[ended] = step
+        finished |= ended
         if finished.all():
             break
-    out: list[list[int]] = []
-    matrix = np.stack(columns, axis=1) if columns else np.zeros((B, 0), dtype=np.int64)
-    for row in matrix:
-        ids = []
-        for tok in row:
-            if tok == EOS_ID or tok == PAD_ID:
-                break
-            ids.append(int(tok))
-        out.append(ids)
-    return out
+        current = chosen[:, None]
+    return [row[:n].tolist() for row, n in zip(tokens, lengths)]

@@ -32,12 +32,6 @@ class BleuReport:
     hyp_len: int
     ref_len: int
 
-    def bleu(self, n):
-        return self.scores[n - 1]
-
-    def precision(self, n):
-        return self.precisions[n - 1]
-
     @property
     def bleu1(self):
         return self.scores[0]
@@ -242,18 +236,16 @@ def eval_report(hypotheses, references, human=None):
     """Assemble every metric for a generated corpus.
 
     `hypotheses` and `references` are aligned token-sequence lists;
-    `human` is an optional HumanEvalTable. Returns a flat dict of
-    numbers plus the BleuReport and DiversityReport under their keys.
+    `human` is an optional HumanEvalTable. Returns one flat dict of
+    numbers: bleu1..4, p1..4, brevity_penalty, hyp_len, ref_len and
+    dist1..3, plus the human-score means, G-Score and agreements.
     """
     bleu = corpus_bleu(hypotheses, references)
-    div = diversity(hypotheses)
-    report = {
-        "bleu": bleu,
-        "diversity": div,
-        "bleu1": bleu.bleu1, "bleu2": bleu.bleu2,
-        "bleu3": bleu.bleu3, "bleu4": bleu.bleu4,
-        "dist1": div.dist1, "dist2": div.dist2, "dist3": div.dist3,
-    }
+    report = {"bleu%d" % n: score for n, score in enumerate(bleu.scores, start=1)}
+    report.update(("p%d" % n, p) for n, p in enumerate(bleu.precisions, start=1))
+    report.update(brevity_penalty=bleu.brevity_penalty, hyp_len=bleu.hyp_len,
+                  ref_len=bleu.ref_len)
+    report.update(("dist%d" % n, distinct_ngrams(hypotheses, n)) for n in (1, 2, 3))
     if human is not None:
         fluency = human.mean("fluency")
         coherence = human.mean("coherence")
@@ -269,25 +261,20 @@ def eval_report(hypotheses, references, human=None):
 
 def format_report(report):
     """Human-readable table followed by one machine-readable line."""
-    bleu = report["bleu"]
-    lines = []
-    for n in (1, 2, 3, 4):
-        lines.append("BLEU-%d  %6.2f   (p%d=%.4f)" % (n, bleu.bleu(n), n, bleu.precision(n)))
-    lines.append("brevity penalty %.4f  (hyp %d tokens, ref %d tokens)"
-                 % (bleu.brevity_penalty, bleu.hyp_len, bleu.ref_len))
-    for n in (1, 2, 3):
-        lines.append("dist-%d  %d" % (n, report["dist%d" % n]))
+    lines = ["BLEU-%d  %6.2f   (p%d=%.4f)" % (n, report["bleu%d" % n], n, report["p%d" % n])
+             for n in (1, 2, 3, 4)]
+    lines.append("brevity penalty %(brevity_penalty).4f  "
+                 "(hyp %(hyp_len)d tokens, ref %(ref_len)d tokens)" % report)
+    lines += ["dist-%d  %d" % (n, report["dist%d" % n]) for n in (1, 2, 3)]
+    machine = ["bleu%d=%.4f" % (n, report["bleu%d" % n]) for n in (1, 2, 3, 4)]
+    machine += ["dist%d=%d" % (n, report["dist%d" % n]) for n in (1, 2, 3)]
     if "fluency" in report:
-        lines.append("fluency %.2f  coherence %.2f  g-score %.2f"
-                     % (report["fluency"], report["coherence"], report["g_score"]))
-        lines.append("agreement: fluency %.2f  coherence %.2f"
-                     % (report["agreement_fluency"], report["agreement_coherence"]))
-    machine = " ".join("%s=%.4f" % (k, report[k]) for k in
-                       ("bleu1", "bleu2", "bleu3", "bleu4"))
-    machine += " " + " ".join("%s=%d" % (k, report[k]) for k in ("dist1", "dist2", "dist3"))
-    if "fluency" in report:
-        machine += " " + " ".join("%s=%.4f" % (k, report[k]) for k in
-                                  ("fluency", "coherence", "g_score",
-                                   "agreement_fluency", "agreement_coherence"))
-    lines.append(machine)
+        lines.append("fluency %(fluency).2f  coherence %(coherence).2f  g-score %(g_score).2f"
+                     % report)
+        lines.append("agreement: fluency %(agreement_fluency).2f  "
+                     "coherence %(agreement_coherence).2f" % report)
+        machine += ["%s=%.4f" % (k, report[k]) for k in ("fluency", "coherence", "g_score",
+                                                          "agreement_fluency",
+                                                          "agreement_coherence")]
+    lines.append(" ".join(machine))
     return "\n".join(lines)

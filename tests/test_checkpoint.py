@@ -192,6 +192,26 @@ def test_repeated_vocabulary_entry_is_named_by_entry():
     assert "line" not in str(info.value)
 
 
+def test_repeated_array_name_is_refused(tmp_path):
+    model = DialogueModel("aem", tiny_config())
+    arrays = {name: p.values for name, p in model.store.items()}
+    body = checkpoint_bytes(Checkpoint("aem", tiny_config(), tiny_vocab(), arrays))[:-4]
+    names = sorted(arrays)
+
+    def record(name):
+        return struct.pack("<I", len(name)) + name.encode("utf-8")
+
+    first, last = body.index(record(names[0])), body.index(record(names[-1]))
+    assert body[first - 4:first] == struct.pack("<I", len(names))
+    # the last array's record once more, so every name is still present
+    repeated = body[:first - 4] + struct.pack("<I", len(names) + 1) + body[first:] + body[last:]
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(reseal(repeated))
+    with pytest.raises(CheckpointError) as info:
+        model_from_checkpoint(load_checkpoint(path))
+    assert str(info.value) == "%s: array %s appears twice" % (path, names[-1])
+
+
 def test_model_rebuild_reproduces_generation(tmp_path):
     model, adam = trained_model()
     path = tmp_path / "m.ckpt"

@@ -111,6 +111,28 @@ def test_resume_continues_identically(workspace, capsys):
     assert resumed == straight[2:]
 
 
+def test_resume_validates_with_the_checkpoint_seed(workspace, capsys):
+    # equal-length validation sources and more pairs than batch_size: which
+    # pairs share a batch, and so val_total, depends on the shuffle's seed
+    write_corpus(workspace / "valid.tsv", [
+        ("good morning", "morning to you"), ("see you", "bye for now"),
+        ("nice weather", "yes very sunny"), ("hello there", "hi"),
+        ("how are", "i am fine thanks"), ("your name", "sam"), ("good night", "sleep")])
+    straight_dir, split_dir = workspace / "straight", workspace / "split"
+    cfg = write_config(workspace, epochs=4, ckpt_dir=str(straight_dir))
+    assert main(["train", "--config", str(cfg)]) == 0
+    cfg = write_config(workspace, epochs=2, ckpt_dir=str(split_dir))
+    assert main(["train", "--config", str(cfg)]) == 0
+    cfg = write_config(workspace, epochs=4, ckpt_dir=str(split_dir))
+    # the checkpoint's seed (5) wins over the flag for every batch
+    assert main(["train", "--config", str(cfg), "--set", "seed=2",
+                 "--resume", str(split_dir / "last.ckpt")]) == 0
+    capsys.readouterr()
+    straight = (straight_dir / "metrics.log").read_text(encoding="utf-8")
+    assert len(straight.splitlines()) == 4
+    assert (split_dir / "metrics.log").read_text(encoding="utf-8") == straight
+
+
 def test_resume_keeps_early_stopping_count(workspace, capsys):
     straight_dir = workspace / "straight"
     cfg = write_config(workspace, epochs=6, patience=2, ckpt_dir=str(straight_dir))

@@ -84,3 +84,12 @@ def test_validate_bounds():
         RunConfig(adam_beta1=1.0).validate()
     with pytest.raises(ValueError):
         RunConfig(vocab_size=4).validate()
+
+
+def test_empty_ckpt_dir_is_refused_by_name(tmp_path):
+    manifest = tmp_path / "run.cfg"
+    manifest.write_text("epochs=2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^ckpt_dir must not be empty$"):
+        load_config(str(manifest), {"ckpt_dir": ""})
+    with pytest.raises(ValueError, match="ckpt_dir"):
+        RunConfig(ckpt_dir="").validate()

@@ -328,6 +328,35 @@ def test_greedy_decode_respects_max_len_and_bans():
         assert all(tok not in (0, 1) for tok in row)
 
 
+def test_greedy_decode_rows_stop_at_their_own_eos():
+    store, cell, emb, proj = decoder_fixture(V=12, E=4, H=6, seed=41)
+    proj.b.values[[0, 1]] = 100.0  # PAD and BOS would win every unbanned argmax
+    proj.b.values[2] += 0.6  # EOS near the top: rows reach it at different steps
+    init = Tensor(np.random.default_rng(2).standard_normal((8, 12)))
+    out = greedy_decode(cell, emb, proj, init, max_len=10)
+    assert len({len(row) for row in out}) >= 5 and max(map(len, out)) < 10
+    for r, row in enumerate(out):
+        # step by step with PAD and BOS left out of the argmax, up to the first EOS
+        state, current, expected = Tensor(init.values[r:r + 1]), np.array([1]), []
+        while len(expected) < 10:
+            h, state = cell.step(emb.lookup(current), state)
+            current = 2 + proj.logits(h).values[:, 2:].argmax(axis=1)
+            if current[0] == 2:
+                break
+            expected.append(int(current[0]))
+        assert row == expected
+        assert not {0, 1, 2} & set(row)
+        assert greedy_decode(cell, emb, proj, Tensor(init.values[r:r + 1]), 10) == [row]
+
+
+def test_greedy_decode_non_finite_logits_end_the_reply():
+    # NaN logits make argmax pick PAD despite the ban: the reply ends there
+    store, cell, emb, proj = decoder_fixture(seed=41)
+    proj.W.values[:] = np.nan
+    init = Tensor(RNG.standard_normal((2, 8)))
+    assert greedy_decode(cell, emb, proj, init, max_len=5) == [[], []]
+
+
 def test_float32_sequences_and_greedy_ids_bit_equal_to_composite(monkeypatch):
     rng = np.random.default_rng(3)
     B, T, T2, V, E, H = 32, 35, 25, 60, 64, 128

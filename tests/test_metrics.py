@@ -28,7 +28,7 @@ def test_identity_bleu_is_100():
     hyps = [toks("a b c d"), toks("x y")]
     report = corpus_bleu(hyps, [list(h) for h in hyps])
     for n in (1, 2, 3, 4):
-        assert report.bleu(n) == 100.0
+        assert report.scores[n - 1] == 100.0
     assert report.brevity_penalty == 1.0
 
 
@@ -42,7 +42,7 @@ def test_hand_case_short_hypothesis():
 
 def test_hand_case_clipping():
     report = corpus_bleu([toks("the the the")], [toks("the cat")])
-    assert report.precision(1) == 1 / 3
+    assert report.precisions[0] == 1 / 3
     assert report.brevity_penalty == 1.0
     assert round(report.bleu1, 2) == 33.33
 
@@ -249,7 +249,9 @@ def test_eval_report_keys_and_degenerate_model():
     refs = [[*"abcde"][: i + 1] for i in range(5)]
     report = eval_report(hyps, refs)
     assert report["dist3"] == distinct_ngrams([fixed], 3) == 2
-    assert set(report) >= {"bleu1", "bleu4", "dist1", "dist3", "bleu", "diversity"}
+    assert set(report) >= {"bleu1", "bleu4", "p1", "p4", "brevity_penalty", "hyp_len",
+                           "ref_len", "dist1", "dist3"}
+    assert all(isinstance(value, (int, float)) for value in report.values())
     with pytest.raises(ValueError):
         eval_report(hyps[:4], refs)
 
