@@ -25,11 +25,17 @@ from .metrics import eval_report, format_report, load_human_scores
 from .model import DialogueModel
 
 
-def _require_file(path, what):
+def _load_pairs(path, what, lowercase):
+    """The corpus at `path`; a missing file, or one without a usable pair,
+    fails naming it as `what`."""
     if not path:
         raise ValueError("%s path is not set" % what)
     if not os.path.isfile(path):
         raise ValueError("%s file %s does not exist" % (what, path))
+    pairs = load_corpus(path, lowercase)
+    if not pairs:
+        raise ValueError("%s %s has no pair with two non-empty sides" % (what, path))
+    return pairs
 
 
 def _read_lines(path):
@@ -123,13 +129,12 @@ def fit(model, adam, train_pairs, valid_batches, cfg, on_epoch, select="total",
 
 def cmd_train(args):
     cfg = load_config(args.config, _parse_overrides(args.set))
-    _require_file(cfg.train_path, "training corpus")
-    pairs = load_corpus(cfg.train_path, cfg.lowercase)
+    pairs = _load_pairs(cfg.train_path, "training corpus", cfg.lowercase)
+    valid = []
+    if cfg.valid_path or args.merge_valid:
+        valid = _load_pairs(cfg.valid_path, "validation corpus", cfg.lowercase)
     if args.merge_valid:
-        _require_file(cfg.valid_path, "validation corpus")
-        pairs = pairs + load_corpus(cfg.valid_path, cfg.lowercase)
-    if not pairs:
-        raise ValueError("training corpus is empty")
+        pairs, valid = pairs + valid, []
 
     os.makedirs(cfg.ckpt_dir, exist_ok=True)
     if args.resume:
@@ -148,13 +153,9 @@ def cmd_train(args):
     start_epoch, best_val, stale = progress
 
     train_pairs = encode_pairs(pairs, vocab)
-    valid_batches = []
-    if cfg.valid_path and not args.merge_valid:
-        _require_file(cfg.valid_path, "validation corpus")
-        valid_pairs = encode_pairs(load_corpus(cfg.valid_path, cfg.lowercase), vocab)
-        # seeded as fit seeds the training batches: on --resume, by the checkpoint
-        valid_batches = make_batches(valid_pairs, cfg.batch_size, seed=model.config.seed,
-                                     epoch=0, max_len=cfg.max_train_len)
+    # seeded as fit seeds the training batches: on --resume, by the checkpoint
+    valid_batches = make_batches(encode_pairs(valid, vocab), cfg.batch_size,
+                                 seed=model.config.seed, epoch=0, max_len=cfg.max_train_len)
 
     metrics_path = os.path.join(cfg.ckpt_dir, "metrics.log")
     if not args.resume:
@@ -215,6 +216,8 @@ def cmd_generate(args):
 
 def cmd_evaluate(args):
     hyp_lines = _read_lines(args.hyp)
+    if not hyp_lines:
+        raise ValueError("hypothesis file %s is empty" % args.hyp)
     ref_lines = _read_lines(args.ref)
     if len(hyp_lines) != len(ref_lines):
         raise ValueError("hypothesis file %s has %d lines, reference file %s has %d"

@@ -5,6 +5,7 @@ hyperparameter. Command-line overrides reuse the same parser and win
 over file values.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 MODEL_KINDS = ("seq2seq", "seq2seq_attention", "aem", "aem_attention")
@@ -43,6 +44,11 @@ class RunConfig:
     ckpt_dir: str = "checkpoints"
 
     def validate(self):
+        # a nan compares false with every bound below, and an inf trains to nan
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError("%s must be finite, got %r" % (f.name, value))
         for name in ("lambda1", "lambda2", "lambda3"):
             if getattr(self, name) < 0:
                 raise ValueError("%s must be non-negative, got %r" % (name, getattr(self, name)))

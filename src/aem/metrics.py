@@ -8,18 +8,18 @@ inter-annotator agreement.
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 
-def ngram_counts(tokens, n):
-    """Multiset of the n-grams of one sentence, as tuple -> count."""
-    counts = {}
-    for i in range(len(tokens) - n + 1):
-        gram = tuple(tokens[i : i + n])
-        counts[gram] = counts.get(gram, 0) + 1
-    return counts
+def _ngrams(tokens, max_n):
+    """Every n-gram of one sentence at orders 1..max_n, as tuples, so
+    n-grams of different orders never compare equal."""
+    shifted = [tokens[i:] for i in range(max_n)]
+    return chain.from_iterable([zip(*shifted[:n]) for n in range(1, max_n + 1)])
 
 
 @dataclass
@@ -64,16 +64,25 @@ def corpus_bleu(hypotheses, references, max_n=4):
     hyp_len = sum(len(h) for h in hypotheses)
     ref_len = sum(len(r) for r in references)
 
+    # one pass over the pairs, every order at once: each hypothesis n-gram
+    # its reference holds counts once toward order len(gram), then a
+    # repeated one gives back what exceeds the reference's count (clipping)
+    clipped = [0] * max_n
+    for hyp, ref in zip(hypotheses, references):
+        ref_grams = list(_ngrams(ref, max_n))
+        hits = list(filter(set(ref_grams).__contains__, _ngrams(hyp, max_n)))
+        for gram in hits:
+            clipped[len(gram) - 1] += 1
+        if len(set(hits)) < len(hits):
+            # only an n-gram the hypothesis repeats can exceed its reference count
+            hit_counts = Counter(hits)
+            ref_counts = Counter(filter(hit_counts.__contains__, ref_grams))
+            for gram, count in hit_counts.items():
+                clipped[len(gram) - 1] -= max(count - ref_counts[gram], 0)
     precisions = []
     for n in range(1, max_n + 1):
-        clipped = 0
-        total = 0
-        for hyp, ref in zip(hypotheses, references):
-            ref_counts = ngram_counts(ref, n)
-            for gram, count in ngram_counts(hyp, n).items():
-                clipped += min(count, ref_counts.get(gram, 0))
-            total += max(len(hyp) - n + 1, 0)
-        precisions.append(clipped / total if total else 0.0)
+        total = sum(max(len(hyp) - n + 1, 0) for hyp in hypotheses)
+        precisions.append(clipped[n - 1] / total if total else 0.0)
 
     if hyp_len == 0:
         # a corpus of empty hypotheses matches nothing
@@ -109,8 +118,7 @@ def distinct_ngrams(sentences, n):
         raise ValueError("n must be >= 1, got %d" % n)
     seen = set()
     for sent in sentences:
-        for i in range(len(sent) - n + 1):
-            seen.add(tuple(sent[i : i + n]))
+        seen.update(zip(*(sent[i:] for i in range(n))))
     return len(seen)
 
 

@@ -1,8 +1,8 @@
 """Independent reimplementations used only to cross-check the metrics.
 
-Counting goes through collections.Counter multiset intersection and
-exact Fractions, a different route from the library's hand-rolled dict
-counting, so agreement is meaningful.
+Counting goes through collections.Counter multiset intersection, one
+order at a time, and exact Fractions, a different route from the
+library's single pass over every order, so agreement is meaningful.
 """
 
 import math

@@ -68,6 +68,35 @@ def test_train_missing_corpus_fails_cleanly(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_refuses_non_finite_setting_by_name(workspace, capsys):
+    cfg = write_config(workspace)
+    assert main(["train", "--config", str(cfg), "--set", "learning_rate=nan"]) == 1
+    assert capsys.readouterr().err == "error: learning_rate must be finite, got nan\n"
+    assert not (workspace / "ckpt").exists()
+
+
+def test_train_empty_corpus_names_its_file(workspace, capsys):
+    (workspace / "train.tsv").write_text("", encoding="utf-8")
+    cfg = write_config(workspace)
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "error: training corpus %s has no pair with two non-empty sides\n"
+        % (workspace / "train.tsv"))
+
+
+@pytest.mark.parametrize("merge", [False, True])
+def test_train_validation_without_usable_pair_names_its_file(workspace, capsys, merge):
+    # a pair with an empty side is skipped, so this file holds no pair;
+    # before, training ran and selected on the training loss
+    (workspace / "valid.tsv").write_text("\tx\n", encoding="utf-8")
+    cfg = write_config(workspace)
+    assert main(["train", "--config", str(cfg)] + ["--merge-valid"] * merge) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("error: validation corpus %s has no pair with two non-empty sides\n"
+                        % (workspace / "valid.tsv"))
+    assert not (workspace / "ckpt").exists()
+
+
 def test_train_rejects_unknown_override(workspace, capsys):
     cfg = write_config(workspace)
     assert main(["train", "--config", str(cfg), "--set", "hiden_size=8"]) == 1
@@ -568,6 +597,13 @@ def test_evaluate_line_count_mismatch_names_both_files(workspace, capsys):
     assert main(["evaluate", "--hyp", str(hyp), "--ref", str(ref)]) == 1
     assert ("error: hypothesis file %s has 1 lines, reference file %s has 2" % (hyp, ref)
             in capsys.readouterr().err)
+
+
+def test_evaluate_empty_hypothesis_file_names_it(workspace, capsys):
+    hyp = workspace / "hyp.txt"
+    hyp.write_text("", encoding="utf-8")
+    assert main(["evaluate", "--hyp", str(hyp), "--ref", str(hyp)]) == 1
+    assert capsys.readouterr().err == "error: hypothesis file %s is empty\n" % hyp
 
 
 def test_evaluate_with_scores_and_report_file(workspace, capsys):

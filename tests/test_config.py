@@ -93,3 +93,19 @@ def test_empty_ckpt_dir_is_refused_by_name(tmp_path):
         load_config(str(manifest), {"ckpt_dir": ""})
     with pytest.raises(ValueError, match="ckpt_dir"):
         RunConfig(ckpt_dir="").validate()
+
+
+FLOAT_KEYS = [name for name, value in vars(RunConfig()).items() if isinstance(value, float)]
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_is_refused_by_name(tmp_path, key, raw):
+    manifest = tmp_path / "run.cfg"
+    manifest.write_text("%s=%s\n" % (key, raw), encoding="utf-8")
+    with pytest.raises(ValueError, match="^%s: %s must be finite, got %s$"
+                       % (re.escape(str(manifest)), key, raw)):
+        load_config(str(manifest))
+    manifest.write_text("epochs=2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^%s must be finite, got %s$" % (key, raw)):
+        load_config(str(manifest), {key: raw})

@@ -1,5 +1,6 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from aem.metrics import (
     format_report,
     g_score,
     load_human_scores,
-    ngram_counts,
     pearson,
 )
 from aem.rng import SplitMix64
@@ -93,9 +93,52 @@ def test_bleu_matches_brute_force_oracle_exactly():
         assert mine == float(frac)
 
 
-def test_ngram_counts():
-    assert ngram_counts(toks("a b a b"), 2) == {("a", "b"): 2, ("b", "a"): 1}
-    assert ngram_counts(toks("a"), 2) == {}
+# every case the counting must get right: repeated tokens (clipped at each
+# order), hypotheses shorter than 4, an empty hypothesis, an empty
+# reference, int tokens, and int and str tokens in one sentence ("1" is
+# not 1)
+GOLDEN_HYPS = [
+    toks("the the cat sat on the mat the"),
+    toks("a b"),
+    [],
+    toks("hello there"),
+    [1, 2, 3, 1, 2, 3, 4],
+    ["1", 2, "3", 2, "1"],
+    toks("x"),
+    toks("go go go go go"),
+    toks("i am fine thanks i am"),
+]
+GOLDEN_REFS = [
+    toks("the cat sat on the mat"),
+    toks("a b c d e f"),
+    toks("x y z"),
+    [],
+    [1, 2, 3, 4, 1, 2],
+    [1, "2", "3", 2, "1"],
+    toks("x"),
+    toks("go go"),
+    toks("i am fine thanks and you i am"),
+]
+GOLDEN_REPORT = Path(__file__).with_name("golden") / "eval_report.txt"
+
+
+def test_eval_report_matches_golden_text():
+    # the golden text was written by the one-dict-per-order-and-sentence
+    # counting this module used before; the report must not move by a byte
+    text = format_report(eval_report(GOLDEN_HYPS, GOLDEN_REFS))
+    assert text + "\n" == GOLDEN_REPORT.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 4, 6])
+def test_bleu_matches_oracle_at_every_max_n(max_n):
+    rng = SplitMix64(5)
+    hyps, refs = random_corpus(rng, pairs=60, vocab=3, max_len=9)
+    for h, r in ((hyps, refs), (GOLDEN_HYPS, GOLDEN_REFS)):
+        report = corpus_bleu(h, r, max_n=max_n)
+        scores, precisions, bp = bleu_oracle(h, r, max_n=max_n)
+        assert list(report.scores) == scores
+        assert report.brevity_penalty == bp
+        assert list(report.precisions) == [float(p) for p in precisions]
 
 
 def test_distinct_examples():
