@@ -129,18 +129,20 @@ def fit(model, adam, train_pairs, valid_batches, cfg, on_epoch, select="total",
 
 def cmd_train(args):
     cfg = load_config(args.config, _parse_overrides(args.set))
-    pairs = _load_pairs(cfg.train_path, "training corpus", cfg.lowercase)
+    if args.resume:
+        # the embeddings were trained on the checkpoint's ids, so its
+        # vocabulary and the `lowercase` it was built under win
+        model, adam, vocab, progress = _load_model(args.resume, cfg.kind, with_optimizer=True)
+    lowercase = model.config.lowercase if args.resume else cfg.lowercase
+    pairs = _load_pairs(cfg.train_path, "training corpus", lowercase)
     valid = []
     if cfg.valid_path or args.merge_valid:
-        valid = _load_pairs(cfg.valid_path, "validation corpus", cfg.lowercase)
+        valid = _load_pairs(cfg.valid_path, "validation corpus", lowercase)
     if args.merge_valid:
         pairs, valid = pairs + valid, []
 
     os.makedirs(cfg.ckpt_dir, exist_ok=True)
-    if args.resume:
-        # the embeddings were trained on the checkpoint's ids
-        model, adam, vocab, progress = _load_model(args.resume, cfg.kind, with_optimizer=True)
-    else:
+    if not args.resume:
         if cfg.vocab_path and os.path.isfile(cfg.vocab_path):
             vocab = Vocabulary.load(cfg.vocab_path, cfg.lowercase)
         else:
@@ -222,7 +224,14 @@ def cmd_evaluate(args):
     if len(hyp_lines) != len(ref_lines):
         raise ValueError("hypothesis file %s has %d lines, reference file %s has %d"
                          % (args.hyp, len(hyp_lines), args.ref, len(ref_lines)))
-    human = load_human_scores(args.scores) if args.scores else None
+    human = None
+    if args.scores:
+        # before any scoring: a table that gives no summary fails by name
+        table = load_human_scores(args.scores)
+        try:
+            human = table.summary()
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (args.scores, exc)) from None
     report = eval_report([l.split() for l in hyp_lines],
                          [l.split() for l in ref_lines], human)
     text = format_report(report)

@@ -5,8 +5,9 @@ attention.
 Every LSTM and every attention, whether over a whole sequence (encoder,
 teacher-forced decoder) or one greedy decoding step, runs through one
 fused op, `lstm_sequence` or `attention_sequence`, which holds the only
-copy of its math. LSTM state is always one [h; c] tensor of width 2H;
-`step` returns h beside it as a view of the hiddens.
+copy of its math; each is reached through one method, `LSTMCell.step`
+or `LuongAttention.attentional_hidden`. LSTM state is always one [h; c]
+tensor of width 2H.
 
 All parameters are registered in a ParamStore under the prefix given at
 construction, in the store's dtype, so layer code never owns arrays
@@ -47,8 +48,7 @@ class Embedding:
 
 
 class LSTMCell:
-    """LSTM weights W (E, 4H), U (H, 4H) and b (4H,), run by lstm_sequence
-    over whole sequences or, through `step`, one step at a time.
+    """LSTM weights W (E, 4H), U (H, 4H) and b (4H,), run by `step`.
 
     The 4H gate axis is ordered [input, forget, cell candidate, output];
     this order is part of the checkpoint format and must not change.
@@ -60,12 +60,13 @@ class LSTMCell:
         self.U = store.add(f"{prefix}.U", (hidden_size, 4 * hidden_size))
         self.b = store.add(f"{prefix}.b", (4 * hidden_size,))
 
-    def step(self, x: Tensor, state: Tensor) -> tuple[Tensor, Tensor]:
-        """One step from (B, E) inputs and [h; c] state: lstm_sequence over a
-        length-1 sequence. Returns (h (B, H), new [h; c])."""
-        B, E = x.values.shape
-        hiddens, state = lstm_sequence(reshape(x, (B, 1, E)), state, self.W, self.U, self.b)
-        return reshape(hiddens, (B, self.hidden_size)), state
+    def step(self, x: Tensor, state: Tensor,
+             lengths: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+        """Step the cell through all T steps of (B, T, E) inputs from the
+        [h; c] state (T = 1 for one greedy token), as one lstm_sequence
+        record. Returns (hiddens (B, T, H), final [h; c]), the final state
+        read after step lengths[r] of row r when lengths is given."""
+        return lstm_sequence(x, state, self.W, self.U, self.b, lengths)
 
 
 class OutputProjection:
@@ -139,13 +140,13 @@ def encode_sequence(cell: LSTMCell, embedding: Embedding, tokens: np.ndarray,
     if lengths.min() < 1:
         raise ValueError(f"encode_sequence mask row {int(lengths.argmin())} has no real token")
     init = Tensor(np.zeros((tokens.shape[0], 2 * cell.hidden_size), dtype=cell.W.values.dtype))
-    return lstm_sequence(embedding.lookup(tokens), init, cell.W, cell.U, cell.b, lengths)
+    return cell.step(embedding.lookup(tokens), init, lengths)
 
 
-def shifted_inputs(targets: np.ndarray, bos_id: int) -> np.ndarray:
+def shifted_inputs(targets: np.ndarray) -> np.ndarray:
     """Teacher-forcing inputs: BOS then the gold tokens, dropping the last."""
     inputs = np.empty_like(targets)
-    inputs[:, 0] = bos_id
+    inputs[:, 0] = BOS_ID
     inputs[:, 1:] = targets[:, :-1]
     return inputs
 
@@ -163,8 +164,7 @@ def decode_teacher_forced(cell: LSTMCell, embedding: Embedding, init: Tensor,
     first and attention covers all its hiddens in one call.
     """
     B, T = targets.shape
-    x = embedding.lookup(shifted_inputs(targets, BOS_ID))
-    hiddens, _ = lstm_sequence(x, init, cell.W, cell.U, cell.b)
+    hiddens, _ = cell.step(embedding.lookup(shifted_inputs(targets)), init)
     if attend is None:
         return reshape(hiddens, (B * T, cell.hidden_size))
     return attend(hiddens)
@@ -178,7 +178,7 @@ def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
     ties break toward the lowest token id.
 
     Per reply the bias is copied once with -inf at PAD and BOS; per token
-    only the recurrence runs: lstm_sequence over the (B, 1, E) embedding
+    only the recurrence runs: the cell's `step` over the (B, 1, E) embedding
     rows of the last ids (argmax ids, in range by construction), `attend`
     on its hiddens, and logits = feed @ W + bias. Finished rows are fed
     PAD. Per-reply work, such as checking the encoder mask, belongs in
@@ -193,7 +193,7 @@ def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
     lengths = np.full(B, max_len)
     finished = np.zeros(B, dtype=bool)
     for step in range(max_len):
-        hiddens, state = lstm_sequence(Tensor(table[current]), state, cell.W, cell.U, cell.b)
+        hiddens, state = cell.step(Tensor(table[current]), state)
         feed = hiddens.values.reshape(B, -1) if attend is None else attend(hiddens).values
         logits = feed @ W
         logits += bias

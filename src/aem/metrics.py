@@ -202,6 +202,18 @@ class HumanEvalTable:
             raise ValueError("no annotator pair with enough shared %s scores" % field)
         return sum(correlations) / len(correlations)
 
+    def summary(self):
+        """The human-score part of eval_report: both means, their G-Score
+        and both agreements."""
+        fluency, coherence = self.mean("fluency"), self.mean("coherence")
+        return {
+            "fluency": fluency,
+            "coherence": coherence,
+            "g_score": g_score(fluency, coherence),
+            "agreement_fluency": self.agreement("fluency"),
+            "agreement_coherence": self.agreement("coherence"),
+        }
+
 
 HUMAN_HEADER = ["item_id", "annotator_id", "fluency", "coherence"]
 
@@ -244,9 +256,9 @@ def eval_report(hypotheses, references, human=None):
     """Assemble every metric for a generated corpus.
 
     `hypotheses` and `references` are aligned token-sequence lists;
-    `human` is an optional HumanEvalTable. Returns one flat dict of
-    numbers: bleu1..4, p1..4, brevity_penalty, hyp_len, ref_len and
-    dist1..3, plus the human-score means, G-Score and agreements.
+    `human` is an optional HumanEvalTable.summary(). Returns one flat
+    dict of numbers: bleu1..4, p1..4, brevity_penalty, hyp_len, ref_len
+    and dist1..3, plus the human-score means, G-Score and agreements.
     """
     bleu = corpus_bleu(hypotheses, references)
     report = {"bleu%d" % n: score for n, score in enumerate(bleu.scores, start=1)}
@@ -254,16 +266,7 @@ def eval_report(hypotheses, references, human=None):
     report.update(brevity_penalty=bleu.brevity_penalty, hyp_len=bleu.hyp_len,
                   ref_len=bleu.ref_len)
     report.update(("dist%d" % n, distinct_ngrams(hypotheses, n)) for n in (1, 2, 3))
-    if human is not None:
-        fluency = human.mean("fluency")
-        coherence = human.mean("coherence")
-        report.update({
-            "fluency": fluency,
-            "coherence": coherence,
-            "g_score": g_score(fluency, coherence),
-            "agreement_fluency": human.agreement("fluency"),
-            "agreement_coherence": human.agreement("coherence"),
-        })
+    report.update(human or {})
     return report
 
 

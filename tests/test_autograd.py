@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import aem.autograd
 from aem.autograd import (
+    AttentionMask,
     Tape,
     Tensor,
     add,
@@ -685,3 +687,7 @@ def test_attention_sequence_shape_and_mask_errors():
     no_position[1] = 0.0
     with pytest.raises(ValueError, match="a row has no unmasked positions"):
         attention_sequence(hiddens, states, no_position, w_a, w_c)
+    # a mask checked for other positions is refused, not trusted
+    other = AttentionMask(np.ones((3, 4)), (3, 4), np.float64)
+    with pytest.raises(ValueError, match=re.escape("mask shape (3, 4) != states positions (3, 5)")):
+        attention_sequence(hiddens, states, other, w_a, w_c)

@@ -1,5 +1,6 @@
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -66,6 +67,17 @@ def test_train_missing_corpus_fails_cleanly(workspace, capsys):
     cfg = write_config(workspace, train_path=str(workspace / "nowhere.tsv"))
     assert main(["train", "--config", str(cfg)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unset, flags, message", [
+    ("train_path", [], "error: training corpus path is not set\n"),
+    ("valid_path", ["--merge-valid"], "error: validation corpus path is not set\n"),
+], ids=["train", "merge_valid"])
+def test_train_unset_corpus_path_is_named(workspace, capsys, unset, flags, message):
+    cfg = write_config(workspace, **{unset: ""})
+    assert main(["train", "--config", str(cfg), *flags]) == 1
+    assert capsys.readouterr().err == message
+    assert not (workspace / "ckpt").exists()
 
 
 def test_train_refuses_non_finite_setting_by_name(workspace, capsys):
@@ -160,6 +172,25 @@ def test_resume_validates_with_the_checkpoint_seed(workspace, capsys):
     straight = (straight_dir / "metrics.log").read_text(encoding="utf-8")
     assert len(straight.splitlines()) == 4
     assert (split_dir / "metrics.log").read_text(encoding="utf-8") == straight
+
+
+def test_resume_tokenizes_with_the_checkpoint_lowercase(workspace, capsys):
+    # the vocabulary was built lower-cased: a resume told lowercase=false
+    # must not read the mixed-case corpus as all <unk>
+    mixed = [(a.title(), b.upper()) for a, b in TOY_PAIRS]
+    write_corpus(workspace / "train.tsv", mixed[:5])
+    write_corpus(workspace / "valid.tsv", mixed[5:])
+    plain_dir, flagged_dir = workspace / "plain", workspace / "flagged"
+    assert main(["train", "--config", str(write_config(workspace, ckpt_dir=str(plain_dir)))]) == 0
+    shutil.copytree(plain_dir, flagged_dir)
+    for ckpt_dir, extra in ((plain_dir, []), (flagged_dir, ["--set", "lowercase=false"])):
+        cfg = write_config(workspace, epochs=3, ckpt_dir=str(ckpt_dir))
+        assert main(["train", "--config", str(cfg), "--resume", str(ckpt_dir / "last.ckpt"),
+                     *extra]) == 0
+    capsys.readouterr()
+    for name in ("metrics.log", "last.ckpt"):
+        assert (flagged_dir / name).read_bytes() == (plain_dir / name).read_bytes()
+    assert len((plain_dir / "metrics.log").read_text(encoding="utf-8").splitlines()) == 3
 
 
 def test_resume_keeps_early_stopping_count(workspace, capsys):
@@ -621,6 +652,23 @@ def test_evaluate_with_scores_and_report_file(workspace, capsys):
     assert report_file.read_text(encoding="utf-8").strip() in out.strip()
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("1,a,,4\n2,a,,5\n1,b,,4\n2,b,,5\n", "no fluency scores"),
+    ("1,a,8,4\n2,a,9,5\n", "no annotator pair with enough shared fluency scores"),
+], ids=["no_fluency", "one_annotator"])
+def test_evaluate_unusable_scores_fail_by_name_before_scoring(workspace, capsys, monkeypatch,
+                                                              rows, message):
+    hyp = workspace / "hyp.txt"
+    hyp.write_text("a b c d\nc d e f\n", encoding="utf-8")
+    scores = workspace / "scores.csv"
+    scores.write_text("item_id,annotator_id,fluency,coherence\n" + rows, encoding="utf-8")
+    scored = []
+    monkeypatch.setattr(aem.cli, "eval_report", lambda *args: scored.append(args))
+    assert main(["evaluate", "--hyp", str(hyp), "--ref", str(hyp), "--scores", str(scores)]) == 1
+    assert capsys.readouterr().err == "error: %s: %s\n" % (scores, message)
+    assert not scored
+
+
 def test_chat_quit_and_responses(workspace, capsys, monkeypatch):
     import io
     ckpt = trained_checkpoint(workspace, epochs=1)
@@ -642,10 +690,13 @@ def test_chat_logs_transcript(workspace, capsys, monkeypatch):
     import io
     ckpt = trained_checkpoint(workspace, epochs=1)
     log = workspace / "chat.log"
-    monkeypatch.setattr("sys.stdin", io.StringIO("good morning\n"))
+    # blank lines get no reply and no log entry
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n   \ngood morning\n\n"))
+    capsys.readouterr()
     assert main(["chat", "--ckpt", str(ckpt), "--log", str(log)]) == 0
+    (reply,) = capsys.readouterr().out.splitlines()
     text = log.read_text(encoding="utf-8")
-    assert text.startswith("you: good morning\nmodel:")
+    assert text == "you: good morning\nmodel: %s\n" % reply
 
 
 def test_nan_abort_keeps_last_checkpoint(workspace, capsys, monkeypatch):

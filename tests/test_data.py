@@ -159,6 +159,18 @@ def test_encode_pairs_maps_unknowns():
     assert out[0].source == [vocab.token_to_id["a"], UNK_ID]
 
 
+@pytest.mark.parametrize("pair, message", [
+    (DialoguePair([], ["b"]), "empty side in pair"),
+    (DialoguePair(["a"], []), "empty side in pair"),
+    (DialoguePair(["a", "<eos>"], ["b"]), "reserved id inside a pair body"),
+    (DialoguePair(["a"], ["<pad>"]), "reserved id inside a pair body"),
+], ids=["empty_source", "empty_target", "eos_in_source", "pad_in_target"])
+def test_encode_pairs_refuses_empty_side_and_reserved_id(pair, message):
+    vocab = build_vocab([["a", "b"]], max_size=6)
+    with pytest.raises(ValueError, match=message):
+        encode_pairs([pair], vocab)
+
+
 def make_encoded(n, src_len=3, tgt_len=2):
     return [
         DialoguePair([4 + (i + j) % 3 for j in range(src_len)], [4 + i % 3] * tgt_len)

@@ -37,27 +37,27 @@ def hc(h, c):
 
 def test_lstm_zero_weights_gives_zero_state():
     _, cell = make_cell()
-    x = Tensor(RNG.standard_normal((2, 3)))
+    x = Tensor(RNG.standard_normal((2, 1, 3)))
     h, state = cell.step(x, Tensor(np.zeros((2, 8))))
-    np.testing.assert_array_equal(h.values, np.zeros((2, 4)))
+    np.testing.assert_array_equal(h.values, np.zeros((2, 1, 4)))
     np.testing.assert_array_equal(state.values, np.zeros((2, 8)))
 
 
 def test_lstm_zero_weights_gate_values():
     # zero preactivations: sigmoid gates 0.5, candidate tanh 0
     store, cell = make_cell()
-    x = Tensor(np.zeros((1, 3)))
+    x = Tensor(np.zeros((1, 1, 3)))
     c_prev = RNG.standard_normal((1, 4))
     h, state = cell.step(x, hc(np.zeros((1, 4)), c_prev))
     c = state.values[:, 4:]
     np.testing.assert_allclose(c, 0.5 * c_prev, rtol=1e-12)
-    np.testing.assert_allclose(h.values, 0.5 * np.tanh(0.5 * c_prev), rtol=1e-12)
+    np.testing.assert_allclose(h.values[:, 0], 0.5 * np.tanh(0.5 * c_prev), rtol=1e-12)
 
 
 def test_lstm_forget_bias_carries_cell_state():
     store, cell = make_cell()
     cell.b.values[4:8] = 10.0  # forget gate block
-    x = Tensor(np.zeros((1, 3)))
+    x = Tensor(np.zeros((1, 1, 3)))
     c_prev = np.array([[1.0, -2.0, 0.5, 3.0]])
     _, state = cell.step(x, hc(np.zeros((1, 4)), c_prev))
     np.testing.assert_allclose(state.values[:, 4:], c_prev, rtol=1e-4)
@@ -65,7 +65,7 @@ def test_lstm_forget_bias_carries_cell_state():
 
 def test_lstm_gradient_vs_finite_differences():
     store, cell = make_cell(seed=11)
-    x = Tensor(RNG.standard_normal((2, 3)))
+    x = Tensor(RNG.standard_normal((2, 1, 3)))
     state = hc(RNG.standard_normal((2, 4)), RNG.standard_normal((2, 4)))
 
     def loss():
@@ -87,9 +87,9 @@ def test_encode_length_one_equals_single_step():
     tokens = np.array([[4], [2]])
     mask = np.ones((2, 1))
     states, final = encode_sequence(cell, emb, tokens, mask)
-    x = emb.lookup(tokens[:, 0])
+    x = emb.lookup(tokens)
     h, state = cell.step(x, Tensor(np.zeros((2, 8))))
-    np.testing.assert_array_equal(states.values[:, 0, :], h.values)
+    np.testing.assert_array_equal(states.values, h.values)
     np.testing.assert_array_equal(final.values, state.values)
 
 
@@ -190,7 +190,7 @@ def test_decode_is_causal():
 
 def test_shifted_inputs_starts_with_bos():
     targets = np.array([[5, 6, 2], [7, 2, 0]])
-    np.testing.assert_array_equal(shifted_inputs(targets, 1), [[1, 5, 6], [1, 7, 2]])
+    np.testing.assert_array_equal(shifted_inputs(targets), [[1, 5, 6], [1, 7, 2]])
 
 
 def test_mlp_zero_weights_returns_bias():
@@ -337,13 +337,13 @@ def test_greedy_decode_rows_stop_at_their_own_eos():
     assert len({len(row) for row in out}) >= 5 and max(map(len, out)) < 10
     for r, row in enumerate(out):
         # step by step with PAD and BOS left out of the argmax, up to the first EOS
-        state, current, expected = Tensor(init.values[r:r + 1]), np.array([1]), []
+        state, current, expected = Tensor(init.values[r:r + 1]), np.array([[1]]), []
         while len(expected) < 10:
             h, state = cell.step(emb.lookup(current), state)
-            current = 2 + proj.logits(h).values[:, 2:].argmax(axis=1)
-            if current[0] == 2:
+            current = 2 + proj.logits(reshape(h, (1, 6))).values[:, 2:].argmax(axis=1)[:, None]
+            if current[0, 0] == 2:
                 break
-            expected.append(int(current[0]))
+            expected.append(int(current[0, 0]))
         assert row == expected
         assert not {0, 1, 2} & set(row)
         assert greedy_decode(cell, emb, proj, Tensor(init.values[r:r + 1]), 10) == [row]
@@ -382,7 +382,7 @@ def test_float32_sequences_and_greedy_ids_bit_equal_to_composite(monkeypatch):
     assert states.values[real].tobytes() == ref_states.values[real].tobytes()
     assert final.values.tobytes() == ref_final.values.tobytes()
 
-    ref_hiddens, _ = composite_lstm(emb.table, shifted_inputs(targets, 1), final,
+    ref_hiddens, _ = composite_lstm(emb.table, shifted_inputs(targets), final,
                                     dec.W, dec.U, dec.b)
     plain = decode_teacher_forced(dec, emb, final, targets)
     assert plain.values.tobytes() == ref_hiddens.values.reshape(B * T2, H).tobytes()
@@ -398,7 +398,7 @@ def test_float32_sequences_and_greedy_ids_bit_equal_to_composite(monkeypatch):
 
     swapped = []
 
-    def composite_sequence(x, state, w, u, b):
+    def composite_sequence(x, state, w, u, b, lengths=None):
         # greedy decoding runs the LSTM one (B, 1, E) step at a time
         assert x.shape == (B, 1, E)
         swapped.append("lstm")

@@ -225,10 +225,12 @@ def test_human_table_means_and_agreement(tmp_path):
     path = scores_csv(tmp_path, "\n".join([
         "item_id,annotator_id,fluency,coherence",
         "1,a,2,4", "2,a,4,6", "3,a,6,8",
+        "",  # a blank row is skipped
         "1,b,1,8", "2,b,2,6", "3,b,3,4",
         "",
     ]))
     table = load_human_scores(path)
+    assert len(table.rows) == 6
     assert table.mean("fluency") == pytest.approx((2 + 4 + 6 + 1 + 2 + 3) / 6)
     assert table.agreement("fluency") == pytest.approx(1.0, abs=1e-12)
     assert table.agreement("coherence") == pytest.approx(-1.0, abs=1e-12)
@@ -306,7 +308,7 @@ def test_eval_report_with_human_scores(tmp_path):
         "1,b,7,4", "2,b,8,5",
     ]))
     hyps = [toks("a b c d"), toks("c d e f")]
-    report = eval_report(hyps, [list(h) for h in hyps], load_human_scores(path))
+    report = eval_report(hyps, [list(h) for h in hyps], load_human_scores(path).summary())
     assert report["g_score"] == pytest.approx(
         math.sqrt(report["fluency"] * report["coherence"]), rel=1e-12)
     text = format_report(report)
