@@ -19,9 +19,23 @@ slice_cols, sigmoid, tanh, mul, stack_steps, concat_cols, batched_dot,
 masked_softmax, attend, ...) stay for the rest of the model, for the
 release gate, and as the reference the fused ops are tested against;
 lerp_mask, which the model no longer runs, stays for the last two.
+
+Two ops of training use a second CPU through one worker thread (see
+`_both`), started by the first pass over at least _SPLIT_MIN elements
+when the process may run on more than one CPU:
+`linear_softmax_cross_entropy` runs each block's bias, shift, exp, loss
+and (P - onehot) passes over two row halves, then under a tape dh and
+db beside dw's matmul; `lstm_sequence` backward forms its gate factors
+over two halves of the steps, then du and db beside dw and dx. Each
+half does the same arithmetic on its own rows or steps, no BLAS product
+is split, and every sum is added in the same order, so outputs do not
+depend on the CPU count. Each BLAS call still runs with the threads
+that the caller's *_NUM_THREADS give it.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -123,6 +137,50 @@ def backward(tape: Tape, loss: Tensor) -> None:
 def detach(x: Tensor) -> Tensor:
     """Same values, no backward link."""
     return Tensor(x.values)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# the fewest array elements a split must cover to pay for waking the
+# worker: on a 2-CPU host a float32 lstm_sequence forward and backward
+# over 65536 gate values took 28% longer split, over 262144 5-10% less
+_SPLIT_MIN = 1 << 17
+_WORKER = None  # (pid, one-thread executor), made by the first _both that needs it
+
+
+def _both(first, second, size):
+    """(first(), second()): `second` runs on the worker thread while the
+    caller runs `first`, or in the caller after `first` when the process
+    may use one CPU, when the thunks cover fewer than _SPLIT_MIN elements
+    (`size`), or when the worker has not started `second` by the time
+    `first` returns. Returns, or raises either one's exception, only once
+    neither thunk still runs, so neither writes into the caller's arrays
+    afterwards. Thunks run numpy only: no tape records and no op of this
+    module."""
+    global _WORKER
+    if size < _SPLIT_MIN or _cpus() < 2:
+        return first(), second()
+    # a forked child inherits the executor but not its thread
+    if _WORKER is None or _WORKER[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+        _WORKER = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="aem-autograd"))
+    future = _WORKER[1].submit(second)
+    try:
+        a = first()
+    except BaseException:
+        if not future.cancel():
+            future.exception()  # waits for second; the first error is the one raised
+        raise
+    # a worker that has not started (its CPU busy with other work) is not
+    # waited for
+    if future.cancel():
+        return a, second()
+    return a, future.result()
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +435,21 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
     final = Tensor(np.concatenate([hs[last], cs[last]], axis=1))
 
     def back(g_hiddens, g_final):
-        i, f, g, o = (acts[:, :, n * H : (n + 1) * H] for n in range(4))
         # dpre = [dc', dc', dc', dh'] * fac, step by step in place
         dpre = np.empty((T, B, 4, H), dtype=dtype)
-        dpre[:, :, 0] = g * i * (1.0 - i)
-        dpre[:, :, 1] = cs[:-1] * f * (1.0 - f)
-        dpre[:, :, 2] = i * (1.0 - g * g)
-        dpre[:, :, 3] = tcs * o * (1.0 - o)
-        dc_per_dh = o * (1.0 - tcs * tcs)
+        dc_per_dh = np.empty((T, B, H), dtype=dtype)
+
+        def factors(steps):
+            i, f, g, o = (acts[steps, :, n * H : (n + 1) * H] for n in range(4))
+            tc, d = tcs[steps], dpre[steps]
+            d[:, :, 0] = g * i * (1.0 - i)
+            d[:, :, 1] = cs[:-1][steps] * f * (1.0 - f)
+            d[:, :, 2] = i * (1.0 - g * g)
+            d[:, :, 3] = tc * o * (1.0 - o)
+            dc_per_dh[steps] = o * (1.0 - tc * tc)
+
+        _both(lambda: factors(slice(0, T // 2)), lambda: factors(slice(T // 2, T)), dpre.size)
+        f = acts[:, :, H : 2 * H]
         dh, dc = np.zeros((B, H), dtype=dtype), np.zeros((B, H), dtype=dtype)
         ends = {}  # step index -> rows whose final state is read after it
         if g_final is not None and lengths is None:
@@ -408,10 +473,13 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
             dc = dc * f[t]
         _accum(state, np.concatenate([dh, dc], axis=1))
         flat = dpre.reshape(T * B, 4 * H)
-        _accum(w, xs.T @ flat)
-        _accum(u, hs[:-1].reshape(T * B, H).T @ flat)
-        _accum(b, flat.sum(axis=0))
-        _accum(x, (flat @ w.values.T).reshape(T, B, E).transpose(1, 0, 2))
+        (du, db), (dw, dx) = _both(
+            lambda: (hs[:-1].reshape(T * B, H).T @ flat, flat.sum(axis=0)),
+            lambda: (xs.T @ flat, flat @ w.values.T), flat.size)
+        _accum(w, dw)
+        _accum(u, du)
+        _accum(b, db)
+        _accum(x, dx.reshape(T, B, E).transpose(1, 0, 2))
 
     _record((hiddens, final), back)
     return hiddens, final
@@ -635,21 +703,34 @@ def linear_softmax_cross_entropy(h: Tensor, w: Tensor, b: Tensor, targets: np.nd
         r = rows[start : start + block]
         hk, z = hv[r], buf[: r.size]
         np.matmul(hk, wv, out=z)
-        z += b.values
-        z -= z.max(axis=1, keepdims=True)
-        kept, tk = np.arange(r.size), targets[r]
-        target_z = z[kept, tk]
-        e = np.exp(z, out=z)
-        sums = e.sum(axis=1)
-        picked[r] = target_z - np.log(sums)
+
+        def softmax_rows(part):
+            # rows `part` of the block: shift, exp and loss, then under a
+            # tape (softmax - onehot) * mask in place over their exp
+            zp, rp = z[part], r[part]
+            zp += b.values
+            zp -= zp.max(axis=1, keepdims=True)
+            kept, tk = np.arange(rp.size), targets[rp]
+            target_z = zp[kept, tk]
+            e = np.exp(zp, out=zp)
+            sums = e.sum(axis=1)
+            picked[rp] = target_z - np.log(sums)
+            if grad:
+                weight = fmask[rp]
+                e *= (weight / sums)[:, None]
+                e[kept, tk] -= weight
+
+        half = r.size // 2
+        _both(lambda: softmax_rows(slice(0, half)), lambda: softmax_rows(slice(half, r.size)),
+              z.size)
         if grad:
-            # (softmax - onehot) * mask, in place over the block's exp
-            weight = fmask[r]
-            e *= (weight / sums)[:, None]
-            e[kept, tk] -= weight
-            dh[r] = e @ wv.T
-            dw += hk.T @ e
-            db += e.sum(axis=0)
+            def dh_db():
+                dh[r] = z @ wv.T
+                return z.sum(axis=0)
+
+            block_db, block_dw = _both(dh_db, lambda: hk.T @ z, z.size)
+            dw += block_dw
+            db += block_db
     out = Tensor(np.asarray(-(picked * fmask).sum(), dtype=dtype))
 
     if grad:

@@ -1,7 +1,11 @@
 """Small fixtures shared across test modules."""
 
+import threading
 import tracemalloc
 
+import pytest
+
+import aem.autograd
 from aem.autograd import (add, add_bias, attend, batched_dot, concat_cols, embedding_lookup,
                           lerp_mask, masked_softmax, matmul, mul, reshape, sigmoid, slice_cols,
                           stack_steps, tanh)
@@ -55,6 +59,47 @@ def peak_traced_bytes(fn):
     """Peak bytes allocated while fn() runs, above what was allocated when
     it started."""
     return traced_bytes(fn)[2]
+
+
+def run_on_cpus(n, fn):
+    """(fn(), one flag per `second` thunk of autograd._both: whether it ran
+    on the worker thread), with _both acting as on an n-CPU host and
+    splitting at any size. With n > 1, each `first` starts only once the
+    worker has taken `second`, so the two always overlap."""
+    both, on_worker = aem.autograd._both, []
+
+    def spied(first, second, size):
+        taken = threading.Event()
+
+        def second_where():
+            taken.set()
+            on_worker.append(threading.current_thread() is not threading.main_thread())
+            return second()
+
+        def first_once_taken():
+            assert taken.wait(timeout=10)
+            return first()
+
+        return both(first_once_taken if n > 1 else first, second_where, size)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aem.autograd, "_cpus", lambda: n)
+        mp.setattr(aem.autograd, "_SPLIT_MIN", 0)
+        mp.setattr(aem.autograd, "_both", spied)
+        return fn(), on_worker
+
+
+def assert_same_bits_on_one_and_two_cpus(fn):
+    """fn() returns a list of arrays: they must be byte-equal whether
+    _both runs its thunks in the caller or splits them with the worker."""
+    one, in_caller = run_on_cpus(1, fn)
+    two, on_worker = run_on_cpus(2, fn)
+    assert in_caller and not any(in_caller)
+    assert on_worker and all(on_worker)
+    assert len(one) == len(two)
+    for a, b in zip(one, two):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def toy_pairs():

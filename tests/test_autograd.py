@@ -1,5 +1,11 @@
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +41,8 @@ from aem.autograd import (
     tanh,
 )
 from aem.gradcheck import check_gradients
-from helpers import composite_attention, composite_lstm, peak_traced_bytes
+from helpers import (assert_same_bits_on_one_and_two_cpus, composite_attention, composite_lstm,
+                     peak_traced_bytes, run_on_cpus)
 
 RNG = np.random.default_rng(20240815)
 
@@ -424,6 +431,23 @@ def test_linear_cross_entropy_float32_loss_bit_equal_to_composite_across_blocks(
         np.testing.assert_allclose(f, a, rtol=1e-5, atol=1e-6)
 
 
+# one block; blocks of four rows, the last of three; one row per block
+@pytest.mark.parametrize("budget", [4 * 1024 * 1024, 4 * 50, 1])
+def test_linear_cross_entropy_same_bits_on_one_and_two_cpus(monkeypatch, budget):
+    monkeypatch.setattr(aem.autograd, "_BLOCK_LOGITS", budget)
+    targets = RNG.integers(0, 50, 41)
+    mask = np.zeros(41)
+    mask[RNG.permutation(41)[:31]] = 1.0  # an odd number of kept rows
+    h, w, b = head_case(n=41, hdim=16, v=50, dtype=np.float32)
+
+    def run():
+        loss, n, *grads = head_grads(linear_softmax_cross_entropy, h, w, b, targets, mask)
+        assert n == 31
+        return [np.float32(loss)] + grads
+
+    assert_same_bits_on_one_and_two_cpus(run)
+
+
 def test_linear_cross_entropy_all_masked_is_zero(monkeypatch):
     monkeypatch.setattr(aem.autograd, "_BLOCK_LOGITS", 6)
     h, w, b = head_case(n=4)
@@ -587,6 +611,30 @@ def test_lstm_sequence_float32_forward_bit_equal_to_composite():
             assert got.values.tobytes() == want.values.tobytes()
 
 
+@pytest.mark.parametrize("lengths, on", [(None, "hiddens"), (None, "both"),
+                                         (np.array([7, 3, 1, 5, 7]), "both"),
+                                         (np.array([2, 3, 1, 5, 6]), "final")])
+def test_lstm_sequence_backward_same_bits_on_one_and_two_cpus(lengths, on):
+    B, T, E, H = 5, 7, 6, 8  # an odd step count: halves of 3 and 4 steps
+    leaves = [Tensor(RNG.uniform(-0.5, 0.5, shape).astype(np.float32))
+              for shape in ((B, T, E), (B, 2 * H), (E, 4 * H), (H, 4 * H), (4 * H,))]
+    wh, wf = (Tensor(RNG.standard_normal(shape).astype(np.float32))
+              for shape in ((B, T, H), (B, 2 * H)))
+
+    def run():
+        for t in leaves:
+            t.grad = None
+        with Tape() as tape:
+            hiddens, final = lstm_sequence(*leaves, lengths)
+            parts = ([sum_all(mul(hiddens, wh))] if on != "final" else []) \
+                + ([sum_all(mul(final, wf))] if on != "hiddens" else [])
+            loss = parts[0] if len(parts) == 1 else add(*parts)
+        backward(tape, loss)
+        return [t.grad.copy() for t in leaves]
+
+    assert_same_bits_on_one_and_two_cpus(run)
+
+
 def test_lstm_sequence_shape_errors():
     table, ids, init, w, u, b = lstm_case()
     x = embedding_lookup(table, ids)
@@ -691,3 +739,121 @@ def test_attention_sequence_shape_and_mask_errors():
     other = AttentionMask(np.ones((3, 4)), (3, 4), np.float64)
     with pytest.raises(ValueError, match=re.escape("mask shape (3, 4) != states positions (3, 5)")):
         attention_sequence(hiddens, states, other, w_a, w_c)
+
+
+# ---------------------------------------------------------------------------
+# the worker thread behind _both
+
+
+def test_both_returns_results_in_argument_order():
+    result, on_worker = run_on_cpus(2, lambda: aem.autograd._both(lambda: "a", lambda: "b", 0))
+    assert result == ("a", "b") and on_worker == [True]
+
+
+def test_both_raises_only_after_the_other_thunk_has_finished():
+    def slow(done):
+        def run():
+            time.sleep(0.05)
+            done.append(True)
+            return "slow"
+        return run
+
+    def fail():
+        raise KeyError("boom")
+
+    def run():
+        both = aem.autograd._both
+        for first, second in ((fail, None), (None, fail)):
+            done = []
+            with pytest.raises(KeyError, match="boom"):
+                both(first or slow(done), second or slow(done), 0)
+            assert done == [True]
+        # the worker still serves after either thunk failed
+        return both(lambda: 1, lambda: 2, 0)
+
+    result, on_worker = run_on_cpus(2, run)
+    assert result == (1, 2) and on_worker == [True] * 3
+
+
+def test_both_does_not_wait_for_a_worker_that_has_not_started(monkeypatch):
+    monkeypatch.setattr(aem.autograd, "_cpus", lambda: 2)
+    both, busy = aem.autograd._both, threading.Event()
+    both(lambda: None, lambda: None, aem.autograd._SPLIT_MIN)  # makes sure the worker exists
+    blocker = aem.autograd._WORKER[1].submit(busy.wait, 10)
+    try:
+        on_main = lambda: threading.current_thread() is threading.main_thread()
+        assert both(lambda: 1, on_main, aem.autograd._SPLIT_MIN) == (1, True)
+        ran = []
+        with pytest.raises(KeyError):
+            both(lambda: {}["boom"], lambda: ran.append(1), aem.autograd._SPLIT_MIN)
+        assert ran == []  # never started, so not run after the error either
+    finally:
+        busy.set()
+    assert blocker.result(timeout=10) is True
+
+
+def test_both_below_the_split_size_runs_in_the_caller(monkeypatch):
+    monkeypatch.setattr(aem.autograd, "_cpus", lambda: 2)
+    ran_on = []
+    where = lambda: ran_on.append(threading.current_thread() is threading.main_thread())
+    aem.autograd._both(where, where, aem.autograd._SPLIT_MIN - 1)
+    assert ran_on == [True, True]
+
+
+def test_both_on_one_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(aem.autograd, "_WORKER", None)
+    threads = threading.active_count()
+    result, on_worker = run_on_cpus(1, lambda: aem.autograd._both(lambda: 1, lambda: 2, 0))
+    assert result == (1, 2) and on_worker == [False]
+    assert aem.autograd._WORKER is None and threading.active_count() == threads
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def run_python(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(TESTS.parent / "src"), str(TESTS),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_import_starts_no_thread():
+    # start-up pays for neither the thread nor the concurrent.futures import
+    assert run_python("import sys, threading, aem, aem.cli\n"
+                      "print('concurrent.futures' in sys.modules, threading.active_count())"
+                      ) == ["False", "1"]
+
+
+def test_a_process_that_started_the_worker_exits():
+    # the idle worker must not hold the interpreter open at exit
+    assert run_python("import threading, aem.autograd\n"
+                      "aem.autograd._cpus = lambda: 2\n"
+                      "aem.autograd._SPLIT_MIN = 0\n"
+                      "from aem.model import DialogueModel\n"
+                      "from helpers import tiny_config, toy_batch\n"
+                      "model = DialogueModel('aem', tiny_config())\n"
+                      "model.train_step(toy_batch(), model.make_optimizer())\n"
+                      "print(aem.autograd._WORKER is not None, threading.active_count())"
+                      ) == ["True", "2"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_gets_its_own_worker():
+    # the child inherits the parent's executor, but not its thread
+    assert run_python("import multiprocessing, aem.autograd as ag\n"
+                      "ag._cpus = lambda: 2\n"
+                      "ag._SPLIT_MIN = 0\n"
+                      "ag._both(lambda: 1, lambda: 2, 0)\n"
+                      "def child(q):\n"
+                      "    q.put(ag._both(lambda: 3, lambda: 4, 0))\n"
+                      "fork = multiprocessing.get_context('fork')\n"
+                      "q = fork.Queue()\n"
+                      "p = fork.Process(target=child, args=(q,), daemon=True)\n"
+                      "p.start()\n"
+                      "print(*q.get(timeout=20))\n"
+                      "p.join(20)\n"
+                      "print(p.exitcode)") == ["3", "4", "0"]

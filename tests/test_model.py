@@ -7,7 +7,7 @@ from aem.config import MODEL_KINDS
 from aem.data import DialoguePair, pairs_to_batch
 from aem.layers import LuongAttention, greedy_decode
 from aem.model import DialogueModel, LossBreakdown, build_baseline, total_loss
-from helpers import tiny_config, toy_batch, toy_pairs
+from helpers import assert_same_bits_on_one_and_two_cpus, tiny_config, toy_batch, toy_pairs
 
 
 def zero_projections(model):
@@ -150,6 +150,20 @@ def test_fixed_seed_identical_breakdowns():
         batch = toy_batch()
         runs.append([model.train_step(batch, adam) for _ in range(4)])
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_train_steps_same_bits_on_one_and_two_cpus(kind):
+    def run():
+        model = DialogueModel(kind, tiny_config(kind=kind))
+        adam = model.make_optimizer()
+        parts = [model.train_step(toy_batch(), adam) for _ in range(3)]
+        losses = [np.array([getattr(p, f) for f in ("j1", "j2", "j3", "j4", "total", "grad_norm",
+                                                   "clipped")]) for p in parts]
+        return losses + [t.values for _, t in model.store.items()] + [
+            moments[name] for moments in (adam.m, adam.v) for name in model.store.names()]
+
+    assert_same_bits_on_one_and_two_cpus(run)
 
 
 def test_identity_aem_matches_seq2seq_trajectory():

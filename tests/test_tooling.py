@@ -1,10 +1,11 @@
 import importlib.util
+import threading
 from pathlib import Path
 
 import aem.autograd
 from aem.config import MODEL_KINDS
 from aem.model import DialogueModel
-from helpers import tiny_config, toy_batch
+from helpers import run_on_cpus, tiny_config, toy_batch
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -67,3 +68,39 @@ def test_the_layer_methods_the_tracer_wraps_are_on_the_model_path(monkeypatch):
         reached.update(name for name, _ in calls)
         calls.clear()
     assert reached == wrapped - OFF_PATH
+
+
+def test_every_call_the_tracer_wraps_runs_on_the_main_thread():
+    # the tracer keeps one span stack: a wrapped call on autograd's worker
+    # thread would nest its span under whatever the main thread has open
+    spans = load_spans()
+    off_main = []
+
+    class CheckingTracer(spans.Tracer):
+        def wrap(self, name, fn, tag=None):
+            traced = super().wrap(name, fn, tag)
+
+            def checked(*args, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.append(name)
+                return traced(*args, **kwargs)
+            return checked
+
+    def run():
+        tracer, patches = CheckingTracer(), spans.Patches()
+        spans.install_tracer(tracer, patches)
+        try:
+            for kind in MODEL_KINDS:
+                model = DialogueModel(kind, tiny_config(kind=kind))
+                model.train_step(toy_batch(), model.make_optimizer())
+                model.generate([[4, 5, 6]])
+        finally:
+            patches.undo()
+        return tracer
+
+    tracer, on_worker = run_on_cpus(2, run)
+    assert on_worker and all(on_worker)
+    assert off_main == [] and tracer.stack == []
+    assert {"model.train_step", "model.generate", "autograd.backward", "layers.lstm_step",
+            "autograd.bwd.lstm_sequence", "autograd.bwd.linear_softmax_cross_entropy",
+            "autograd.fwd.embedding_lookup"} < set(tracer.names)
