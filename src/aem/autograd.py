@@ -20,17 +20,26 @@ masked_softmax, attend, ...) stay for the rest of the model, for the
 release gate, and as the reference the fused ops are tested against;
 lerp_mask, which the model no longer runs, stays for the last two.
 
-Two ops of training use a second CPU through one worker thread (see
-`_both`), started by the first pass over at least _SPLIT_MIN elements
-when the process may run on more than one CPU:
-`linear_softmax_cross_entropy` runs each block's bias, shift, exp, loss
-and (P - onehot) passes over two row halves, then under a tape dh and
-db beside dw's matmul; `lstm_sequence` backward forms its gate factors
-over two halves of the steps, then du and db beside dw and dx. Each
-half does the same arithmetic on its own rows or steps, no BLAS product
-is split, and every sum is added in the same order, so outputs do not
-depend on the CPU count. Each BLAS call still runs with the threads
-that the caller's *_NUM_THREADS give it.
+Row-independent passes use a second CPU through one worker thread (see
+`_both`), which the first pass that splits starts when the process may
+run on more than one CPU. A pass runs as two halves when its shape says
+it pays for it (`_halves`): at least _SPLIT_MIN elements per step and
+two rows. That covers B x 4H gate values for each step of the
+`lstm_sequence` forward recurrence and of its backward walk, rows x V
+logits for each `linear_softmax_cross_entropy` block (its projection,
+bias, shift, exp, loss and (P - onehot) passes), B x V logits for each
+greedy token (`layers.greedy_decode`) and the parameter values for
+`optim`'s Adam update and gradient clipping. Below the floor the pass
+runs whole; on one CPU its halves run one after the other in the
+caller. Three pairs of work are always formed as the same two parts and
+only placed by `_both`: the gate factors of `lstm_sequence` backward
+over two halves of the steps, then du and db beside dw and dx, and
+under a tape each head block's dh and db beside dw. Each half does the
+same arithmetic on its own rows, steps or parameters and every sum keeps
+its order, so outputs do not depend on the CPU count; a BLAS product
+over row halves equals the whole product at the shapes the floor admits
+(the tests pin this at the benchmark shapes). Each BLAS call still runs
+with the threads that the caller's *_NUM_THREADS give it.
 """
 
 from __future__ import annotations
@@ -181,6 +190,23 @@ def _both(first, second, size):
     if future.cancel():
         return a, second()
     return a, future.result()
+
+
+def _halved(n, size):
+    """Whether a pass over n rows covering `size` elements runs as two
+    halves: its shape decides, never the CPU count."""
+    return n >= 2 and size >= _SPLIT_MIN
+
+
+def _halves(body, n, size, cut=None):
+    """[body(slice(0, n))] when the pass is not _halved, else
+    [body(slice(0, cut)), body(slice(cut, n))] through _both, cut
+    defaulting to n // 2; on one CPU the halves run one after the other
+    in the caller."""
+    if not _halved(n, size):
+        return [body(slice(0, n))]
+    cut = n // 2 if cut is None else cut
+    return list(_both(lambda: body(slice(0, cut)), lambda: body(slice(cut, n)), size))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +416,9 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
     output has a gradient: it walks the steps in reverse to fill the
     preactivation gradient of every step, adding the final state's
     gradient at each row's last step, then forms dw, du, db and dx with
-    one matmul or sum each.
+    one matmul or sum each. Each row's recurrence is its own, so the
+    forward steps and the backward walk run over two row halves once
+    B x 4H reaches _SPLIT_MIN (see _halves).
     """
     xv, uv = x.values, u.values
     H = uv.shape[0]
@@ -413,26 +441,33 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
     xw = (xs @ w.values).reshape(T, B, 4 * H)
     acts = np.empty((T, B, 4 * H), dtype=dtype)
     tcs = np.empty((T, B, H), dtype=dtype)
-    hs = np.empty((T + 1, B, H), dtype=dtype)
-    cs = np.empty((T + 1, B, H), dtype=dtype)
-    hs[0], cs[0] = state.values[:, :H], state.values[:, H:]
-    for t in range(T):
-        pre = xw[t] + hs[t] @ uv
-        pre += b.values
-        a = acts[t]
-        # sigmoid in its tanh form on every gate, then g is tanh itself
-        np.multiply(pre, 0.5, out=a)
-        np.tanh(a, out=a)
-        a += 1.0
-        a *= 0.5
-        np.tanh(pre[:, 2 * H : 3 * H], out=a[:, 2 * H : 3 * H])
-        c = np.multiply(a[:, H : 2 * H], cs[t], out=cs[t + 1])
-        c += a[:, :H] * a[:, 2 * H : 3 * H]
-        np.multiply(a[:, 3 * H :], np.tanh(c, out=tcs[t]), out=hs[t + 1])
+    # [h; c] before the first step and after each step, laid out as the state
+    states = np.empty((T + 1, B, 2 * H), dtype=dtype)
+    states[0] = state.values
+    hs, cs = states[:, :, :H], states[:, :, H:]
+
+    def forward(rows):
+        # every step of batch rows `rows`: a row's recurrence reads only that row
+        pre = None  # the first step's product allocates it, the others reuse it
+        for t in range(T):
+            pre = np.matmul(hs[t, rows], uv, out=pre)
+            pre += xw[t, rows]
+            pre += b.values
+            a = acts[t, rows]
+            # sigmoid in its tanh form on every gate, then g is tanh itself
+            np.multiply(pre, 0.5, out=a)
+            np.tanh(a, out=a)
+            a += 1.0
+            a *= 0.5
+            np.tanh(pre[:, 2 * H : 3 * H], out=a[:, 2 * H : 3 * H])
+            c = np.multiply(a[:, H : 2 * H], cs[t, rows], out=cs[t + 1, rows])
+            c += a[:, :H] * a[:, 2 * H : 3 * H]
+            np.multiply(a[:, 3 * H :], np.tanh(c, out=tcs[t, rows]), out=hs[t + 1, rows])
+
+    _halves(forward, B, B * 4 * H)
     hiddens = Tensor(np.ascontiguousarray(hs[1:].transpose(1, 0, 2)))
     # each row's state after its last step: a gather only when lengths are given
-    last = (T, slice(None)) if lengths is None else (lengths, np.arange(B))
-    final = Tensor(np.concatenate([hs[last], cs[last]], axis=1))
+    final = Tensor(states[T].copy() if lengths is None else states[lengths, np.arange(B)])
 
     def back(g_hiddens, g_final):
         # dpre = [dc', dc', dc', dh'] * fac, step by step in place
@@ -440,38 +475,54 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
         dc_per_dh = np.empty((T, B, H), dtype=dtype)
 
         def factors(steps):
+            # each product written in place, in the order of g * i * (1 - i) etc.
             i, f, g, o = (acts[steps, :, n * H : (n + 1) * H] for n in range(4))
             tc, d = tcs[steps], dpre[steps]
-            d[:, :, 0] = g * i * (1.0 - i)
-            d[:, :, 1] = cs[:-1][steps] * f * (1.0 - f)
-            d[:, :, 2] = i * (1.0 - g * g)
-            d[:, :, 3] = tc * o * (1.0 - o)
-            dc_per_dh[steps] = o * (1.0 - tc * tc)
+            one_minus = np.empty_like(tc)
+            np.multiply(g, i, out=d[:, :, 0])
+            d[:, :, 0] *= np.subtract(1.0, i, out=one_minus)
+            np.multiply(cs[:-1][steps], f, out=d[:, :, 1])
+            d[:, :, 1] *= np.subtract(1.0, f, out=one_minus)
+            np.multiply(g, g, out=one_minus)
+            np.multiply(i, np.subtract(1.0, one_minus, out=one_minus), out=d[:, :, 2])
+            np.multiply(tc, o, out=d[:, :, 3])
+            d[:, :, 3] *= np.subtract(1.0, o, out=one_minus)
+            np.multiply(tc, tc, out=one_minus)
+            np.multiply(o, np.subtract(1.0, one_minus, out=one_minus), out=dc_per_dh[steps])
 
         _both(lambda: factors(slice(0, T // 2)), lambda: factors(slice(T // 2, T)), dpre.size)
         f = acts[:, :, H : 2 * H]
-        dh, dc = np.zeros((B, H), dtype=dtype), np.zeros((B, H), dtype=dtype)
-        ends = {}  # step index -> rows whose final state is read after it
-        if g_final is not None and lengths is None:
-            dh, dc = g_final[:, :H], g_final[:, H:]
-        elif g_final is not None:
-            ends = {n - 1: np.flatnonzero(lengths == n) for n in np.unique(lengths)}
         g_steps = None if g_hiddens is None else g_hiddens.transpose(1, 0, 2)
         ut = np.ascontiguousarray(uv.T)
-        for t in range(T - 1, -1, -1):
-            if g_steps is not None:
-                dh = dh + g_steps[t]
-            rows = ends.get(t)
-            if rows is not None:
-                dh[rows] += g_final[rows, :H]
-                dc[rows] += g_final[rows, H:]
-            dc = dc + dh * dc_per_dh[t]
-            d = dpre[t]
-            d[:, :3] *= dc[:, None, :]
-            d[:, 3] *= dh
-            dh = d.reshape(B, 4 * H) @ ut
-            dc = dc * f[t]
-        _accum(state, np.concatenate([dh, dc], axis=1))
+        dstate = np.empty((B, 2 * H), dtype=dtype)
+
+        def walk(rows):
+            # the steps in reverse for batch rows `rows`, each on its own dh and dc
+            n = dstate[rows].shape[0]
+            dh, dc = np.zeros((n, H), dtype=dtype), np.zeros((n, H), dtype=dtype)
+            ends = {}  # step index -> rows whose final state is read after it
+            if g_final is not None and lengths is None:
+                dh, dc = g_final[rows, :H], g_final[rows, H:]
+            elif g_final is not None:
+                g_rows, lens = g_final[rows], lengths[rows]
+                ends = {k - 1: np.flatnonzero(lens == k) for k in np.unique(lens)}
+            for t in range(T - 1, -1, -1):
+                if g_steps is not None:
+                    dh = dh + g_steps[t, rows]
+                last = ends.get(t)
+                if last is not None:
+                    dh[last] += g_rows[last, :H]
+                    dc[last] += g_rows[last, H:]
+                dc = dc + dh * dc_per_dh[t, rows]
+                d = dpre[t, rows]
+                d[:, :3] *= dc[:, None, :]
+                d[:, 3] *= dh
+                dh = d.reshape(n, 4 * H) @ ut
+                dc = dc * f[t, rows]
+            dstate[rows, :H], dstate[rows, H:] = dh, dc
+
+        _halves(walk, B, B * 4 * H)
+        _accum(state, dstate)
         flat = dpre.reshape(T * B, 4 * H)
         (du, db), (dw, dx) = _both(
             lambda: (hs[:-1].reshape(T * B, H).T @ flat, flat.sum(axis=0)),
@@ -702,12 +753,13 @@ def linear_softmax_cross_entropy(h: Tensor, w: Tensor, b: Tensor, targets: np.nd
     for start in range(0, rows.size, block):
         r = rows[start : start + block]
         hk, z = hv[r], buf[: r.size]
-        np.matmul(hk, wv, out=z)
 
         def softmax_rows(part):
-            # rows `part` of the block: shift, exp and loss, then under a
-            # tape (softmax - onehot) * mask in place over their exp
+            # rows `part` of the block: projection, bias, shift, exp and
+            # loss, then under a tape (softmax - onehot) * mask in place
+            # over their exp
             zp, rp = z[part], r[part]
+            np.matmul(hk[part], wv, out=zp)
             zp += b.values
             zp -= zp.max(axis=1, keepdims=True)
             kept, tk = np.arange(rp.size), targets[rp]
@@ -720,9 +772,7 @@ def linear_softmax_cross_entropy(h: Tensor, w: Tensor, b: Tensor, targets: np.nd
                 e *= (weight / sums)[:, None]
                 e[kept, tk] -= weight
 
-        half = r.size // 2
-        _both(lambda: softmax_rows(slice(0, half)), lambda: softmax_rows(slice(half, r.size)),
-              z.size)
+        _halves(softmax_rows, r.size, z.size)
         if grad:
             def dh_db():
                 dh[r] = z @ wv.T

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import autograd
 from .autograd import (
     AttentionMask,
     Tensor,
@@ -180,13 +181,24 @@ def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
     Per reply the bias is copied once with -inf at PAD and BOS; per token
     only the recurrence runs: the cell's `step` over the (B, 1, E) embedding
     rows of the last ids (argmax ids, in range by construction), `attend`
-    on its hiddens, and logits = feed @ W + bias. Finished rows are fed
-    PAD. Per-reply work, such as checking the encoder mask, belongs in
-    `attend`'s construction."""
+    on its hiddens, and logits = feed @ W + bias with their argmax, over
+    two row halves through autograd._halves when B x V logits are enough
+    to pay for it. Finished rows are fed PAD. Per-reply work, such as
+    checking the encoder mask, belongs in `attend`'s construction."""
     B = init.values.shape[0]
     table, W = embedding.table.values, proj.W.values
     bias = proj.b.values.copy()
     bias[[PAD_ID, BOS_ID]] = -np.inf
+    split = autograd._halved(B, B * W.shape[1])
+    if split:
+        logits = np.empty((B, W.shape[1]), dtype=W.dtype)
+        best = np.empty(B, dtype=np.intp)
+
+        def argmax_rows(rows):
+            # rows `rows` of this token's feed
+            z = np.matmul(feed[rows], W, out=logits[rows])
+            z += bias
+            z.argmax(axis=1, out=best[rows])
     state = init
     current = np.full((B, 1), BOS_ID, dtype=np.int64)
     tokens = np.empty((B, max_len), dtype=np.int64)
@@ -195,9 +207,13 @@ def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
     for step in range(max_len):
         hiddens, state = cell.step(Tensor(table[current]), state)
         feed = hiddens.values.reshape(B, -1) if attend is None else attend(hiddens).values
-        logits = feed @ W
-        logits += bias
-        chosen = np.where(finished, PAD_ID, logits.argmax(axis=1))
+        if split:
+            autograd._halves(argmax_rows, B, logits.size)
+        else:
+            logits = feed @ W
+            logits += bias
+            best = logits.argmax(axis=1)
+        chosen = np.where(finished, PAD_ID, best)
         tokens[:, step] = chosen
         # only non-finite logits pick the banned PAD or BOS: they end a reply too
         ended = ~finished & (chosen <= EOS_ID)

@@ -61,11 +61,12 @@ def peak_traced_bytes(fn):
     return traced_bytes(fn)[2]
 
 
-def run_on_cpus(n, fn):
+def run_on_cpus(n, fn, split_min=0):
     """(fn(), one flag per `second` thunk of autograd._both: whether it ran
     on the worker thread), with _both acting as on an n-CPU host and
-    splitting at any size. With n > 1, each `first` starts only once the
-    worker has taken `second`, so the two always overlap."""
+    _SPLIT_MIN set to `split_min` (by default every pass splits). With
+    n > 1, each `first` of a split starts only once the worker has taken
+    `second`, so the two always overlap."""
     both, on_worker = aem.autograd._both, []
 
     def spied(first, second, size):
@@ -80,11 +81,12 @@ def run_on_cpus(n, fn):
             assert taken.wait(timeout=10)
             return first()
 
-        return both(first_once_taken if n > 1 else first, second_where, size)
+        splits = n > 1 and size >= split_min
+        return both(first_once_taken if splits else first, second_where, size)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(aem.autograd, "_cpus", lambda: n)
-        mp.setattr(aem.autograd, "_SPLIT_MIN", 0)
+        mp.setattr(aem.autograd, "_SPLIT_MIN", split_min)
         mp.setattr(aem.autograd, "_both", spied)
         return fn(), on_worker
 
@@ -100,6 +102,30 @@ def assert_same_bits_on_one_and_two_cpus(fn):
     for a, b in zip(one, two):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+def assert_halves_equal_whole(fn):
+    """fn() returns a list of arrays: they must be byte-equal whether every
+    pass runs whole (_SPLIT_MIN above any size) or the passes that the
+    real _SPLIT_MIN admits run as two halves. Returns the sizes of the
+    passes that split."""
+    both, sizes = aem.autograd._both, []
+
+    def counted(first, second, size):
+        if size >= aem.autograd._SPLIT_MIN:
+            sizes.append(size)
+        return both(first, second, size)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aem.autograd, "_both", counted)
+        halves = fn()
+        mp.setattr(aem.autograd, "_SPLIT_MIN", 1 << 62)
+        whole = fn()
+    assert len(whole) == len(halves)
+    for a, b in zip(whole, halves):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    return sizes
 
 
 def toy_pairs():

@@ -41,8 +41,8 @@ from aem.autograd import (
     tanh,
 )
 from aem.gradcheck import check_gradients
-from helpers import (assert_same_bits_on_one_and_two_cpus, composite_attention, composite_lstm,
-                     peak_traced_bytes, run_on_cpus)
+from helpers import (assert_halves_equal_whole, assert_same_bits_on_one_and_two_cpus,
+                     composite_attention, composite_lstm, peak_traced_bytes, run_on_cpus)
 
 RNG = np.random.default_rng(20240815)
 
@@ -615,7 +615,9 @@ def test_lstm_sequence_float32_forward_bit_equal_to_composite():
                                          (np.array([7, 3, 1, 5, 7]), "both"),
                                          (np.array([2, 3, 1, 5, 6]), "final")])
 def test_lstm_sequence_backward_same_bits_on_one_and_two_cpus(lengths, on):
-    B, T, E, H = 5, 7, 6, 8  # an odd step count: halves of 3 and 4 steps
+    # odd counts: the gate factors run steps 0-2 and 3-6, the forward
+    # recurrence and the backward walk rows 0-1 and 2-4
+    B, T, E, H = 5, 7, 6, 8
     leaves = [Tensor(RNG.uniform(-0.5, 0.5, shape).astype(np.float32))
               for shape in ((B, T, E), (B, 2 * H), (E, 4 * H), (H, 4 * H), (4 * H,))]
     wh, wf = (Tensor(RNG.standard_normal(shape).astype(np.float32))
@@ -630,9 +632,54 @@ def test_lstm_sequence_backward_same_bits_on_one_and_two_cpus(lengths, on):
                 + ([sum_all(mul(final, wf))] if on != "hiddens" else [])
             loss = parts[0] if len(parts) == 1 else add(*parts)
         backward(tape, loss)
-        return [t.grad.copy() for t in leaves]
+        return [hiddens.values, final.values] + [t.grad.copy() for t in leaves]
 
     assert_same_bits_on_one_and_two_cpus(run)
+
+
+def test_lstm_sequence_halves_equal_whole_at_benchmark_shape():
+    """The forward recurrence and the backward walk over row halves of
+    B = 256 (H = 128, E = 64, the vocab_bound training shape) write the
+    bytes of the whole pass. This pins the row-partition invariance of
+    numpy's BLAS (OpenBLAS in numpy's wheels) at the smallest halves the
+    floor admits."""
+    B, T, E, H = 256, 5, 64, 128
+    leaves = [Tensor(RNG.uniform(-0.5, 0.5, shape).astype(np.float32))
+              for shape in ((B, T, E), (B, 2 * H), (E, 4 * H), (H, 4 * H), (4 * H,))]
+    wh, wf = (Tensor(RNG.standard_normal(shape).astype(np.float32))
+              for shape in ((B, T, H), (B, 2 * H)))
+
+    def run(lengths):
+        for t in leaves:
+            t.grad = None
+        with Tape() as tape:
+            hiddens, final = lstm_sequence(*leaves, lengths)
+            loss = add(sum_all(mul(hiddens, wh)), sum_all(mul(final, wf)))
+        backward(tape, loss)
+        return [hiddens.values, final.values] + [t.grad.copy() for t in leaves]
+
+    for lengths in (None, RNG.integers(1, T + 1, B)):
+        sizes = assert_halves_equal_whole(lambda: run(lengths))
+        assert sizes.count(B * 4 * H) == 2  # the forward and the backward walk
+
+
+def test_linear_cross_entropy_halves_equal_whole_at_benchmark_shape():
+    """A 1398-row block at V = 3000 (one block of the vocab_bound head)
+    projects, and forms its loss and gradients, in row halves with the
+    bytes of the whole block. This pins the row-partition invariance of
+    numpy's BLAS (OpenBLAS in numpy's wheels) at a shape the floor
+    admits."""
+    n, v = 1398, 3000
+    assert aem.autograd._BLOCK_LOGITS // v == n
+    targets = RNG.integers(0, v, n)
+    mask = np.ones(n)
+    h, w, b = head_case(n=n, hdim=128, v=v, dtype=np.float32)
+
+    def run():
+        loss, _, *grads = head_grads(linear_softmax_cross_entropy, h, w, b, targets, mask)
+        return [np.float32(loss)] + grads
+
+    assert n * v in assert_halves_equal_whole(run)
 
 
 def test_lstm_sequence_shape_errors():

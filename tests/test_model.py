@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+import aem.autograd
 import aem.layers
 from aem.autograd import Tape, Tensor, attention_sequence, backward
 from aem.config import MODEL_KINDS
 from aem.data import DialoguePair, pairs_to_batch
 from aem.layers import LuongAttention, greedy_decode
 from aem.model import DialogueModel, LossBreakdown, build_baseline, total_loss
-from helpers import assert_same_bits_on_one_and_two_cpus, tiny_config, toy_batch, toy_pairs
+from helpers import (assert_halves_equal_whole, assert_same_bits_on_one_and_two_cpus, run_on_cpus,
+                     tiny_config, toy_batch, toy_pairs)
 
 
 def zero_projections(model):
@@ -164,6 +166,55 @@ def test_train_steps_same_bits_on_one_and_two_cpus(kind):
             moments[name] for moments in (adam.m, adam.v) for name in model.store.names()]
 
     assert_same_bits_on_one_and_two_cpus(run)
+
+
+@pytest.mark.parametrize("kind", ["seq2seq", "aem_attention"])
+def test_generate_same_bits_on_one_and_two_cpus(kind):
+    # five sources: the encoder and every greedy token run rows 0-1 and 2-4
+    model = DialogueModel(kind, tiny_config(kind=kind, vocab_size=12))
+    sources = [[4, 5, 6], [7], [8, 9, 10, 11], [5, 5], [6, 11, 4]]
+
+    def run():
+        replies = model.generate(sources, max_len=6)
+        assert any(replies)
+        return [np.array(reply, dtype=np.int64) for reply in replies]
+
+    assert_same_bits_on_one_and_two_cpus(run)
+
+
+@pytest.mark.parametrize("kind", ["seq2seq", "aem_attention"])
+def test_generate_halves_equal_whole_at_benchmark_shape(kind):
+    """256 sources at H = 128, E = 64, V = 3000 (`aem generate` in the
+    benchmark): the encoder recurrence and each token's logits and argmax
+    over row halves pick the ids of the whole pass. This pins the
+    row-partition invariance of numpy's BLAS (OpenBLAS in numpy's wheels)
+    at shapes the floor admits."""
+    config = tiny_config(kind=kind, hidden_size=128, embed_size=64, vocab_size=3000,
+                         batch_size=256)
+    model = DialogueModel(kind, config)
+    rng = np.random.default_rng(11)
+    sources = [rng.integers(3, 3000, rng.integers(4, 9)).tolist() for _ in range(256)]
+
+    def run():
+        return [np.array(reply, dtype=np.int64) for reply in model.generate(sources, max_len=6)]
+
+    sizes = assert_halves_equal_whole(run)
+    assert 256 * 4 * 128 in sizes and 256 * 3000 in sizes
+
+
+def test_one_source_generate_and_tiny_train_step_send_nothing_to_the_worker():
+    # at the real _SPLIT_MIN these passes are too small to pay for the
+    # worker: they run whole in the caller, even where two CPUs are free
+    def run():
+        for kind in MODEL_KINDS:
+            model = DialogueModel(kind, tiny_config(kind=kind))
+            model.train_step(toy_batch(), model.make_optimizer())
+            big = DialogueModel(kind, tiny_config(kind=kind, hidden_size=128, embed_size=64,
+                                                  vocab_size=3000))
+            big.generate([[4, 5, 6, 7]], max_len=4)
+
+    _, on_worker = run_on_cpus(2, run, split_min=aem.autograd._SPLIT_MIN)
+    assert not any(on_worker)
 
 
 def test_identity_aem_matches_seq2seq_trajectory():
