@@ -22,24 +22,25 @@ lerp_mask, which the model no longer runs, stays for the last two.
 
 Row-independent passes use a second CPU through one worker thread (see
 `_both`), which the first pass that splits starts when the process may
-run on more than one CPU. A pass runs as two halves when its shape says
-it pays for it (`_halves`): at least _SPLIT_MIN elements per step and
-two rows. That covers B x 4H gate values for each step of the
+run on more than one CPU. A pass runs as two row halves when its shape
+says it pays for it (`_halves`): at least _SPLIT_MIN elements per step
+and four rows. That covers B x 4H gate values for each step of the
 `lstm_sequence` forward recurrence and of its backward walk, rows x V
 logits for each `linear_softmax_cross_entropy` block (its projection,
-bias, shift, exp, loss and (P - onehot) passes), B x V logits for each
-greedy token (`layers.greedy_decode`) and the parameter values for
-`optim`'s Adam update and gradient clipping. Below the floor the pass
+bias, shift, exp, loss and (P - onehot) passes) and B x V logits for
+each greedy token (`layers.greedy_decode`). Below the floor the pass
 runs whole; on one CPU its halves run one after the other in the
 caller. Three pairs of work are always formed as the same two parts and
 only placed by `_both`: the gate factors of `lstm_sequence` backward
 over two halves of the steps, then du and db beside dw and dx, and
 under a tape each head block's dh and db beside dw. Each half does the
-same arithmetic on its own rows, steps or parameters and every sum keeps
-its order, so outputs do not depend on the CPU count; a BLAS product
-over row halves equals the whole product at the shapes the floor admits
-(the tests pin this at the benchmark shapes). Each BLAS call still runs
-with the threads that the caller's *_NUM_THREADS give it.
+same arithmetic on its own rows or steps and every sum keeps its order,
+so outputs do not depend on the CPU count. Whether they equal an
+unsplit run's depends on the BLAS: OpenBLAS picks its kernel by shape,
+and a product over row halves can differ from the whole product in the
+last bits. The tests pin halves == whole for numpy's OpenBLAS at the
+benchmark shapes and at the default hidden size. Each BLAS call still
+runs with the threads that the caller's *_NUM_THREADS give it.
 """
 
 from __future__ import annotations
@@ -192,21 +193,18 @@ def _both(first, second, size):
     return a, future.result()
 
 
-def _halved(n, size):
-    """Whether a pass over n rows covering `size` elements runs as two
-    halves: its shape decides, never the CPU count."""
-    return n >= 2 and size >= _SPLIT_MIN
-
-
-def _halves(body, n, size, cut=None):
-    """[body(slice(0, n))] when the pass is not _halved, else
-    [body(slice(0, cut)), body(slice(cut, n))] through _both, cut
-    defaulting to n // 2; on one CPU the halves run one after the other
-    in the caller."""
-    if not _halved(n, size):
-        return [body(slice(0, n))]
-    cut = n // 2 if cut is None else cut
-    return list(_both(lambda: body(slice(0, cut)), lambda: body(slice(cut, n)), size))
+def _halves(body, n, size):
+    """Runs body(rows) over slice(0, n // 2) and slice(n // 2, n) through
+    _both when n rows covering `size` elements pay for a split, else
+    body(slice(0, n)) once. The shape decides, never the CPU count; on one
+    CPU the halves run one after the other in the caller. Each half gets
+    two rows or more, since numpy runs a one-row product through gemv,
+    whose sums differ from the whole product's gemm."""
+    if n < 4 or size < _SPLIT_MIN:
+        body(slice(0, n))
+        return
+    half = n // 2
+    _both(lambda: body(slice(0, half)), lambda: body(slice(half, n)), size)
 
 
 # ---------------------------------------------------------------------------
@@ -441,33 +439,32 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
     xw = (xs @ w.values).reshape(T, B, 4 * H)
     acts = np.empty((T, B, 4 * H), dtype=dtype)
     tcs = np.empty((T, B, H), dtype=dtype)
-    # [h; c] before the first step and after each step, laid out as the state
-    states = np.empty((T + 1, B, 2 * H), dtype=dtype)
-    states[0] = state.values
-    hs, cs = states[:, :, :H], states[:, :, H:]
+    hs = np.empty((T + 1, B, H), dtype=dtype)
+    cs = np.empty((T + 1, B, H), dtype=dtype)
+    hs[0], cs[0] = state.values[:, :H], state.values[:, H:]
 
     def forward(rows):
         # every step of batch rows `rows`: a row's recurrence reads only that row
-        pre = None  # the first step's product allocates it, the others reuse it
+        h, c, xr, ar, tc = hs[:, rows], cs[:, rows], xw[:, rows], acts[:, rows], tcs[:, rows]
         for t in range(T):
-            pre = np.matmul(hs[t, rows], uv, out=pre)
-            pre += xw[t, rows]
+            pre = xr[t] + h[t] @ uv
             pre += b.values
-            a = acts[t, rows]
+            a = ar[t]
             # sigmoid in its tanh form on every gate, then g is tanh itself
             np.multiply(pre, 0.5, out=a)
             np.tanh(a, out=a)
             a += 1.0
             a *= 0.5
             np.tanh(pre[:, 2 * H : 3 * H], out=a[:, 2 * H : 3 * H])
-            c = np.multiply(a[:, H : 2 * H], cs[t, rows], out=cs[t + 1, rows])
-            c += a[:, :H] * a[:, 2 * H : 3 * H]
-            np.multiply(a[:, 3 * H :], np.tanh(c, out=tcs[t, rows]), out=hs[t + 1, rows])
+            ct = np.multiply(a[:, H : 2 * H], c[t], out=c[t + 1])
+            ct += a[:, :H] * a[:, 2 * H : 3 * H]
+            np.multiply(a[:, 3 * H :], np.tanh(ct, out=tc[t]), out=h[t + 1])
 
     _halves(forward, B, B * 4 * H)
     hiddens = Tensor(np.ascontiguousarray(hs[1:].transpose(1, 0, 2)))
     # each row's state after its last step: a gather only when lengths are given
-    final = Tensor(states[T].copy() if lengths is None else states[lengths, np.arange(B)])
+    last = (T, slice(None)) if lengths is None else (lengths, np.arange(B))
+    final = Tensor(np.concatenate([hs[last], cs[last]], axis=1))
 
     def back(g_hiddens, g_final):
         # dpre = [dc', dc', dc', dh'] * fac, step by step in place
@@ -475,20 +472,13 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
         dc_per_dh = np.empty((T, B, H), dtype=dtype)
 
         def factors(steps):
-            # each product written in place, in the order of g * i * (1 - i) etc.
             i, f, g, o = (acts[steps, :, n * H : (n + 1) * H] for n in range(4))
             tc, d = tcs[steps], dpre[steps]
-            one_minus = np.empty_like(tc)
-            np.multiply(g, i, out=d[:, :, 0])
-            d[:, :, 0] *= np.subtract(1.0, i, out=one_minus)
-            np.multiply(cs[:-1][steps], f, out=d[:, :, 1])
-            d[:, :, 1] *= np.subtract(1.0, f, out=one_minus)
-            np.multiply(g, g, out=one_minus)
-            np.multiply(i, np.subtract(1.0, one_minus, out=one_minus), out=d[:, :, 2])
-            np.multiply(tc, o, out=d[:, :, 3])
-            d[:, :, 3] *= np.subtract(1.0, o, out=one_minus)
-            np.multiply(tc, tc, out=one_minus)
-            np.multiply(o, np.subtract(1.0, one_minus, out=one_minus), out=dc_per_dh[steps])
+            d[:, :, 0] = g * i * (1.0 - i)
+            d[:, :, 1] = cs[:-1][steps] * f * (1.0 - f)
+            d[:, :, 2] = i * (1.0 - g * g)
+            d[:, :, 3] = tc * o * (1.0 - o)
+            dc_per_dh[steps] = o * (1.0 - tc * tc)
 
         _both(lambda: factors(slice(0, T // 2)), lambda: factors(slice(T // 2, T)), dpre.size)
         f = acts[:, :, H : 2 * H]
@@ -506,19 +496,21 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
             elif g_final is not None:
                 g_rows, lens = g_final[rows], lengths[rows]
                 ends = {k - 1: np.flatnonzero(lens == k) for k in np.unique(lens)}
+            gs = None if g_steps is None else g_steps[:, rows]
+            per_dh, dp, fr = dc_per_dh[:, rows], dpre[:, rows], f[:, rows]
             for t in range(T - 1, -1, -1):
-                if g_steps is not None:
-                    dh = dh + g_steps[t, rows]
+                if gs is not None:
+                    dh = dh + gs[t]
                 last = ends.get(t)
                 if last is not None:
                     dh[last] += g_rows[last, :H]
                     dc[last] += g_rows[last, H:]
-                dc = dc + dh * dc_per_dh[t, rows]
-                d = dpre[t, rows]
+                dc = dc + dh * per_dh[t]
+                d = dp[t]
                 d[:, :3] *= dc[:, None, :]
                 d[:, 3] *= dh
                 dh = d.reshape(n, 4 * H) @ ut
-                dc = dc * f[t, rows]
+                dc = dc * fr[t]
             dstate[rows, :H], dstate[rows, H:] = dh, dc
 
         _halves(walk, B, B * 4 * H)

@@ -189,16 +189,15 @@ def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
     table, W = embedding.table.values, proj.W.values
     bias = proj.b.values.copy()
     bias[[PAD_ID, BOS_ID]] = -np.inf
-    split = autograd._halved(B, B * W.shape[1])
-    if split:
-        logits = np.empty((B, W.shape[1]), dtype=W.dtype)
-        best = np.empty(B, dtype=np.intp)
+    logits = np.empty((B, W.shape[1]), dtype=W.dtype)
+    best = np.empty(B, dtype=np.intp)
 
-        def argmax_rows(rows):
-            # rows `rows` of this token's feed
-            z = np.matmul(feed[rows], W, out=logits[rows])
-            z += bias
-            z.argmax(axis=1, out=best[rows])
+    def argmax_rows(rows):
+        # rows `rows` of this token's feed
+        z = np.matmul(feed[rows], W, out=logits[rows])
+        z += bias
+        z.argmax(axis=1, out=best[rows])
+
     state = init
     current = np.full((B, 1), BOS_ID, dtype=np.int64)
     tokens = np.empty((B, max_len), dtype=np.int64)
@@ -207,12 +206,7 @@ def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
     for step in range(max_len):
         hiddens, state = cell.step(Tensor(table[current]), state)
         feed = hiddens.values.reshape(B, -1) if attend is None else attend(hiddens).values
-        if split:
-            autograd._halves(argmax_rows, B, logits.size)
-        else:
-            logits = feed @ W
-            logits += bias
-            best = logits.argmax(axis=1)
+        autograd._halves(argmax_rows, B, logits.size)
         chosen = np.where(finished, PAD_ID, best)
         tokens[:, step] = chosen
         # only non-finite logits pick the banned PAD or BOS: they end a reply too

@@ -1,31 +1,10 @@
-"""Adam optimizer and gradient clipping.
-
-Both run over the parameters as two groups of about equal size, through
-autograd._halves: the groups are updated or summed on two CPUs when the
-store holds enough values to pay for it. Every parameter's arithmetic is
-its own, and the clipping norm adds the per-parameter sums in store
-order, so results do not depend on the split.
-"""
+"""Adam optimizer and gradient clipping."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import autograd
 from .params import ParamStore
-
-
-def _groups(store: ParamStore):
-    """(items, cut, values): the store's (name, Tensor) items, checked to
-    have gradients, with items[:cut] and items[cut:] as near equal in
-    value count as whole parameters allow, and the total value count."""
-    items = list(store.items())
-    for name, p in items:
-        if p.grad is None:
-            raise ValueError(f"parameter {name!r} has no gradient")
-    ends = np.cumsum([0] + [p.values.size for _, p in items])  # values in items[:k]
-    cut = int(np.abs(2 * ends - ends[-1]).argmin())
-    return items, cut, int(ends[-1])
 
 
 class Adam:
@@ -48,35 +27,22 @@ class Adam:
         self.v = {name: np.zeros_like(p.values) for name, p in store.items()}
 
     def step(self) -> None:
-        items, cut, values = _groups(self.store)
+        for name, p in self.store.items():
+            if p.grad is None:
+                raise ValueError(f"parameter {name!r} has no gradient")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-
-        def update(part):
-            # lr * (m / bc1) / (sqrt(v / bc2) + epsilon) through two
-            # temporaries per parameter, operation by operation
-            for name, p in items[part]:
-                g = p.grad
-                m = self.m[name]
-                v = self.v[name]
-                step = np.multiply(g, 1.0 - self.beta1)
-                m *= self.beta1
-                m += step
-                np.multiply(g, g, out=step)
-                step *= 1.0 - self.beta2
-                v *= self.beta2
-                v += step
-                np.divide(m, bc1, out=step)
-                step *= self.lr
-                denom = np.divide(v, bc2)
-                np.sqrt(denom, out=denom)
-                denom += self.epsilon
-                step /= denom
-                p.values -= step
-                g[...] = 0.0
-
-        autograd._halves(update, len(items), values, cut)
+        for name, p in self.store.items():
+            g = p.grad
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+            g[...] = 0.0
 
 
 def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
@@ -84,22 +50,14 @@ def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
     Returns the pre-clip norm."""
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    items, cut, values = _groups(store)
-
-    def squares(part):
-        return [float((p.grad.astype(np.float64) ** 2).sum()) for _, p in items[part]]
-
     total = 0.0
-    for group in autograd._halves(squares, len(items), values, cut):
-        for s in group:
-            total += s
+    for name, p in store.items():
+        if p.grad is None:
+            raise ValueError(f"parameter {name!r} has no gradient")
+        total += float((p.grad.astype(np.float64) ** 2).sum())
     norm = float(np.sqrt(total))
     if norm > max_norm:
         factor = max_norm / norm
-
-        def scale(part):
-            for _, p in items[part]:
-                p.grad *= factor
-
-        autograd._halves(scale, len(items), values, cut)
+        for _, p in store.items():
+            p.grad *= factor
     return norm

@@ -637,13 +637,16 @@ def test_lstm_sequence_backward_same_bits_on_one_and_two_cpus(lengths, on):
     assert_same_bits_on_one_and_two_cpus(run)
 
 
-def test_lstm_sequence_halves_equal_whole_at_benchmark_shape():
-    """The forward recurrence and the backward walk over row halves of
-    B = 256 (H = 128, E = 64, the vocab_bound training shape) write the
-    bytes of the whole pass. This pins the row-partition invariance of
-    numpy's BLAS (OpenBLAS in numpy's wheels) at the smallest halves the
-    floor admits."""
-    B, T, E, H = 256, 5, 64, 128
+@pytest.mark.parametrize("B, H", [(256, 128), (64, 512)], ids=["benchmark", "default_hidden"])
+def test_lstm_sequence_halves_equal_whole(B, H):
+    """The forward recurrence and the backward walk over row halves write
+    the bytes of the whole pass, at the vocab_bound training shape
+    (B = 256, H = 128) and at the default H = 512 with the fewest rows
+    the floor splits there (B = 64: halves of 32 rows). This pins the
+    row-partition invariance of numpy's BLAS (OpenBLAS in numpy's wheels)
+    at these shapes; OpenBLAS picks kernels by shape, so it does not hold
+    for every shape."""
+    T, E = 5, 64
     leaves = [Tensor(RNG.uniform(-0.5, 0.5, shape).astype(np.float32))
               for shape in ((B, T, E), (B, 2 * H), (E, 4 * H), (H, 4 * H), (4 * H,))]
     wh, wf = (Tensor(RNG.standard_normal(shape).astype(np.float32))
@@ -853,6 +856,17 @@ def test_both_on_one_cpu_starts_no_thread(monkeypatch):
     result, on_worker = run_on_cpus(1, lambda: aem.autograd._both(lambda: 1, lambda: 2, 0))
     assert result == (1, 2) and on_worker == [False]
     assert aem.autograd._WORKER is None and threading.active_count() == threads
+
+
+def test_halves_split_only_at_the_floor_and_four_rows():
+    # a one-row half would run through gemv: two or three rows stay whole
+    floor = aem.autograd._SPLIT_MIN
+    for n, size, want in ((2, floor, [(0, 2)]), (3, floor, [(0, 3)]),
+                          (4, floor - 1, [(0, 4)]), (4, floor, [(0, 2), (2, 4)]),
+                          (5, floor, [(0, 2), (2, 5)])):
+        seen = []
+        aem.autograd._halves(lambda rows: seen.append((rows.start, rows.stop)), n, size)
+        assert sorted(seen) == want
 
 
 TESTS = Path(__file__).resolve().parent

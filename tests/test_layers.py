@@ -17,7 +17,8 @@ from aem.layers import (
     shifted_inputs,
 )
 from aem.params import ParamStore, uniform_init
-from helpers import composite_attention, composite_lstm, composite_lstm_step
+from helpers import (assert_halves_equal_whole, composite_attention, composite_lstm,
+                     composite_lstm_step)
 
 RNG = np.random.default_rng(7)
 
@@ -355,6 +356,44 @@ def test_greedy_decode_non_finite_logits_end_the_reply():
     proj.W.values[:] = np.nan
     init = Tensor(RNG.standard_normal((2, 8)))
     assert greedy_decode(cell, emb, proj, init, max_len=5) == [[], []]
+
+
+def test_greedy_decode_two_row_halves_equal_whole_at_default_size(monkeypatch):
+    """Four sources at the default sizes (H = 512, E = 64, V = 40000):
+    each token's 4 x V logits reach the floor, so its product runs as two
+    halves of two rows, the fewest the split makes. Every logits row and
+    every id equal the whole pass's (numpy's OpenBLAS at this shape)."""
+    V, E, H = 40000, 64, 512
+    store = ParamStore(np.float32)
+    cell, emb = LSTMCell(store, "cell", E, H), Embedding(store, "emb", V, E)
+    proj = OutputProjection(store, "proj", H, V)
+    rng = np.random.default_rng(5)
+    for _, p in store.items():
+        rng.standard_normal(p.shape, dtype=np.float32, out=p.values)
+        p.values *= 0.1
+    init = Tensor(rng.standard_normal((4, 2 * H), dtype=np.float32))
+    products = []  # the bytes of every logits row the decoder's matmul writes
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(*args, **kwargs):
+            z = np.matmul(*args, **kwargs)
+            products.extend(row.tobytes() for row in z)
+            return z
+
+    monkeypatch.setattr(aem.layers, "np", RecordingNumpy())
+
+    def run():
+        products.clear()
+        replies = greedy_decode(cell, emb, proj, init, max_len=3)
+        # the halves may finish in either order: compare the rows as a set
+        return [np.frombuffer(b"".join(sorted(products)), dtype=np.uint8)] + [
+            np.array(reply, dtype=np.int64) for reply in replies]
+
+    assert assert_halves_equal_whole(run) == [4 * V] * 3
 
 
 def test_float32_sequences_and_greedy_ids_bit_equal_to_composite(monkeypatch):

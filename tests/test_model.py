@@ -188,7 +188,7 @@ def test_generate_halves_equal_whole_at_benchmark_shape(kind):
     benchmark): the encoder recurrence and each token's logits and argmax
     over row halves pick the ids of the whole pass. This pins the
     row-partition invariance of numpy's BLAS (OpenBLAS in numpy's wheels)
-    at shapes the floor admits."""
+    at these shapes."""
     config = tiny_config(kind=kind, hidden_size=128, embed_size=64, vocab_size=3000,
                          batch_size=256)
     model = DialogueModel(kind, config)

@@ -3,7 +3,6 @@ import pytest
 
 from aem.optim import Adam, clip_grad_norm
 from aem.params import ParamStore, uniform_init
-from helpers import assert_halves_equal_whole, assert_same_bits_on_one_and_two_cpus
 
 
 def store_with(name="w", shape=(1,), dtype=np.float64):
@@ -101,43 +100,6 @@ def test_clip_rejects_bad_max_norm():
     store["w"].grad = np.zeros(1)
     with pytest.raises(ValueError):
         clip_grad_norm(store, 0.0)
-
-
-def adam_and_clip(shapes):
-    """Three rounds of random float32 grads, clip_grad_norm and Adam.step
-    over a store of `shapes`, as a function returning [the norms, then
-    every parameter, first and second moment]."""
-    def run():
-        store = ParamStore(np.float32)
-        for name, shape in shapes.items():
-            store.add(name, shape)
-        uniform_init(store, -1.0, 1.0, seed=4)
-        adam = Adam(store, lr=0.05)
-        rng = np.random.default_rng(9)
-        norms = []
-        for max_norm in (0.5, 1e4, 2.0):
-            for _, p in store.items():
-                p.grad = rng.standard_normal(p.shape).astype(np.float32)
-            norms.append(clip_grad_norm(store, max_norm))
-            adam.step()
-        assert norms[0] > 0.5 and norms[1] < 1e4 and norms[2] > 2.0  # clipped, not, clipped
-        return [np.array(norms)] + [p.values for _, p in store.items()] + [
-            moments[name] for moments in (adam.m, adam.v) for name in store.names()]
-
-    return run
-
-
-def test_adam_and_clip_same_bits_on_one_and_two_cpus():
-    # five parameters of 24, 6, 20, 4 and 30 values: groups of 50 and 34
-    shapes = {"a": (4, 6), "b": (6,), "c": (5, 4), "d": (4,), "e": (3, 10)}
-    assert_same_bits_on_one_and_two_cpus(adam_and_clip(shapes))
-
-
-def test_adam_and_clip_halves_equal_whole():
-    # 137 056 values, above the real _SPLIT_MIN: groups of a and of b, c
-    shapes = {"a": (300, 256), "b": (256,), "c": (200, 300)}
-    # per round the squared sums and the update, and the scaling when clipped
-    assert assert_halves_equal_whole(adam_and_clip(shapes)) == [137056] * 8
 
 
 def test_uniform_init_bounds_and_determinism():

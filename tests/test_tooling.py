@@ -93,8 +93,8 @@ def test_every_call_the_tracer_wraps_runs_on_the_main_thread():
             for kind in MODEL_KINDS:
                 model = DialogueModel(kind, tiny_config(kind=kind))
                 model.train_step(toy_batch(), model.make_optimizer())
-                # three sources: both halves of every greedy token run
-                model.generate([[4, 5, 6], [5, 4], [6]])
+                # four sources: both halves of every greedy token run
+                model.generate([[4, 5, 6], [5, 4], [6], [4, 4]])
         finally:
             patches.undo()
         return tracer
