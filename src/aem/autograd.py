@@ -28,19 +28,20 @@ and four rows. That covers B x 4H gate values for each step of the
 `lstm_sequence` forward recurrence and of its backward walk, rows x V
 logits for each `linear_softmax_cross_entropy` block (its projection,
 bias, shift, exp, loss and (P - onehot) passes) and B x V logits for
-each greedy token (`layers.greedy_decode`). Below the floor the pass
-runs whole; on one CPU its halves run one after the other in the
-caller. Three pairs of work are always formed as the same two parts and
-only placed by `_both`: the gate factors of `lstm_sequence` backward
-over two halves of the steps, then du and db beside dw and dx, and
-under a tape each head block's dh and db beside dw. Each half does the
-same arithmetic on its own rows or steps and every sum keeps its order,
-so outputs do not depend on the CPU count. Whether they equal an
-unsplit run's depends on the BLAS: OpenBLAS picks its kernel by shape,
-and a product over row halves can differ from the whole product in the
-last bits. The tests pin halves == whole for numpy's OpenBLAS at the
-benchmark shapes and at the default hidden size. Each BLAS call still
-runs with the threads that the caller's *_NUM_THREADS give it.
+each greedy token (`layers.greedy_decode`); the elementwise gate factors
+of `lstm_sequence` backward split the same way over halves of the steps
+(T x B x 4H values, four steps or more). Below the floor the pass runs
+whole; on one CPU its halves run one after the other in the caller. Two
+pairs of unlike work are only placed by `_both`: du and db beside dw and
+dx in `lstm_sequence` backward, and under a tape each head block's dh
+and db beside dw. Each half does the same arithmetic on its own rows or
+steps and every sum keeps its order, so outputs do not depend on the
+CPU count. Whether they equal an unsplit run's depends on the BLAS:
+OpenBLAS picks its kernel by shape, and a product over row halves can
+differ from the whole product in the last bits. The tests pin halves ==
+whole for numpy's OpenBLAS at the benchmark shapes and at the default
+hidden size. Each BLAS call still runs with the threads that the
+caller's *_NUM_THREADS give it.
 """
 
 from __future__ import annotations
@@ -413,10 +414,11 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
     x w is one (T*B, E) x (E, 4H) matmul. Backward runs when either
     output has a gradient: it walks the steps in reverse to fill the
     preactivation gradient of every step, adding the final state's
-    gradient at each row's last step, then forms dw, du, db and dx with
-    one matmul or sum each. Each row's recurrence is its own, so the
-    forward steps and the backward walk run over two row halves once
-    B x 4H reaches _SPLIT_MIN (see _halves).
+    gradient at each row's last step (step T for every row when lengths
+    is omitted), then forms dw, du, db and dx with one matmul or sum
+    each. Each row's recurrence is its own, so the forward steps and the
+    backward walk run over two row halves once B x 4H reaches _SPLIT_MIN
+    (see _halves).
     """
     xv, uv = x.values, u.values
     H = uv.shape[0]
@@ -480,7 +482,7 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
             d[:, :, 3] = tc * o * (1.0 - o)
             dc_per_dh[steps] = o * (1.0 - tc * tc)
 
-        _both(lambda: factors(slice(0, T // 2)), lambda: factors(slice(T // 2, T)), dpre.size)
+        _halves(factors, T, dpre.size)
         f = acts[:, :, H : 2 * H]
         g_steps = None if g_hiddens is None else g_hiddens.transpose(1, 0, 2)
         ut = np.ascontiguousarray(uv.T)
@@ -491,10 +493,9 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
             n = dstate[rows].shape[0]
             dh, dc = np.zeros((n, H), dtype=dtype), np.zeros((n, H), dtype=dtype)
             ends = {}  # step index -> rows whose final state is read after it
-            if g_final is not None and lengths is None:
-                dh, dc = g_final[rows, :H], g_final[rows, H:]
-            elif g_final is not None:
-                g_rows, lens = g_final[rows], lengths[rows]
+            if g_final is not None:
+                g_rows = g_final[rows]
+                lens = np.full(n, T) if lengths is None else lengths[rows]
                 ends = {k - 1: np.flatnonzero(lens == k) for k in np.unique(lens)}
             gs = None if g_steps is None else g_steps[:, rows]
             per_dh, dp, fr = dc_per_dh[:, rows], dpre[:, rows], f[:, rows]
@@ -577,9 +578,9 @@ def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
 
 class AttentionMask:
     """A (B, S) encoder mask converted to `dtype` and checked once against
-    `positions` (B, S): attention_sequence takes it in place of the raw
-    mask and skips both, so greedy decoding, which attends over the same
-    encoder states once per token, pays for them once per reply."""
+    `positions` (B, S), the form attention_sequence takes: greedy
+    decoding, which attends over the same encoder states once per token,
+    pays for both once per reply."""
 
     __slots__ = ("positions", "keep")
 
@@ -593,12 +594,11 @@ class AttentionMask:
         self.keep = mask[:, None, :] > 0
 
 
-def attention_sequence(hiddens: Tensor, states: Tensor, mask: np.ndarray | AttentionMask,
+def attention_sequence(hiddens: Tensor, states: Tensor, mask: AttentionMask,
                        w_a: Tensor, w_c: Tensor) -> Tensor:
     """Luong general-score attention for every decoder step as one op:
-    (B, T, H) decoder hiddens against (B, S, H) encoder states with a
-    (B, S) mask, raw or as an AttentionMask, weights w_a (H, H) and w_c
-    (2H, H).
+    (B, T, H) decoder hiddens against (B, S, H) encoder states with their
+    checked (B, S) mask, weights w_a (H, H) and w_c (2H, H).
 
     Step t scores s_t = (h_t w_a) . states, takes the masked softmax over
     positions, the context c_t = sum of weighted states, and returns
@@ -619,9 +619,7 @@ def attention_sequence(hiddens: Tensor, states: Tensor, mask: np.ndarray | Atten
                          f"{sv.shape}, w_a {w_a.values.shape}, w_c {w_c.values.shape}")
     B, T, H = hv.shape
     dtype = hv.dtype
-    if not isinstance(mask, AttentionMask):
-        mask = AttentionMask(mask, sv.shape[:2], dtype)
-    elif mask.positions != sv.shape[:2]:
+    if mask.positions != sv.shape[:2]:
         raise ValueError(f"mask shape {mask.positions} != states positions {sv.shape[:2]}")
     keep = mask.keep
     flat = hv.reshape(B * T, H)

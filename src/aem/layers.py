@@ -1,6 +1,7 @@
-"""Neural building blocks: embeddings, LSTM cell and sequence runners,
-the representation-mapping MLP, output projection, and Luong-style
-attention.
+"""Neural building blocks: LSTM cell and sequence runners, the
+representation-mapping MLP, output projection, and Luong-style
+attention. The sequence runners take an embedding as its (V, E)
+table, a ParamStore tensor, and gather its rows by token id.
 
 Every LSTM and every attention, whether over a whole sequence (encoder,
 teacher-forced decoder) or one greedy decoding step, runs through one
@@ -38,14 +39,6 @@ from .autograd import (
 )
 from .data import BOS_ID, EOS_ID, PAD_ID
 from .params import ParamStore
-
-
-class Embedding:
-    def __init__(self, store: ParamStore, prefix: str, vocab_size: int, embed_size: int):
-        self.table = store.add(f"{prefix}.W", (vocab_size, embed_size))
-
-    def lookup(self, ids: np.ndarray) -> Tensor:
-        return embedding_lookup(self.table, ids)
 
 
 class LSTMCell:
@@ -115,19 +108,19 @@ class LuongAttention:
         return attend(weights, encoder_states), weights
 
     def attentional_hidden(self, decoder_hiddens: Tensor, encoder_states: Tensor,
-                           mask: np.ndarray | AttentionMask) -> Tensor:
+                           mask: AttentionMask) -> Tensor:
         """tanh([c_t; h_t] W_c), c_t as in context(h_t), for every step of
         (B, T, H) decoder hiddens, as (B*T, H) rows b*T + t: one op for a
-        whole teacher-forced target or one greedy step. A mask given as an
-        AttentionMask is not checked again."""
+        whole teacher-forced target or one greedy step, over the encoder
+        mask checked once as an AttentionMask."""
         return attention_sequence(decoder_hiddens, encoder_states, mask, self.W_a, self.W_c)
 
 
-def encode_sequence(cell: LSTMCell, embedding: Embedding, tokens: np.ndarray,
+def encode_sequence(cell: LSTMCell, table: Tensor, tokens: np.ndarray,
                     mask: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Run the cell left to right from a zero state over (B, T) tokens
-    whose mask rows are ones up to each row's length, then zeros; a gap
-    or a row with no real token raises ValueError.
+    """Run the cell left to right from a zero state over the `table` rows
+    of (B, T) tokens whose mask rows are ones up to each row's length,
+    then zeros; a gap or a row with no real token raises ValueError.
 
     Returns (per-step hiddens (B, T, H), final [h; c] of width 2H read
     at each row's last unmasked position). Hiddens at padded positions
@@ -141,7 +134,7 @@ def encode_sequence(cell: LSTMCell, embedding: Embedding, tokens: np.ndarray,
     if lengths.min() < 1:
         raise ValueError(f"encode_sequence mask row {int(lengths.argmin())} has no real token")
     init = Tensor(np.zeros((tokens.shape[0], 2 * cell.hidden_size), dtype=cell.W.values.dtype))
-    return cell.step(embedding.lookup(tokens), init, lengths)
+    return cell.step(embedding_lookup(table, tokens), init, lengths)
 
 
 def shifted_inputs(targets: np.ndarray) -> np.ndarray:
@@ -152,7 +145,7 @@ def shifted_inputs(targets: np.ndarray) -> np.ndarray:
     return inputs
 
 
-def decode_teacher_forced(cell: LSTMCell, embedding: Embedding, init: Tensor,
+def decode_teacher_forced(cell: LSTMCell, table: Tensor, init: Tensor,
                           targets: np.ndarray, attend=None) -> Tensor:
     """Output-projection inputs (B*T, H), row b*T + t predicting gold token
     targets[b, t] from the ones before it, starting the recurrence from
@@ -165,13 +158,13 @@ def decode_teacher_forced(cell: LSTMCell, embedding: Embedding, init: Tensor,
     first and attention covers all its hiddens in one call.
     """
     B, T = targets.shape
-    hiddens, _ = cell.step(embedding.lookup(shifted_inputs(targets)), init)
+    hiddens, _ = cell.step(embedding_lookup(table, shifted_inputs(targets)), init)
     if attend is None:
         return reshape(hiddens, (B * T, cell.hidden_size))
     return attend(hiddens)
 
 
-def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
+def greedy_decode(cell: LSTMCell, table: Tensor, proj: OutputProjection,
                   init: Tensor, max_len: int, attend=None) -> list[list[int]]:
     """Argmax decoding from `init`, at most max_len tokens per sequence,
     stopping at EOS, with `attend` as in decode_teacher_forced applied to
@@ -186,7 +179,7 @@ def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
     to pay for it. Finished rows are fed PAD. Per-reply work, such as
     checking the encoder mask, belongs in `attend`'s construction."""
     B = init.values.shape[0]
-    table, W = embedding.table.values, proj.W.values
+    W = proj.W.values
     bias = proj.b.values.copy()
     bias[[PAD_ID, BOS_ID]] = -np.inf
     logits = np.empty((B, W.shape[1]), dtype=W.dtype)
@@ -204,7 +197,7 @@ def greedy_decode(cell: LSTMCell, embedding: Embedding, proj: OutputProjection,
     lengths = np.full(B, max_len)
     finished = np.zeros(B, dtype=bool)
     for step in range(max_len):
-        hiddens, state = cell.step(Tensor(table[current]), state)
+        hiddens, state = cell.step(Tensor(table.values[current]), state)
         feed = hiddens.values.reshape(B, -1) if attend is None else attend(hiddens).values
         autograd._halves(argmax_rows, B, logits.size)
         chosen = np.where(finished, PAD_ID, best)

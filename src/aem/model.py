@@ -30,7 +30,7 @@ from .autograd import AttentionMask, Tape, add, backward, detach, linear_softmax
     mul, scale, sub, sum_all
 from .config import MODEL_KINDS
 from .data import Batch, pad_sequences
-from .layers import Embedding, LSTMCell, LuongAttention, MappingMLP, OutputProjection, \
+from .layers import LSTMCell, LuongAttention, MappingMLP, OutputProjection, \
     decode_teacher_forced, encode_sequence, greedy_decode
 from .optim import Adam, clip_grad_norm
 from .params import ParamStore, uniform_init
@@ -82,9 +82,9 @@ class DialogueModel:
         H, E, V = config.hidden_size, config.embed_size, config.vocab_size
 
         store = ParamStore(dtype)
-        self.src_embed = Embedding(store, "theta.embed", V, E)
+        self.src_embed = store.add("theta.embed.W", (V, E))
         self.src_enc = LSTMCell(store, "theta.src_enc", E, H)
-        self.tgt_embed = Embedding(store, "phi.embed", V, E)
+        self.tgt_embed = store.add("phi.embed.W", (V, E))
         self.tgt_dec = LSTMCell(store, "phi.tgt_dec", E, H)
         self.tgt_proj = OutputProjection(store, "phi.tgt_dec.proj", H, V)
         if self.is_aem:

@@ -611,13 +611,18 @@ def test_lstm_sequence_float32_forward_bit_equal_to_composite():
             assert got.values.tobytes() == want.values.tobytes()
 
 
-@pytest.mark.parametrize("lengths, on", [(None, "hiddens"), (None, "both"),
-                                         (np.array([7, 3, 1, 5, 7]), "both"),
-                                         (np.array([2, 3, 1, 5, 6]), "final")])
-def test_lstm_sequence_backward_same_bits_on_one_and_two_cpus(lengths, on):
-    # odd counts: the gate factors run steps 0-2 and 3-6, the forward
-    # recurrence and the backward walk rows 0-1 and 2-4
-    B, T, E, H = 5, 7, 6, 8
+@pytest.mark.parametrize("T, lengths, on", [
+    pytest.param(7, None, "hiddens", id="None-hiddens"),
+    pytest.param(7, None, "both", id="None-both"),
+    pytest.param(7, np.array([7, 3, 1, 5, 7]), "both", id="lengths2-both"),
+    pytest.param(7, np.array([2, 3, 1, 5, 6]), "final", id="lengths3-final"),
+    pytest.param(3, np.array([3, 1, 2, 3, 2]), "both", id="three-steps-both"),
+])
+def test_lstm_sequence_backward_same_bits_on_one_and_two_cpus(T, lengths, on):
+    # odd counts: at T = 7 the gate factors run steps 0-2 and 3-6, at T = 3
+    # (fewer than four steps) whole; the forward recurrence and the
+    # backward walk run rows 0-1 and 2-4
+    B, E, H = 5, 6, 8
     leaves = [Tensor(RNG.uniform(-0.5, 0.5, shape).astype(np.float32))
               for shape in ((B, T, E), (B, 2 * H), (E, 4 * H), (H, 4 * H), (4 * H,))]
     wh, wf = (Tensor(RNG.standard_normal(shape).astype(np.float32))
@@ -633,6 +638,39 @@ def test_lstm_sequence_backward_same_bits_on_one_and_two_cpus(lengths, on):
             loss = parts[0] if len(parts) == 1 else add(*parts)
         backward(tape, loss)
         return [hiddens.values, final.values] + [t.grad.copy() for t in leaves]
+
+    assert_same_bits_on_one_and_two_cpus(run)
+
+
+@pytest.mark.parametrize("on", ["final", "both"])
+@pytest.mark.parametrize("B, E, H", [(6, 3, 4), (256, 64, 128)], ids=["tiny", "benchmark"])
+def test_lstm_sequence_without_lengths_equals_every_row_ending_at_T(B, E, H, on):
+    """An omitted `lengths` reads as every row ending at step T: the
+    hiddens, the final state and the gradients of every input are the
+    bytes of lengths = T for every row, with and without a gradient on
+    the hiddens, on one CPU and on two."""
+    T = 5
+    leaves = [Tensor(RNG.uniform(-0.5, 0.5, shape).astype(np.float32))
+              for shape in ((B, T, E), (B, 2 * H), (E, 4 * H), (H, 4 * H), (4 * H,))]
+    wh, wf = (Tensor(RNG.standard_normal(shape).astype(np.float32))
+              for shape in ((B, T, H), (B, 2 * H)))
+
+    def run_with(lengths):
+        for t in leaves:
+            t.grad = None
+        with Tape() as tape:
+            hiddens, final = lstm_sequence(*leaves, lengths)
+            loss = sum_all(mul(final, wf))
+            if on == "both":
+                loss = add(sum_all(mul(hiddens, wh)), loss)
+        backward(tape, loss)
+        return [hiddens.values, final.values] + [t.grad.copy() for t in leaves]
+
+    def run():
+        omitted = run_with(None)
+        for a, b in zip(omitted, run_with(np.full(B, T))):
+            assert a.tobytes() == b.tobytes()
+        return omitted
 
     assert_same_bits_on_one_and_two_cpus(run)
 
@@ -716,6 +754,12 @@ ATTENTION_CASES = [
 ]
 
 
+def fused_attention(hiddens, states, mask, w_a, w_c):
+    """attention_sequence over the raw mask checked as the model checks it."""
+    checked = AttentionMask(mask, states.shape[:2], states.dtype)
+    return attention_sequence(hiddens, states, checked, w_a, w_c)
+
+
 def attention_loss(run, case, mask, rows):
     """Scalar loss contracting the (B*T, H) output against fixed weights,
     zero outside `rows` when given."""
@@ -730,7 +774,7 @@ def attention_loss(run, case, mask, rows):
 @pytest.mark.parametrize("shape, mask, rows", ATTENTION_CASES)
 def test_attention_sequence_gradient_vs_finite_differences(shape, mask, rows):
     case = attention_case(**shape)
-    assert check_gradients(attention_loss(attention_sequence, case, mask, rows), case) < 1e-4
+    assert check_gradients(attention_loss(fused_attention, case, mask, rows), case) < 1e-4
 
 
 @pytest.mark.parametrize("shape, mask, rows", ATTENTION_CASES)
@@ -738,7 +782,7 @@ def test_attention_sequence_matches_composite_chain(shape, mask, rows):
     case = attention_case(**shape)
     hiddens, states, w_a, w_c = case
     results = []
-    for run in (composite_attention, attention_sequence):
+    for run in (composite_attention, fused_attention):
         for t in case:
             t.grad = None
         loss_fn = attention_loss(run, case, mask, rows)
@@ -756,7 +800,7 @@ def test_attention_sequence_float32_forward_bit_equal_to_composite():
     for B, T, S in ((16, 9, 11), (4, 1, 6), (4, 5, 1)):
         hiddens, states, w_a, w_c = attention_case(B, T, S, H=32, dtype=np.float32)
         mask = (np.arange(S) < RNG.integers(1, S + 1, B)[:, None]).astype(np.float32)
-        fused = attention_sequence(hiddens, states, mask, w_a, w_c)
+        fused = fused_attention(hiddens, states, mask, w_a, w_c)
         ref = composite_attention(hiddens, states, mask, w_a, w_c)
         assert fused.dtype == np.float32
         assert fused.values.tobytes() == ref.values.tobytes()
@@ -765,12 +809,13 @@ def test_attention_sequence_float32_forward_bit_equal_to_composite():
 def test_attention_sequence_is_one_record():
     hiddens, states, w_a, w_c = attention_case()
     with Tape() as tape:
-        attention_sequence(hiddens, states, PADDED_SOURCE, w_a, w_c)
+        fused_attention(hiddens, states, PADDED_SOURCE, w_a, w_c)
     assert len(tape) == 1
 
 
 def test_attention_sequence_shape_and_mask_errors():
     hiddens, states, w_a, w_c = attention_case()
+    every_position = AttentionMask(np.ones((3, 5)), (3, 5), np.float64)
     for args in ((Tensor(np.zeros((3, 4))), states, w_a, w_c),
                  (hiddens, Tensor(np.zeros((2, 5, 3))), w_a, w_c),
                  (hiddens, Tensor(np.zeros((3, 5, 2))), w_a, w_c),
@@ -778,13 +823,13 @@ def test_attention_sequence_shape_and_mask_errors():
                  (hiddens, states, w_c, w_c),
                  (hiddens, states, w_a, w_a)):
         with pytest.raises(ValueError, match="attention_sequence shape mismatch"):
-            attention_sequence(args[0], args[1], np.ones((3, 5)), args[2], args[3])
+            attention_sequence(args[0], args[1], every_position, args[2], args[3])
     with pytest.raises(ValueError, match="mask shape"):
-        attention_sequence(hiddens, states, np.ones((3, 4)), w_a, w_c)
+        AttentionMask(np.ones((3, 4)), (3, 5), np.float64)
     no_position = PADDED_SOURCE.copy()
     no_position[1] = 0.0
     with pytest.raises(ValueError, match="a row has no unmasked positions"):
-        attention_sequence(hiddens, states, no_position, w_a, w_c)
+        AttentionMask(no_position, (3, 5), np.float64)
     # a mask checked for other positions is refused, not trusted
     other = AttentionMask(np.ones((3, 4)), (3, 4), np.float64)
     with pytest.raises(ValueError, match=re.escape("mask shape (3, 4) != states positions (3, 5)")):

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 import aem.layers
-from aem.autograd import (AttentionMask, Tape, Tensor, backward, concat_cols, mul, reshape,
-                          slice_cols, softmax_cross_entropy, sum_all)
+from aem.autograd import (AttentionMask, Tape, Tensor, backward, concat_cols, embedding_lookup,
+                          mul, reshape, slice_cols, softmax_cross_entropy, sum_all)
 from aem.gradcheck import check_gradients
 from aem.layers import (
-    Embedding,
     LSTMCell,
     LuongAttention,
     MappingMLP,
@@ -77,7 +76,7 @@ def test_lstm_gradient_vs_finite_differences():
 
 
 def embedding_with(store, V=6, E=3, seed=5):
-    emb = Embedding(store, "embed", V, E)
+    emb = store.add("embed.W", (V, E))
     uniform_init(store.subset("embed"), -0.5, 0.5, seed=seed)
     return emb
 
@@ -88,7 +87,7 @@ def test_encode_length_one_equals_single_step():
     tokens = np.array([[4], [2]])
     mask = np.ones((2, 1))
     states, final = encode_sequence(cell, emb, tokens, mask)
-    x = emb.lookup(tokens)
+    x = embedding_lookup(emb, tokens)
     h, state = cell.step(x, Tensor(np.zeros((2, 8))))
     np.testing.assert_array_equal(states.values, h.values)
     np.testing.assert_array_equal(final.values, state.values)
@@ -138,7 +137,7 @@ def test_encode_zero_weights_zero_final():
 
 def test_encode_gradients():
     store, cell = make_cell(E=2, H=3, seed=13)
-    emb = Embedding(store, "embed", 5, 2)
+    emb = store.add("embed.W", (5, 2))
     uniform_init(store.subset("embed"), -0.5, 0.5, seed=1)
     tokens = np.array([[1, 2], [3, 4]])
     mask = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -153,7 +152,7 @@ def test_encode_gradients():
 def decoder_fixture(V=5, E=3, H=4, seed=21):
     store = ParamStore(np.float64)
     cell = LSTMCell(store, "dec", E, H)
-    emb = Embedding(store, "embed", V, E)
+    emb = store.add("embed.W", (V, E))
     proj = OutputProjection(store, "proj", H, V)
     if seed is not None:
         uniform_init(store, -0.5, 0.5, seed=seed)
@@ -281,7 +280,7 @@ def test_attention_gradient():
     store, attn = attention_fixture(seed=8)
     states = Tensor(RNG.standard_normal((2, 3, 3)))
     dec_h = Tensor(RNG.standard_normal((2, 1, 3)))
-    mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    mask = AttentionMask(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]), (2, 3), np.float64)
 
     def loss():
         h_tilde = attn.attentional_hidden(dec_h, states, mask)
@@ -295,7 +294,7 @@ def test_decode_with_attention_gradient():
     attn = LuongAttention(store, "attn", 4)
     uniform_init(store.subset("attn"), -0.5, 0.5, seed=32)
     enc_states = Tensor(RNG.standard_normal((2, 3, 4)))
-    enc_mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    enc_mask = AttentionMask(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]), (2, 3), np.float64)
     init = Tensor(RNG.standard_normal((2, 8)))
     targets = np.array([[3, 2], [4, 2]])
 
@@ -340,7 +339,7 @@ def test_greedy_decode_rows_stop_at_their_own_eos():
         # step by step with PAD and BOS left out of the argmax, up to the first EOS
         state, current, expected = Tensor(init.values[r:r + 1]), np.array([[1]]), []
         while len(expected) < 10:
-            h, state = cell.step(emb.lookup(current), state)
+            h, state = cell.step(embedding_lookup(emb, current), state)
             current = 2 + proj.logits(reshape(h, (1, 6))).values[:, 2:].argmax(axis=1)[:, None]
             if current[0, 0] == 2:
                 break
@@ -365,7 +364,7 @@ def test_greedy_decode_two_row_halves_equal_whole_at_default_size(monkeypatch):
     every id equal the whole pass's (numpy's OpenBLAS at this shape)."""
     V, E, H = 40000, 64, 512
     store = ParamStore(np.float32)
-    cell, emb = LSTMCell(store, "cell", E, H), Embedding(store, "emb", V, E)
+    cell, emb = LSTMCell(store, "cell", E, H), store.add("emb.W", (V, E))
     proj = OutputProjection(store, "proj", H, V)
     rng = np.random.default_rng(5)
     for _, p in store.items():
@@ -402,7 +401,7 @@ def test_float32_sequences_and_greedy_ids_bit_equal_to_composite(monkeypatch):
     store = ParamStore()
     cell = LSTMCell(store, "enc", E, H)
     dec = LSTMCell(store, "dec", E, H)
-    emb = Embedding(store, "embed", V, E)
+    emb = store.add("embed.W", (V, E))
     proj = OutputProjection(store, "proj", H, V)
     attn = LuongAttention(store, "attn", H)
     uniform_init(store, -0.4, 0.4, seed=12)
@@ -413,7 +412,7 @@ def test_float32_sequences_and_greedy_ids_bit_equal_to_composite(monkeypatch):
 
     states, final = encode_sequence(cell, emb, tokens, mask)
     zero = Tensor(np.zeros((B, 2 * H), dtype=np.float32))
-    ref_states, ref_final = composite_lstm(emb.table, tokens, zero, cell.W, cell.U, cell.b, mask)
+    ref_states, ref_final = composite_lstm(emb, tokens, zero, cell.W, cell.U, cell.b, mask)
     assert states.dtype == final.dtype == np.float32
     # past each row's length the hiddens run on over padding, which
     # attention masks out; only the real positions are compared
@@ -421,19 +420,18 @@ def test_float32_sequences_and_greedy_ids_bit_equal_to_composite(monkeypatch):
     assert states.values[real].tobytes() == ref_states.values[real].tobytes()
     assert final.values.tobytes() == ref_final.values.tobytes()
 
-    ref_hiddens, _ = composite_lstm(emb.table, shifted_inputs(targets), final,
+    ref_hiddens, _ = composite_lstm(emb, shifted_inputs(targets), final,
                                     dec.W, dec.U, dec.b)
     plain = decode_teacher_forced(dec, emb, final, targets)
     assert plain.values.tobytes() == ref_hiddens.values.reshape(B * T2, H).tobytes()
-    attend = lambda hiddens: attn.attentional_hidden(hiddens, states, mask)
+    # both decoders attend through a mask checked once, as the model does
+    checked = AttentionMask(mask, (B, T), np.float32)
+    attend = lambda hiddens: attn.attentional_hidden(hiddens, states, checked)
     attended = decode_teacher_forced(dec, emb, final, targets, attend)
     ref_attended = composite_attention(ref_hiddens, ref_states, mask, attn.W_a, attn.W_c)
     assert attended.values.tobytes() == ref_attended.values.tobytes()
 
-    # greedy decoding attends through a mask checked once, as the model does
-    checked = AttentionMask(mask, (B, T), np.float32)
-    greedy_attend = lambda hiddens: attn.attentional_hidden(hiddens, states, checked)
-    fused_ids = greedy_decode(dec, emb, proj, final, 12, greedy_attend)
+    fused_ids = greedy_decode(dec, emb, proj, final, 12, attend)
 
     swapped = []
 
@@ -452,6 +450,6 @@ def test_float32_sequences_and_greedy_ids_bit_equal_to_composite(monkeypatch):
 
     monkeypatch.setattr(aem.layers, "lstm_sequence", composite_sequence)
     monkeypatch.setattr(aem.layers, "attention_sequence", composite_attention_sequence)
-    assert greedy_decode(dec, emb, proj, final, 12, greedy_attend) == fused_ids
+    assert greedy_decode(dec, emb, proj, final, 12, attend) == fused_ids
     # both fused ops were swapped out on every decoded token
     assert swapped and swapped == ["lstm", "attention"] * (len(swapped) // 2)

@@ -3,7 +3,7 @@ import pytest
 
 import aem.autograd
 import aem.layers
-from aem.autograd import Tape, Tensor, attention_sequence, backward
+from aem.autograd import AttentionMask, Tape, Tensor, attention_sequence, backward
 from aem.config import MODEL_KINDS
 from aem.data import DialoguePair, pairs_to_batch
 from aem.layers import LuongAttention, greedy_decode
@@ -415,13 +415,13 @@ def test_attention_baseline_single_token_reduction():
     from aem.layers import decode_teacher_forced
     features = decode_teacher_forced(
         model.tgt_dec, model.tgt_embed, h, batch.target,
-        attend=lambda hiddens: model.attention.attentional_hidden(hiddens, states,
-                                                                  batch.source_mask))
+        attend=lambda hiddens: model.attention.attentional_hidden(
+            hiddens, states, AttentionMask(batch.source_mask, states.shape[:2], states.dtype)))
     logits = model.tgt_proj.logits(features).values.reshape(1, 2, cfg.vocab_size)
     # hand-stepped first decode position
     def sig(v):
         return 0.5 * (np.tanh(0.5 * v) + 1.0)
-    x = model.tgt_embed.table.values[1][None, :]
+    x = model.tgt_embed.values[1][None, :]
     H = cfg.hidden_size
     h0, c0 = h.values[:, :H], h.values[:, H:]
     pre = x @ model.tgt_dec.W.values + h0 @ model.tgt_dec.U.values + model.tgt_dec.b.values
