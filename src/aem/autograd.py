@@ -11,7 +11,8 @@ Ops never broadcast except where stated (add_bias, lerp_mask).
 
 The model runs three fused ops: `lstm_sequence` runs a whole LSTM
 sequence as one record (one recurrence for every LSTM; an encoder reads
-each row's final state at its length), `attention_sequence` runs Luong
+each row's final state at its length, and `lstm_sequences` runs several
+independent sequences as one record), `attention_sequence` runs Luong
 attention over every decoder step given to it (a whole teacher-forced
 target, or one greedy step), and `linear_softmax_cross_entropy` is the
 training output head. The composite ops they replace (matmul, add_bias,
@@ -34,9 +35,13 @@ of `lstm_sequence` backward split the same way over halves of the steps
 whole; on one CPU its halves run one after the other in the caller. Two
 pairs of unlike work are only placed by `_both`: du and db beside dw and
 dx in `lstm_sequence` backward, and under a tape each head block's dh
-and db beside dw. Each half does the same arithmetic on its own rows or
-steps and every sum keeps its order, so outputs do not depend on the
-CPU count. Whether they equal an unsplit run's depends on the BLAS:
+and db beside dw. The third kind of split is whole runs side by side:
+`lstm_sequences` puts independent LSTM runs, when none of them splits by
+rows, part in the caller and part on the worker, and adds their
+gradients in the caller afterwards, in the order of one record per run.
+Each side does the same arithmetic on its own rows, steps or runs and
+every sum keeps its order, so outputs do not depend on the CPU count.
+Whether they equal an unsplit run's depends on the BLAS:
 OpenBLAS picks its kernel by shape, and a product over row halves can
 differ from the whole product in the last bits. The tests pin halves ==
 whole for numpy's OpenBLAS at the benchmark shapes and at the default
@@ -194,6 +199,12 @@ def _both(first, second, size):
     return a, future.result()
 
 
+def _splits(n, size):
+    """Whether a pass over n rows covering `size` elements runs as two row
+    halves: at least _SPLIT_MIN elements and four rows."""
+    return n >= 4 and size >= _SPLIT_MIN
+
+
 def _halves(body, n, size):
     """Runs body(rows) over slice(0, n // 2) and slice(n // 2, n) through
     _both when n rows covering `size` elements pay for a split, else
@@ -201,7 +212,7 @@ def _halves(body, n, size):
     CPU the halves run one after the other in the caller. Each half gets
     two rows or more, since numpy runs a one-row product through gemv,
     whose sums differ from the whole product's gemm."""
-    if n < 4 or size < _SPLIT_MIN:
+    if not _splits(n, size):
         body(slice(0, n))
         return
     half = n // 2
@@ -411,64 +422,157 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
     add, add_bias, slice_cols, sigmoid, tanh, mul, stack_steps and
     concat_cols.
 
-    x w is one (T*B, E) x (E, 4H) matmul. Backward runs when either
-    output has a gradient: it walks the steps in reverse to fill the
-    preactivation gradient of every step, adding the final state's
-    gradient at each row's last step (step T for every row when lengths
-    is omitted), then forms dw, du, db and dx with one matmul or sum
-    each. Each row's recurrence is its own, so the forward steps and the
-    backward walk run over two row halves once B x 4H reaches _SPLIT_MIN
-    (see _halves).
+    x w is one (T*B, E) x (E, 4H) matmul, let go once the steps are done.
+    Backward runs when either output has a gradient: it walks the steps in
+    reverse to fill the preactivation gradient of every step, adding the
+    final state's gradient at each row's last step (step T for every row
+    when lengths is omitted), then forms dw, du, db and dx with one matmul
+    or sum each. Each row's recurrence is its own, so the forward steps and
+    the backward walk run over two row halves once B x 4H reaches
+    _SPLIT_MIN (see _halves). Independent runs go through lstm_sequences.
     """
-    xv, uv = x.values, u.values
-    H = uv.shape[0]
-    if (xv.ndim != 3 or xv.shape[1] == 0 or w.values.shape != (xv.shape[2], 4 * H)
-            or uv.shape != (H, 4 * H) or b.values.shape != (4 * H,)
-            or state.values.shape != (xv.shape[0], 2 * H)):
-        raise ValueError(f"lstm_sequence shape mismatch: x {xv.shape}, state "
-                         f"{state.values.shape}, w {w.values.shape}, u {uv.shape}, "
-                         f"b {b.values.shape}")
-    B, T, E = xv.shape
-    dtype = xv.dtype
-    if lengths is not None:
-        lengths = np.asarray(lengths)
-        if (lengths.shape != (B,) or not np.issubdtype(lengths.dtype, np.integer)
-                or lengths.min() < 1 or lengths.max() > T):
-            raise ValueError(f"lstm_sequence lengths must be {B} values in 1..{T}, "
-                             f"got {lengths!r}")
-    # time-major: row t*B + b, so every step reads contiguous blocks
-    xs = xv.transpose(1, 0, 2).reshape(T * B, E)
-    xw = (xs @ w.values).reshape(T, B, 4 * H)
-    acts = np.empty((T, B, 4 * H), dtype=dtype)
-    tcs = np.empty((T, B, H), dtype=dtype)
-    hs = np.empty((T + 1, B, H), dtype=dtype)
-    cs = np.empty((T + 1, B, H), dtype=dtype)
-    hs[0], cs[0] = state.values[:, :H], state.values[:, H:]
-
-    def forward(rows):
-        # every step of batch rows `rows`: a row's recurrence reads only that row
-        h, c, xr, ar, tc = hs[:, rows], cs[:, rows], xw[:, rows], acts[:, rows], tcs[:, rows]
-        for t in range(T):
-            pre = xr[t] + h[t] @ uv
-            pre += b.values
-            a = ar[t]
-            # sigmoid in its tanh form on every gate, then g is tanh itself
-            np.multiply(pre, 0.5, out=a)
-            np.tanh(a, out=a)
-            a += 1.0
-            a *= 0.5
-            np.tanh(pre[:, 2 * H : 3 * H], out=a[:, 2 * H : 3 * H])
-            ct = np.multiply(a[:, H : 2 * H], c[t], out=c[t + 1])
-            ct += a[:, :H] * a[:, 2 * H : 3 * H]
-            np.multiply(a[:, 3 * H :], np.tanh(ct, out=tc[t]), out=h[t + 1])
-
-    _halves(forward, B, B * 4 * H)
-    hiddens = Tensor(np.ascontiguousarray(hs[1:].transpose(1, 0, 2)))
-    # each row's state after its last step: a gather only when lengths are given
-    last = (T, slice(None)) if lengths is None else (lengths, np.arange(B))
-    final = Tensor(np.concatenate([hs[last], cs[last]], axis=1))
+    run = _Recurrence(x, state, w, u, b, lengths)
+    out = run.forward()
 
     def back(g_hiddens, g_final):
+        run.accumulate(run.backward(g_hiddens, g_final, beside=False))
+
+    _record(out, back)
+    return out
+
+
+def lstm_sequences(runs) -> list[tuple[Tensor, Tensor]]:
+    """Independent LSTM runs as one op: each of `runs` is the (x, state, w,
+    u, b, lengths) that lstm_sequence takes, and each result is what
+    lstm_sequence returns for it, in order. Runs may share tensors (two
+    decoders of one cell), but none may take another's output.
+
+    Two or more runs of which none splits by rows (fewer than four rows,
+    or B x 4H under _SPLIT_MIN) run side by side: through _both, the
+    first runs, about half of the gate values, in the caller and the rest
+    on the worker, each run whole, for the forward steps and again for
+    backward. A group with a run that splits by rows runs one run after
+    another, each as lstm_sequence runs it. Backward adds every run's
+    gradients in the caller once all are formed, the last run's first:
+    the order of a tape of one lstm_sequence record per run. So outputs
+    and gradients equal lstm_sequence's run by run, byte for byte, and
+    where a run goes depends on the runs' order and shapes alone, never
+    on the CPU count.
+    """
+    group = [_Recurrence(*run) for run in runs]
+    beside = len(group) > 1 and not any(r.splits for r in group)
+    sizes = [r.acts.size for r in group]
+    # the caller's share: the first k runs, as near half the gate values as whole runs allow
+    k = min(range(1, len(group)), key=lambda k: abs(sum(sizes) - 2 * sum(sizes[:k])),
+            default=len(group))
+
+    def each(fn):
+        # [fn(i) for every run i], the first k in the caller and the rest
+        # on the worker when the runs go side by side
+        first = lambda: [fn(i) for i in range(k)]
+        second = lambda: [fn(i) for i in range(k, len(group))]
+        ours, theirs = _both(first, second, sum(sizes)) if beside else (first(), second())
+        return ours + theirs
+
+    outs = each(lambda i: group[i].forward())
+
+    def back(*grads):
+        def run_back(i):
+            g_hiddens, g_final = grads[2 * i], grads[2 * i + 1]
+            if g_hiddens is not None or g_final is not None:
+                return group[i].backward(g_hiddens, g_final, beside)
+            return None
+
+        for r, g in reversed(list(zip(group, each(run_back)))):
+            if g is not None:
+                r.accumulate(g)
+
+    _record(tuple(t for out in outs for t in out), back)
+    return outs
+
+
+def _lstm_steps(uv, bv, xw, hs, cs, acts, tcs):
+    """The forward recurrence over every step of the rows that these
+    time-major arrays hold: xw (T, n, 4H) is x w, hs and cs (T + 1, n, H)
+    start at the initial state, and acts and tcs take each step's gate
+    activations and tanh(c'). A row's recurrence reads only that row."""
+    H = uv.shape[0]
+    for t in range(xw.shape[0]):
+        pre = xw[t] + hs[t] @ uv
+        pre += bv
+        a = acts[t]
+        # sigmoid in its tanh form on every gate, then g is tanh itself
+        np.multiply(pre, 0.5, out=a)
+        np.tanh(a, out=a)
+        a += 1.0
+        a *= 0.5
+        np.tanh(pre[:, 2 * H : 3 * H], out=a[:, 2 * H : 3 * H])
+        ct = np.multiply(a[:, H : 2 * H], cs[t], out=cs[t + 1])
+        ct += a[:, :H] * a[:, 2 * H : 3 * H]
+        np.multiply(a[:, 3 * H :], np.tanh(ct, out=tcs[t]), out=hs[t + 1])
+
+
+class _Recurrence:
+    """One run of lstm_sequence or lstm_sequences: its tensors and the
+    forward arrays that its backward reads, all time-major (row t*B + b),
+    so every step reads contiguous blocks."""
+
+    __slots__ = ("x", "state", "w", "u", "b", "lengths", "xs", "acts", "tcs", "hs", "cs")
+
+    def __init__(self, x, state, w, u, b, lengths):
+        xv, uv = x.values, u.values
+        H = uv.shape[0]
+        if (xv.ndim != 3 or xv.shape[1] == 0 or w.values.shape != (xv.shape[2], 4 * H)
+                or uv.shape != (H, 4 * H) or b.values.shape != (4 * H,)
+                or state.values.shape != (xv.shape[0], 2 * H)):
+            raise ValueError(f"lstm_sequence shape mismatch: x {xv.shape}, state "
+                             f"{state.values.shape}, w {w.values.shape}, u {uv.shape}, "
+                             f"b {b.values.shape}")
+        B, T, E = xv.shape
+        dtype = xv.dtype
+        if lengths is not None:
+            lengths = np.asarray(lengths)
+            if (lengths.shape != (B,) or not np.issubdtype(lengths.dtype, np.integer)
+                    or lengths.min() < 1 or lengths.max() > T):
+                raise ValueError(f"lstm_sequence lengths must be {B} values in 1..{T}, "
+                                 f"got {lengths!r}")
+        self.x, self.state, self.w, self.u, self.b, self.lengths = x, state, w, u, b, lengths
+        self.xs = xv.transpose(1, 0, 2).reshape(T * B, E)
+        self.acts = np.empty((T, B, 4 * H), dtype=dtype)
+        self.tcs = np.empty((T, B, H), dtype=dtype)
+        self.hs = np.empty((T + 1, B, H), dtype=dtype)
+        self.cs = np.empty((T + 1, B, H), dtype=dtype)
+        self.hs[0], self.cs[0] = state.values[:, :H], state.values[:, H:]
+
+    @property
+    def splits(self) -> bool:
+        """Whether the steps and the backward walk run as two row halves."""
+        _, B, G = self.acts.shape
+        return _splits(B, B * G)
+
+    def forward(self) -> tuple[Tensor, Tensor]:
+        """Every step; returns (hiddens, final [h; c]), the final state a
+        gather only when lengths are given."""
+        T, B, G = self.acts.shape
+        uv, bv, hs, cs = self.u.values, self.b.values, self.hs, self.cs
+        arrays = ((self.xs @ self.w.values).reshape(T, B, G), hs, cs, self.acts, self.tcs)
+        if self.splits:
+            _halves(lambda rows: _lstm_steps(uv, bv, *(a[:, rows] for a in arrays)), B, B * G)
+        else:
+            _lstm_steps(uv, bv, *arrays)
+        hiddens = Tensor(np.ascontiguousarray(hs[1:].transpose(1, 0, 2)))
+        last = (T, slice(None)) if self.lengths is None else (self.lengths, np.arange(B))
+        return hiddens, Tensor(np.concatenate([hs[last], cs[last]], axis=1))
+
+    def backward(self, g_hiddens, g_final, beside):
+        """The gradients of state, w, u, b and x, for `accumulate`. A run
+        beside another forms them whole in the calling thread; alone, its
+        gate factors split over halves of the steps and du and db run
+        beside dw and dx (_halves, _both)."""
+        acts, tcs, hs, cs, lengths = self.acts, self.tcs, self.hs, self.cs, self.lengths
+        T, B, G = acts.shape
+        H = G // 4
+        dtype = acts.dtype
         # dpre = [dc', dc', dc', dh'] * fac, step by step in place
         dpre = np.empty((T, B, 4, H), dtype=dtype)
         dc_per_dh = np.empty((T, B, H), dtype=dtype)
@@ -482,10 +586,13 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
             d[:, :, 3] = tc * o * (1.0 - o)
             dc_per_dh[steps] = o * (1.0 - tc * tc)
 
-        _halves(factors, T, dpre.size)
+        if beside:
+            factors(slice(0, T))
+        else:
+            _halves(factors, T, dpre.size)
         f = acts[:, :, H : 2 * H]
         g_steps = None if g_hiddens is None else g_hiddens.transpose(1, 0, 2)
-        ut = np.ascontiguousarray(uv.T)
+        ut = np.ascontiguousarray(self.u.values.T)
         dstate = np.empty((B, 2 * H), dtype=dtype)
 
         def walk(rows):
@@ -514,19 +621,18 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
                 dc = dc * fr[t]
             dstate[rows, :H], dstate[rows, H:] = dh, dc
 
-        _halves(walk, B, B * 4 * H)
-        _accum(state, dstate)
-        flat = dpre.reshape(T * B, 4 * H)
-        (du, db), (dw, dx) = _both(
-            lambda: (hs[:-1].reshape(T * B, H).T @ flat, flat.sum(axis=0)),
-            lambda: (xs.T @ flat, flat @ w.values.T), flat.size)
-        _accum(w, dw)
-        _accum(u, du)
-        _accum(b, db)
-        _accum(x, dx.reshape(T, B, E).transpose(1, 0, 2))
+        # a run beside another never splits by rows
+        _halves(walk, B, B * G)
+        flat = dpre.reshape(T * B, G)
+        xs, wv = self.xs, self.w.values
+        du_db = lambda: (hs[:-1].reshape(T * B, H).T @ flat, flat.sum(axis=0))
+        dw_dx = lambda: (xs.T @ flat, flat @ wv.T)
+        (du, db), (dw, dx) = (du_db(), dw_dx()) if beside else _both(du_db, dw_dx, flat.size)
+        return dstate, dw, du, db, dx.reshape(T, B, wv.shape[0]).transpose(1, 0, 2)
 
-    _record((hiddens, final), back)
-    return hiddens, final
+    def accumulate(self, grads) -> None:
+        for t, g in zip((self.state, self.w, self.u, self.b, self.x), grads):
+            _accum(t, g)
 
 
 def batched_dot(q: Tensor, states: Tensor) -> Tensor:

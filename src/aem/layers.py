@@ -7,8 +7,10 @@ Every LSTM and every attention, whether over a whole sequence (encoder,
 teacher-forced decoder) or one greedy decoding step, runs through one
 fused op, `lstm_sequence` or `attention_sequence`, which holds the only
 copy of its math; each is reached through one method, `LSTMCell.step`
-or `LuongAttention.attentional_hidden`. LSTM state is always one [h; c]
-tensor of width 2H.
+or `LuongAttention.attentional_hidden`, and independent LSTM runs of
+several cells through `step_cells`, one `lstm_sequences` group (see
+`encode_sequences` and `decode_sequences`). LSTM state is always one
+[h; c] tensor of width 2H.
 
 All parameters are registered in a ParamStore under the prefix given at
 construction, in the store's dtype, so layer code never owns arrays
@@ -32,6 +34,7 @@ from .autograd import (
     batched_dot,
     embedding_lookup,
     lstm_sequence,
+    lstm_sequences,
     masked_softmax,
     matmul,
     reshape,
@@ -61,6 +64,14 @@ class LSTMCell:
         record. Returns (hiddens (B, T, H), final [h; c]), the final state
         read after step lengths[r] of row r when lengths is given."""
         return lstm_sequence(x, state, self.W, self.U, self.b, lengths)
+
+
+def step_cells(runs) -> list[tuple[Tensor, Tensor]]:
+    """cell.step(x, state, lengths) for each (cell, x, state, lengths) of
+    `runs`, in order, as one lstm_sequences record: runs that take none of
+    each other's outputs share both CPUs (see autograd.lstm_sequences)."""
+    return lstm_sequences([(x, state, cell.W, cell.U, cell.b, lengths)
+                           for cell, x, state, lengths in runs])
 
 
 class OutputProjection:
@@ -116,6 +127,20 @@ class LuongAttention:
         return attention_sequence(decoder_hiddens, encoder_states, mask, self.W_a, self.W_c)
 
 
+def _encoder_run(cell: LSTMCell, table: Tensor, tokens: np.ndarray, mask: np.ndarray):
+    """(cell, x, zero [h; c], lengths): what encode_sequence steps the cell
+    through, with the mask checked."""
+    mask = np.asarray(mask)
+    lengths = np.count_nonzero(mask, axis=1)
+    gaps = (mask != 0) != (np.arange(tokens.shape[1]) < lengths[:, None])
+    if gaps.any():
+        raise ValueError(f"encode_sequence mask row {int(gaps.any(axis=1).argmax())} has a gap")
+    if lengths.min() < 1:
+        raise ValueError(f"encode_sequence mask row {int(lengths.argmin())} has no real token")
+    init = Tensor(np.zeros((tokens.shape[0], 2 * cell.hidden_size), dtype=cell.W.values.dtype))
+    return cell, embedding_lookup(table, tokens), init, lengths
+
+
 def encode_sequence(cell: LSTMCell, table: Tensor, tokens: np.ndarray,
                     mask: np.ndarray) -> tuple[Tensor, Tensor]:
     """Run the cell left to right from a zero state over the `table` rows
@@ -126,15 +151,14 @@ def encode_sequence(cell: LSTMCell, table: Tensor, tokens: np.ndarray,
     at each row's last unmasked position). Hiddens at padded positions
     run on over the padding; attention masks them out.
     """
-    mask = np.asarray(mask)
-    lengths = np.count_nonzero(mask, axis=1)
-    gaps = (mask != 0) != (np.arange(tokens.shape[1]) < lengths[:, None])
-    if gaps.any():
-        raise ValueError(f"encode_sequence mask row {int(gaps.any(axis=1).argmax())} has a gap")
-    if lengths.min() < 1:
-        raise ValueError(f"encode_sequence mask row {int(lengths.argmin())} has no real token")
-    init = Tensor(np.zeros((tokens.shape[0], 2 * cell.hidden_size), dtype=cell.W.values.dtype))
-    return cell.step(embedding_lookup(table, tokens), init, lengths)
+    cell, x, init, lengths = _encoder_run(cell, table, tokens, mask)
+    return cell.step(x, init, lengths)
+
+
+def encode_sequences(encoders) -> list[tuple[Tensor, Tensor]]:
+    """encode_sequence for each (cell, table, tokens, mask) of `encoders`,
+    their LSTMs run as one group by step_cells."""
+    return step_cells([_encoder_run(*encoder) for encoder in encoders])
 
 
 def shifted_inputs(targets: np.ndarray) -> np.ndarray:
@@ -157,10 +181,23 @@ def decode_teacher_forced(cell: LSTMCell, table: Tensor, init: Tensor,
     attention (there is no input feeding), so the whole decoder LSTM runs
     first and attention covers all its hiddens in one call.
     """
-    B, T = targets.shape
     hiddens, _ = cell.step(embedding_lookup(table, shifted_inputs(targets)), init)
+    return _features(hiddens, attend)
+
+
+def decode_sequences(decoders) -> list[Tensor]:
+    """decode_teacher_forced for each (cell, table, init, targets, attend)
+    of `decoders`, their LSTMs run as one group by step_cells."""
+    outs = step_cells([(cell, embedding_lookup(table, shifted_inputs(targets)), init, None)
+                       for cell, table, init, targets, _ in decoders])
+    return [_features(hiddens, decoder[4]) for (hiddens, _), decoder in zip(outs, decoders)]
+
+
+def _features(hiddens: Tensor, attend) -> Tensor:
+    """The (B*T, H) rows a decoder hands the output projection."""
     if attend is None:
-        return reshape(hiddens, (B * T, cell.hidden_size))
+        B, T, H = hiddens.shape
+        return reshape(hiddens, (B * T, H))
     return attend(hiddens)
 
 

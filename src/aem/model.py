@@ -22,7 +22,7 @@ from the same per-name streams, so shared pieces start bit-identical
 across kinds.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .autograd import AttentionMask, Tape, add, backward, detach, linear_softmax
 from .config import MODEL_KINDS
 from .data import Batch, pad_sequences
 from .layers import LSTMCell, LuongAttention, MappingMLP, OutputProjection, \
-    decode_teacher_forced, encode_sequence, greedy_decode
+    decode_sequences, decode_teacher_forced, encode_sequence, encode_sequences, greedy_decode
 from .optim import Adam, clip_grad_norm
 from .params import ParamStore, uniform_init
 
@@ -40,7 +40,9 @@ from .params import ParamStore, uniform_init
 class LossBreakdown:
     """Per-token j1/j2/j4, batch-mean j3, and their weighted total.
     After a train step, grad_norm is the global gradient norm before
-    clipping and clipped whether it exceeded clip_norm."""
+    clipping, group_norms the same norm per parameter group (theta, phi,
+    gamma, attn; the groups the kind has) and clipped whether grad_norm
+    exceeded clip_norm."""
 
     j1: float = 0.0
     j2: float = 0.0
@@ -48,6 +50,7 @@ class LossBreakdown:
     j4: float = 0.0
     total: float = 0.0
     grad_norm: float = 0.0
+    group_norms: dict = field(default_factory=dict)
     clipped: bool = False
 
 
@@ -106,16 +109,22 @@ class DialogueModel:
 
     # forward pieces ----------------------------------------------------
 
+    def _source(self, batch):
+        """The source encoder's (cell, table, tokens, mask)."""
+        return self.src_enc, self.src_embed, batch.source, batch.source_mask
+
+    def _target(self, batch):
+        """The target encoder's (cell, table, tokens, mask)."""
+        return self.tgt_enc, self.tgt_embed, batch.target, batch.target_mask
+
     def encode_source(self, batch):
         """Run the source encoder; returns (annotations, h)."""
-        return encode_sequence(self.src_enc, self.src_embed, batch.source, batch.source_mask)
+        return encode_sequence(*self._source(batch))
 
     def encode_target_ae(self, batch):
         """Target auto-encoder: s plus the summed reconstruction loss."""
-        _, s = encode_sequence(self.tgt_enc, self.tgt_embed,
-                               batch.target, batch.target_mask)
-        j2_sum, n = self._decode_loss(self.tgt_dec, self.tgt_embed, self.tgt_proj, s,
-                                      batch.target, batch.target_mask)
+        _, s = encode_sequence(*self._target(batch))
+        ((j2_sum, n),) = self._decode_losses([self._j2(batch, s)])
         return s, j2_sum, n
 
     def _map(self, h):
@@ -129,18 +138,19 @@ class DialogueModel:
         h and s cut out of the graph, so it moves only the mapping; the
         returned t stays live for the end-to-end path.
         """
+        t = self._map(h)
+        return t, self._matching_loss(h, s, t, detach_states)
+
+    def _matching_loss(self, h, s, t, detach_states=None):
+        """map_representation's loss, given its t = g(h)."""
         if h.shape != s.shape:
             raise ValueError("state shapes differ: %s vs %s" % (h.shape, s.shape))
         if detach_states is None:
             detach_states = self.config.detach_j3
-        t = self._map(h)
         if detach_states:
-            t_for_loss, s_for_loss = self._map(detach(h)), detach(s)
-        else:
-            t_for_loss, s_for_loss = t, s
-        diff = sub(t_for_loss, s_for_loss)
-        j3 = scale(sum_all(mul(diff, diff)), 0.5 / h.shape[0])
-        return t, j3
+            t, s = self._map(detach(h)), detach(s)
+        diff = sub(t, s)
+        return scale(sum_all(mul(diff, diff)), 0.5 / h.shape[0])
 
     def _attend(self, encoder_states, encoder_mask):
         """The decoders' `attend` over these annotations for attention
@@ -151,13 +161,31 @@ class DialogueModel:
         mask = AttentionMask(encoder_mask, encoder_states.shape[:2], encoder_states.dtype)
         return lambda hiddens: self.attention.attentional_hidden(hiddens, encoder_states, mask)
 
-    def _decode_loss(self, cell, embed, proj, init, tokens, mask, attend=None):
-        """Decode (B, T) tokens teacher-forced from `init` and score them:
-        (summed cross-entropy over mask == 1 positions, their count). The
-        head is fused, so the (B*T, V) logits are never recorded."""
-        features = decode_teacher_forced(cell, embed, init, tokens, attend)
-        return linear_softmax_cross_entropy(features, proj.W, proj.b,
-                                            tokens.reshape(-1), mask.reshape(-1))
+    # the teacher-forced decoders, as (cell, table, proj, init, tokens, mask, attend)
+
+    def _j1(self, batch, h):
+        return self.src_dec, self.src_embed, self.src_proj, h, batch.source, batch.source_mask, None
+
+    def _j2(self, batch, s):
+        return self.tgt_dec, self.tgt_embed, self.tgt_proj, s, batch.target, batch.target_mask, None
+
+    def _j4(self, batch, init, states):
+        return (self.tgt_dec, self.tgt_embed, self.tgt_proj, init, batch.target,
+                batch.target_mask, self._attend(states, batch.source_mask))
+
+    def _decode_losses(self, decoders):
+        """Decode each decoder's (B, T) tokens teacher-forced from its init
+        and score them: (summed cross-entropy over mask == 1 positions,
+        their count) per decoder. A lone decoder runs decode_teacher_forced,
+        several run as one decode_sequences group. The head is fused, so
+        the (B*T, V) logits are never recorded."""
+        runs = [(cell, table, init, tokens, attend)
+                for cell, table, _, init, tokens, _, attend in decoders]
+        features = (decode_sequences(runs) if len(runs) > 1
+                    else [decode_teacher_forced(*runs[0])])
+        return [linear_softmax_cross_entropy(f, proj.W, proj.b, tokens.reshape(-1),
+                                             mask.reshape(-1))
+                for f, (_, _, proj, _, tokens, mask, _) in zip(features, decoders)]
 
     # training ----------------------------------------------------------
 
@@ -165,23 +193,31 @@ class DialogueModel:
         """Build the weighted total under the ambient tape.
 
         Returns (total Tensor, LossBreakdown of the current values); the
-        plain kinds leave j1, j2 and j3 at 0.
+        plain kinds leave j1, j2 and j3 at 0. The AEM kinds run their two
+        encoders as one group and, once h, s and t = g(h) exist, their
+        three decoders as another, so independent recurrences share both
+        CPUs.
         """
         cfg = self.config
-        states, h = self.encode_source(batch)
-        init, losses, rest = h, {}, None
         if self.is_aem:
-            j1_sum, n_src = self._decode_loss(self.src_dec, self.src_embed, self.src_proj, h,
-                                              batch.source, batch.source_mask)
-            s, j2_sum, n_tgt = self.encode_target_ae(batch)
-            init, j3 = self.map_representation(h, s)
+            (states, h), (_, s) = encode_sequences([self._source(batch), self._target(batch)])
+            t = self._map(h)
+            (j1_sum, n_src), (j2_sum, n_tgt), (j4_sum, _) = self._decode_losses(
+                [self._j1(batch, h), self._j2(batch, s), self._j4(batch, t, states)])
+            # recorded after the decoders, so backward adds the matching
+            # loss's gradient to t before the decoders add theirs: when t is
+            # h itself (identity_map, detach_j3 off), h sums J4's and j3's
+            # gradients before J1's, as a tape that runs the J4 decoder
+            # after the matching loss does
+            j3 = self._matching_loss(h, s, t)
             j1 = scale(j1_sum, 1.0 / n_src)
             j2 = scale(j2_sum, 1.0 / n_tgt)
             rest = add(scale(add(j1, j2), cfg.lambda1), scale(j3, cfg.lambda2))
             losses = dict(j1=j1, j2=j2, j3=j3)
-        j4_sum, n_tgt = self._decode_loss(self.tgt_dec, self.tgt_embed, self.tgt_proj, init,
-                                          batch.target, batch.target_mask,
-                                          self._attend(states, batch.source_mask))
+        else:
+            states, h = self.encode_source(batch)
+            ((j4_sum, n_tgt),) = self._decode_losses([self._j4(batch, h, states)])
+            rest, losses = None, {}
         j4 = scale(j4_sum, 1.0 / n_tgt)
         total = scale(j4, cfg.lambda3)
         total = total if rest is None else add(rest, total)
@@ -193,12 +229,15 @@ class DialogueModel:
         return total, parts
 
     def train_step(self, batch, adam):
-        """Forward all losses, backward the weighted total, clip, step."""
+        """Forward all losses, backward the weighted total, clip, step. A
+        non-finite gradient raises FloatingPointError before any parameter
+        or moment changes."""
         with Tape() as tape:
             tape.watch(self.store.tensors())
             total, parts = self.loss_graph(batch)
             backward(tape, total)
-        parts.grad_norm = clip_grad_norm(self.store, self.config.clip_norm)
+        norm = clip_grad_norm(self.store, self.config.clip_norm)
+        parts.grad_norm, parts.group_norms = float(norm), norm.groups
         parts.clipped = parts.grad_norm > self.config.clip_norm
         adam.step()
         return parts

@@ -6,6 +6,10 @@ import numpy as np
 
 from .params import ParamStore
 
+# the most values of one parameter that an Adam update handles at a time:
+# a chunk and its two buffers stay in cache
+_CHUNK = 1 << 16
+
 
 class Adam:
     """Bias-corrected Adam over a ParamStore.
@@ -27,35 +31,76 @@ class Adam:
         self.v = {name: np.zeros_like(p.values) for name, p in store.items()}
 
     def step(self) -> None:
+        """One update of every parameter, in place, over flat chunks of at
+        most _CHUNK values through two buffers made once per step: the same
+        float32 operations in the same order as the whole-array formula
+        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+        p -= lr (m / bc1) / (sqrt(v / bc2) + eps), without its full-size
+        temporaries."""
         for name, p in self.store.items():
             if p.grad is None:
                 raise ValueError(f"parameter {name!r} has no gradient")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
+        largest = max((p.values.size for _, p in self.store.items()), default=0)
+        buf_a = np.empty(min(largest, _CHUNK), dtype=self.store.dtype)
+        buf_b = np.empty_like(buf_a)
         for name, p in self.store.items():
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
-            g[...] = 0.0
+            # the store's and the moments' arrays are C-contiguous, so these are views
+            values, m, v = p.values.reshape(-1), self.m[name].reshape(-1), self.v[name].reshape(-1)
+            grad = p.grad.reshape(-1)
+            for start in range(0, values.size, _CHUNK):
+                part = slice(start, start + _CHUNK)
+                g, mk, vk = grad[part], m[part], v[part]
+                a, b = buf_a[: g.size], buf_b[: g.size]
+                mk *= self.beta1
+                mk += np.multiply(g, 1.0 - self.beta1, out=a)
+                vk *= self.beta2
+                np.multiply(g, g, out=a)
+                a *= 1.0 - self.beta2
+                vk += a
+                np.divide(mk, bc1, out=a)
+                a *= self.lr
+                np.divide(vk, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += self.epsilon
+                a /= b
+                values[part] -= a
+            p.grad[...] = 0.0
 
 
-def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
+class GradNorm(float):
+    """A global gradient norm, still a float to every caller that compares
+    or logs it, that also carries `groups`: group name -> that group's
+    norm."""
+
+    def __new__(cls, norm, groups):
+        self = super().__new__(cls, norm)
+        self.groups = groups
+        return self
+
+
+def clip_grad_norm(store: ParamStore, max_norm: float) -> GradNorm:
     """Scale all grads so their global L2 norm is at most max_norm.
-    Returns the pre-clip norm."""
+    Returns the pre-clip norm, with the norm of each parameter group (the
+    first part of the name: theta, phi, gamma, attn) from the same
+    per-parameter sums. A non-finite gradient raises FloatingPointError
+    naming the first such parameter in store order, before any gradient
+    is scaled."""
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    total = 0.0
+    total, groups = 0.0, {}
     for name, p in store.items():
         if p.grad is None:
             raise ValueError(f"parameter {name!r} has no gradient")
-        total += float((p.grad.astype(np.float64) ** 2).sum())
-    norm = float(np.sqrt(total))
+        square = float(np.square(p.grad, dtype=np.float64).sum())
+        if not np.isfinite(square):
+            raise FloatingPointError(f"non-finite gradient in {name}")
+        total += square
+        group = name.split(".", 1)[0]
+        groups[group] = groups.get(group, 0.0) + square
+    norm = GradNorm(np.sqrt(total), {g: float(np.sqrt(v)) for g, v in groups.items()})
     if norm > max_norm:
         factor = max_norm / norm
         for _, p in store.items():

@@ -27,6 +27,7 @@ from aem.autograd import (
     lerp_mask,
     linear_softmax_cross_entropy,
     lstm_sequence,
+    lstm_sequences,
     masked_softmax,
     matmul,
     mul,
@@ -735,6 +736,151 @@ def test_lstm_sequence_shape_errors():
     for lengths in ([1, 2], [[1, 2, 3]], [0, 2, 3], [1, 5, 3], [1.0, 2.0, 3.0]):
         with pytest.raises(ValueError, match="lstm_sequence lengths"):
             lstm_sequence(x, init, w, u, b, np.array(lengths))
+
+
+def group_case(B, dtype):
+    """Three runs as the AEM decoders have them: run 0 has a cell of its
+    own, mixed lengths and a loss on both outputs; runs 1 and 2 share one
+    cell's weights, and run 2 starts from run 0's initial state, which the
+    loss reads as well: three gradients for one tensor, whose float sum
+    depends on their order. Runs 1 and 2 put a loss on their hiddens only,
+    so their final states get no gradient. Returns (leaves, runs, loss
+    weights)."""
+    E, H = 6, 8
+
+    def leaf(*shape):
+        return Tensor(RNG.uniform(-0.5, 0.5, shape).astype(dtype))
+
+    own, shared = [leaf(E, 4 * H), leaf(H, 4 * H), leaf(4 * H)], \
+        [leaf(E, 4 * H), leaf(H, 4 * H), leaf(4 * H)]
+    inits = [leaf(B, 2 * H), leaf(B, 2 * H)]
+    xs = [leaf(B, T, E) for T in (5, 7, 7)]
+    lengths = RNG.integers(1, 6, B)
+    runs = [(xs[0], inits[0], *own, lengths), (xs[1], inits[1], *shared, None),
+            (xs[2], inits[0], *shared, None)]
+    weights = [leaf(B, T, H) for T in (5, 7, 7)] + [leaf(B, 2 * H), leaf(B, 2 * H)]
+    return xs + inits + own + shared, runs, weights
+
+
+def group_loss(runs, outs, weights):
+    """Run 0's final state, every run's hiddens, then run 0's initial state,
+    each contracted against fixed weights."""
+    loss = sum_all(mul(outs[0][1], weights[3]))
+    for (hiddens, _), w in zip(outs, weights[:3]):
+        loss = add(loss, sum_all(mul(hiddens, w)))
+    return add(loss, sum_all(mul(runs[0][1], weights[4])))
+
+
+def one_by_one(runs):
+    return [lstm_sequence(*run) for run in runs]
+
+
+def group_outputs_and_grads(runner, leaves, runs, weights):
+    for t in leaves:
+        t.grad = None
+    with Tape() as tape:
+        outs = runner(runs)
+        loss = group_loss(runs, outs, weights)
+    backward(tape, loss)
+    return [t.values for out in outs for t in out] + [t.grad.copy() for t in leaves]
+
+
+@pytest.mark.parametrize("B", [3, 5], ids=["side-by-side", "row-halves"])
+def test_lstm_sequences_equal_runs_one_by_one_on_one_and_two_cpus(B):
+    """A group writes the outputs and gradients of its runs made one by
+    one, byte for byte, on one CPU and on two: with 3 rows the runs go
+    side by side (the caller takes run 0, the worker runs 1 and 2); with
+    5 rows every run splits by rows, so the runs go one after another."""
+    leaves, runs, weights = group_case(B, np.float32)
+
+    def run():
+        group = group_outputs_and_grads(lstm_sequences, leaves, runs, weights)
+        for got, want in zip(group, group_outputs_and_grads(one_by_one, leaves, runs, weights)):
+            assert got.tobytes() == want.tobytes()
+        return group
+
+    assert_same_bits_on_one_and_two_cpus(run)
+
+
+def test_lstm_sequences_side_by_side_under_a_short_switch_interval():
+    # both threads switch every microsecond: each run must still read and
+    # write only its own arrays, and every gradient is added once
+    leaves, runs, weights = group_case(3, np.float32)
+    want = group_outputs_and_grads(one_by_one, leaves, runs, weights)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            got, on_worker = run_on_cpus(
+                2, lambda: group_outputs_and_grads(lstm_sequences, leaves, runs, weights))
+            assert on_worker == [True, True]  # the forward and the backward
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_lstm_sequences_go_side_by_side_only_when_no_run_splits_by_rows():
+    """The forward's _both calls, by the elements each covers: one over the
+    whole group when its runs go side by side, or one per run that splits
+    by rows (B x 4H). The shapes alone decide, whatever the CPU count."""
+    E, H = 4, 128
+    G = 4 * H
+
+    def both_sizes(*shapes):
+        runs = [(Tensor(np.zeros((B, T, E), np.float32)), Tensor(np.zeros((B, 2 * H), np.float32)),
+                 Tensor(np.zeros((E, G), np.float32)), Tensor(np.zeros((H, G), np.float32)),
+                 Tensor(np.zeros(G, np.float32)), None) for B, T in shapes]
+        both, sizes = aem.autograd._both, []
+
+        def counted(first, second, size):
+            sizes.append(size)
+            return both(first, second, size)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(aem.autograd, "_both", counted)
+            lstm_sequences(runs)
+        return sizes
+
+    assert both_sizes((32, 40), (32, 30)) == [32 * 70 * G]
+    assert both_sizes((32, 40), (32, 30), (32, 30)) == [32 * 100 * G]
+    assert both_sizes((256, 8), (256, 8)) == [256 * G] * 2
+    assert both_sizes((32, 40), (256, 8)) == [256 * G]
+    assert both_sizes((32, 40)) == []
+
+
+def test_lstm_sequences_gradient_vs_finite_differences_and_single_calls():
+    leaves, runs, weights = group_case(3, np.float64)
+    runs = runs[1:]  # the two runs sharing one cell
+    weights = [weights[1], weights[2], None, weights[3], weights[4]]
+    leaves = [t for t in leaves if any(t is part for run in runs for part in run[:5])]
+    single = group_outputs_and_grads(one_by_one, leaves, runs, weights)
+    group = group_outputs_and_grads(lstm_sequences, leaves, runs, weights)
+    for got, want in zip(group, single):
+        np.testing.assert_array_equal(got, want)
+    loss = lambda: group_loss(runs, lstm_sequences(runs), weights)
+    assert check_gradients(loss, leaves) < 1e-4
+
+
+def test_lstm_sequences_is_one_record():
+    leaves, runs, weights = group_case(3, np.float64)
+    with Tape() as tape:
+        outs = lstm_sequences(runs)
+    assert len(tape) == 1 and len(outs) == 3
+    for out, run in zip(outs, runs):
+        want = lstm_sequence(*run)
+        assert [t.values.tobytes() for t in out] == [t.values.tobytes() for t in want]
+
+
+def test_lstm_sequences_backward_skips_a_run_the_loss_never_reaches():
+    # as on a tape of one record per run, whose backward skips a record
+    # with no output gradient: the run's inputs get no gradient at all
+    _, runs, _ = group_case(3, np.float64)
+    with Tape() as tape:
+        outs = lstm_sequences(runs[:2])
+        loss = sum_all(outs[1][0])
+    backward(tape, loss)
+    assert all(t.grad is None for t in runs[0][:5])
+    assert all(t.grad is not None for t in runs[1][:5])
 
 
 def attention_case(B=3, T=4, S=5, H=3, dtype=np.float64):

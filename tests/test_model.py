@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,45 @@ def test_generate_halves_equal_whole_at_benchmark_shape(kind):
     assert 256 * 4 * 128 in sizes and 256 * 3000 in sizes
 
 
+@pytest.mark.parametrize("kind", ["aem", "aem_attention"])
+def test_grouped_train_steps_same_bits_on_one_and_two_cpus_at_benchmark_width(kind):
+    """B = 32, H = 128 (the recurrence_bound training shape): no LSTM run
+    splits by rows, so at the real _SPLIT_MIN the two encoders, then the
+    three decoders, run side by side on two CPUs. Losses, gradient norms,
+    parameters and moments are the bytes of one CPU."""
+    rng = np.random.default_rng(8)
+    V = 60
+    batch = pairs_to_batch([DialoguePair(rng.integers(3, V, rng.integers(8, 16)).tolist(),
+                                         rng.integers(3, V, rng.integers(6, 12)).tolist())
+                            for _ in range(32)])
+    lstm_runs = []
+    forward = aem.autograd._Recurrence.forward
+
+    def run():
+        model = DialogueModel(kind, tiny_config(kind=kind, hidden_size=128, embed_size=64,
+                                                vocab_size=V, batch_size=32))
+        adam = model.make_optimizer()
+        parts = [model.train_step(batch, adam) for _ in range(2)]
+        return [np.array([getattr(p, f) for f in ("j1", "j2", "j3", "j4", "total", "grad_norm")]
+                         + [p.group_norms[g] for g in sorted(p.group_norms)]) for p in parts] \
+            + arrays(model, adam)
+
+    def traced(self):
+        lstm_runs.append(threading.current_thread() is threading.main_thread())
+        return forward(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aem.autograd._Recurrence, "forward", traced)
+        one, _ = run_on_cpus(1, run, split_min=aem.autograd._SPLIT_MIN)
+        assert len(lstm_runs) == 10 and all(lstm_runs)
+        lstm_runs.clear()
+        two, on_worker = run_on_cpus(2, run, split_min=aem.autograd._SPLIT_MIN)
+    # per step, the worker ran the target encoder and the J2 and J4 decoders
+    assert lstm_runs.count(False) == 2 * 3 and any(on_worker)
+    for a, b in zip(one, two, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_one_source_generate_and_tiny_train_step_send_nothing_to_the_worker():
     # at the real _SPLIT_MIN these passes are too small to pay for the
     # worker: they run whole in the caller, even where two CPUs are free
@@ -306,6 +347,34 @@ def test_nan_loss_aborts_step_and_names_term():
     assert adam.t == 0
 
 
+def test_non_finite_gradient_stops_the_step_and_names_the_parameter(monkeypatch):
+    # finite losses but a NaN gradient: the step must stop before Adam
+    # writes NaN into every parameter and moment
+    model = DialogueModel("aem", tiny_config())
+    adam = model.make_optimizer()
+    model.train_step(toy_batch(), adam)
+    real_backward = aem.model.backward
+
+    def poisoned(tape, loss):
+        real_backward(tape, loss)
+        model.store["theta.src_enc.U"].grad[0, 1] = np.inf
+        model.store["phi.tgt_dec.W"].grad[2, 0] = np.nan
+
+    monkeypatch.setattr(aem.model, "backward", poisoned)
+    before = [a.copy() for a in arrays(model, adam)]
+    # phi.tgt_dec.W comes first in store order
+    with pytest.raises(FloatingPointError, match=r"non-finite gradient in phi\.tgt_dec\.W$"):
+        model.train_step(toy_batch(), adam)
+    assert adam.t == 1
+    for a, b in zip(before, arrays(model, adam), strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+def arrays(model, adam):
+    return [t.values for t in model.store.tensors()] + [
+        moments[name] for moments in (adam.m, adam.v) for name in model.store.names()]
+
+
 def test_padding_neutrality():
     model = DialogueModel("aem", tiny_config(), dtype=np.float64)
     batch = toy_batch()
@@ -369,10 +438,19 @@ def test_train_step_reports_pre_clip_gradient_norm():
             total, _ = model.loss_graph(batch)
         backward(tape, total)
         expected = np.sqrt(sum(float((t.grad ** 2).sum()) for t in model.store.tensors()))
+        groups = {side: np.sqrt(sum(float((t.grad ** 2).sum())
+                                    for name, t in model.store.items() if name.startswith(side)))
+                  for side in ("theta.", "phi.", "gamma.")}
         model.store.zero_grads()
         parts = model.train_step(batch, model.make_optimizer())
         assert parts.clipped is clipped
         np.testing.assert_allclose(parts.grad_norm, expected, rtol=1e-12)
+        # pre-clip norms per parameter group, from the same sums
+        assert sorted(parts.group_norms) == ["gamma", "phi", "theta"]
+        for side, norm in groups.items():
+            np.testing.assert_allclose(parts.group_norms[side.rstrip(".")], norm, rtol=1e-12)
+        np.testing.assert_allclose(np.hypot.reduce(list(parts.group_norms.values())),
+                                   parts.grad_norm, rtol=1e-12)
 
 
 def param_dtypes(model):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import aem.optim
 from aem.optim import Adam, clip_grad_norm
 from aem.params import ParamStore, uniform_init
 
@@ -74,6 +75,61 @@ def test_grads_zeroed_after_step():
     opt = Adam(store)
     opt.step()
     np.testing.assert_array_equal(store["w"].grad, np.zeros(2))
+
+
+def whole_array_adam_step(p, g, m, v, t, lr=0.002, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    """The whole-array Adam formula, with its full-size temporaries."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    p -= lr * (m / bc1) / (np.sqrt(v / bc2) + epsilon)
+
+
+def test_chunked_adam_equals_whole_array_formula_bit_for_bit():
+    # 2.3 chunks, a partial last chunk, and a parameter smaller than one chunk
+    chunk = aem.optim._CHUNK
+    rng = np.random.default_rng(4)
+    store = ParamStore()
+    store.add("big", (3, (2 * chunk + chunk // 3) // 3))
+    store.add("small", (5,))
+    assert store["big"].values.size % chunk
+    uniform_init(store, seed=2)
+    ref = {name: [p.values.copy(), np.zeros_like(p.values), np.zeros_like(p.values)]
+           for name, p in store.items()}
+    opt = Adam(store)
+    for t in (1, 2, 3):
+        for name, p in store.items():
+            g = (rng.standard_normal(p.values.shape) * 10.0 ** rng.integers(-3, 3)).astype(np.float32)
+            p.grad = g.copy()
+            whole_array_adam_step(*ref[name][:1], g, *ref[name][1:], t)
+        opt.step()
+        for name, p in store.items():
+            for got, want in zip((p.values, opt.m[name], opt.v[name]), ref[name]):
+                assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
+def test_clip_refuses_a_non_finite_gradient_and_scales_nothing():
+    store = ParamStore(np.float64)
+    for name in ("a", "b", "c"):
+        store.add(name, (2,))
+    store["a"].grad = np.array([30.0, 40.0])
+    store["b"].grad = np.array([1.0, np.nan])
+    store["c"].grad = np.array([np.inf, 0.0])
+    with pytest.raises(FloatingPointError, match="non-finite gradient in b$"):
+        clip_grad_norm(store, 5.0)
+    np.testing.assert_array_equal(store["a"].grad, [30.0, 40.0])
+
+
+def test_clip_reports_group_norms_from_the_global_sums():
+    store = ParamStore(np.float64)
+    for name, g in (("gamma.w", [3.0]), ("theta.u", [6.0, 0.0]), ("theta.w", [8.0])):
+        store.add(name, (len(g),)).grad = np.array(g)
+    norm = clip_grad_norm(store, 1e6)
+    assert norm == pytest.approx(np.sqrt(9.0 + 36.0 + 64.0))
+    assert norm.groups == {"gamma": 3.0, "theta": 10.0}
 
 
 def test_clip_reduces_norm_and_keeps_direction():

@@ -3,6 +3,7 @@ import threading
 from pathlib import Path
 
 import aem.autograd
+import aem.layers
 from aem.config import MODEL_KINDS
 from aem.model import DialogueModel
 from helpers import run_on_cpus, tiny_config, toy_batch
@@ -48,23 +49,35 @@ def test_the_layer_methods_the_tracer_wraps_are_on_the_model_path(monkeypatch):
                 wrapped.add(name)
                 monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr), calls))
     assert OFF_PATH < wrapped and "LSTMCell.step" in wrapped
+    groups = []
+    step_cells = aem.layers.step_cells
+    monkeypatch.setattr(aem.layers, "step_cells",
+                        lambda runs: groups.append([x.shape for _, x, _, _ in runs])
+                        or step_cells(runs))
     for kind in MODEL_KINDS:
         model = DialogueModel(kind, tiny_config(kind=kind))
         E = model.config.embed_size
-        model.train_step(toy_batch(), model.make_optimizer())
+        batch = toy_batch()
+        source, target = batch.source.shape + (E,), batch.target.shape + (E,)
+        model.train_step(batch, model.make_optimizer())
         steps = [shape for name, shape in calls if name == "LSTMCell.step"]
-        # aem: source and target encoders, their two decoders and the
-        # end-to-end decoder; seq2seq: one encoder and one decoder
-        assert len(steps) == (5 if model.is_aem else 2), kind
+        if model.is_aem:
+            # the source and target encoders as one group, then the J1, J2
+            # and J4 decoders as another; no LSTM runs through the cell's step
+            assert steps == [] and groups == [[source, target], [source, target, target]], kind
+        else:
+            # one encoder and one decoder, each through the cell's step
+            assert steps == [source, target] and groups == [], kind
         reached.update(name for name, _ in calls)
         calls.clear()
+        groups.clear()
 
         (reply,) = model.generate([[4, 5, 6]])
         # the encoder once over the source and its EOS, then one T = 1
         # step per decoded token, EOS included
         tokens = min(len(reply) + 1, model.config.max_gen_len)
         steps = [shape for name, shape in calls if name == "LSTMCell.step"]
-        assert steps == [(1, 4, E)] + [(1, 1, E)] * tokens, kind
+        assert steps == [(1, 4, E)] + [(1, 1, E)] * tokens and groups == [], kind
         reached.update(name for name, _ in calls)
         calls.clear()
     assert reached == wrapped - OFF_PATH
@@ -86,9 +99,20 @@ def test_every_call_the_tracer_wraps_runs_on_the_main_thread():
                 return traced(*args, **kwargs)
             return checked
 
+    # per LSTM run's forward and backward: whether it ran on the main thread
+    on_main = {"forward": [], "backward": []}
+
     def run():
         tracer, patches = CheckingTracer(), spans.Patches()
         spans.install_tracer(tracer, patches)
+        for name, where in on_main.items():
+            method = getattr(aem.autograd._Recurrence, name)
+
+            def noted(self, *args, method=method, where=where, **kwargs):
+                where.append(threading.current_thread() is threading.main_thread())
+                return method(self, *args, **kwargs)
+
+            patches.set(aem.autograd._Recurrence, name, noted)
         try:
             for kind in MODEL_KINDS:
                 model = DialogueModel(kind, tiny_config(kind=kind))
@@ -101,6 +125,9 @@ def test_every_call_the_tracer_wraps_runs_on_the_main_thread():
 
     tracer, on_worker = run_on_cpus(2, run)
     assert on_worker and all(on_worker)
+    # the two-row toy batch never splits by rows, so the AEM kinds' grouped
+    # runs go side by side: some ran on the worker, both ways
+    assert not all(on_main["forward"]) and not all(on_main["backward"])
     assert off_main == [] and tracer.stack == []
     assert {"model.train_step", "model.generate", "autograd.backward", "layers.lstm_step",
             "autograd.bwd.lstm_sequence", "autograd.bwd.linear_softmax_cross_entropy",
