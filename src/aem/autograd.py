@@ -26,7 +26,8 @@ Row-independent passes use a second CPU through one worker thread (see
 run on more than one CPU. A pass runs as two row halves when its shape
 says it pays for it (`_halves`): at least _SPLIT_MIN elements per step
 and four rows. That covers B x 4H gate values for each step of the
-`lstm_sequence` forward recurrence and of its backward walk, rows x V
+`lstm_sequence` forward recurrence (each half projecting its own rows'
+inputs, x w, before its steps) and of its backward walk, rows x V
 logits for each `linear_softmax_cross_entropy` block (its projection,
 bias, shift, exp, loss and (P - onehot) passes) and B x V logits for
 each greedy token (`layers.greedy_decode`); the elementwise gate factors
@@ -35,12 +36,17 @@ of `lstm_sequence` backward split the same way over halves of the steps
 whole; on one CPU its halves run one after the other in the caller. Two
 pairs of unlike work are only placed by `_both`: du and db beside dw and
 dx in `lstm_sequence` backward, and under a tape each head block's dh
-and db beside dw. The third kind of split is whole runs side by side:
-`lstm_sequences` puts independent LSTM runs, when none of them splits by
-rows, part in the caller and part on the worker, and adds their
-gradients in the caller afterwards, in the order of one record per run.
-Each side does the same arithmetic on its own rows, steps or runs and
-every sum keeps its order, so outputs do not depend on the CPU count.
+and db beside dw. The third kind of split is whole items side by side,
+the first ones, about half the size, in the caller and the rest on the
+worker (`_in_two`): `lstm_sequences` does this with independent LSTM
+runs when none of them splits by rows, then adds their gradients in the
+caller in the order of one record per run; `optim.Adam.step` and
+`optim.clip_grad_norm` do it with a store's parameters, for the update,
+for the sums of squares and for the scaling, when the store holds at
+least _SPLIT_MIN values. `embedding_lookup` backward, which stays
+whole, is one 1-D `np.add.at` over the flat table. Each side does the
+same arithmetic on its own rows, steps, runs or parameters and every
+sum keeps its order, so outputs do not depend on the CPU count.
 Whether they equal an unsplit run's depends on the BLAS:
 OpenBLAS picks its kernel by shape, and a product over row halves can
 differ from the whole product in the last bits. The tests pin halves ==
@@ -203,6 +209,19 @@ def _splits(n, size):
     """Whether a pass over n rows covering `size` elements runs as two row
     halves: at least _SPLIT_MIN elements and four rows."""
     return n >= 4 and size >= _SPLIT_MIN
+
+
+def _in_two(fn, items, sizes):
+    """(fn(items[:k]), fn(items[k:])) through _both: whole items, the
+    first k in the caller and the rest on the worker, k as near half the
+    sum of `sizes` (one per item) as whole items allow, and at least one
+    item on each side when there are two or more. The one rule for
+    splitting a list of whole items: LSTM runs, and the parameters of
+    Adam and gradient clipping."""
+    total = sum(sizes)
+    k = min(range(1, len(items)), key=lambda k: abs(total - 2 * sum(sizes[:k])),
+            default=len(items))
+    return _both(lambda: fn(items[:k]), lambda: fn(items[k:]), total)
 
 
 def _halves(body, n, size):
@@ -373,7 +392,15 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     def back(gout):
         if table.grad is None:
             table.grad = np.zeros_like(table.values)
-        np.add.at(table.grad, ids, gout)
+        # one 1-D scatter over the flat table: the adds of a row scatter,
+        # in the same order, at a fraction of its cost. Only a C-contiguous
+        # gradient flattens to a view; any other would take them in a copy
+        if not table.grad.flags.c_contiguous:
+            raise ValueError("embedding_lookup needs a C-contiguous table gradient, "
+                             f"got strides {table.grad.strides}")
+        E = table.values.shape[1]
+        np.add.at(table.grad.reshape(-1), (ids[..., None] * E + np.arange(E)).reshape(-1),
+                  gout.reshape(-1))
 
     _record(out, back)
     return out
@@ -422,7 +449,8 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
     add, add_bias, slice_cols, sigmoid, tanh, mul, stack_steps and
     concat_cols.
 
-    x w is one (T*B, E) x (E, 4H) matmul, let go once the steps are done.
+    x w is one time-major (T*B, E) x (E, 4H) matmul, or one over each row
+    half's own rows when the steps split, let go once the steps are done.
     Backward runs when either output has a gradient: it walks the steps in
     reverse to fill the preactivation gradient of every step, adding the
     final state's gradient at each row's last step (step T for every row
@@ -462,16 +490,13 @@ def lstm_sequences(runs) -> list[tuple[Tensor, Tensor]]:
     group = [_Recurrence(*run) for run in runs]
     beside = len(group) > 1 and not any(r.splits for r in group)
     sizes = [r.acts.size for r in group]
-    # the caller's share: the first k runs, as near half the gate values as whole runs allow
-    k = min(range(1, len(group)), key=lambda k: abs(sum(sizes) - 2 * sum(sizes[:k])),
-            default=len(group))
 
     def each(fn):
-        # [fn(i) for every run i], the first k in the caller and the rest
-        # on the worker when the runs go side by side
-        first = lambda: [fn(i) for i in range(k)]
-        second = lambda: [fn(i) for i in range(k, len(group))]
-        ours, theirs = _both(first, second, sum(sizes)) if beside else (first(), second())
+        # [fn(i) for every run i], split by _in_two when the runs go side by side
+        every = lambda part: [fn(i) for i in part]
+        if not beside:
+            return every(range(len(group)))
+        ours, theirs = _in_two(every, range(len(group)), sizes)
         return ours + theirs
 
     outs = each(lambda i: group[i].forward())
@@ -554,12 +579,19 @@ class _Recurrence:
         """Every step; returns (hiddens, final [h; c]), the final state a
         gather only when lengths are given."""
         T, B, G = self.acts.shape
-        uv, bv, hs, cs = self.u.values, self.b.values, self.hs, self.cs
-        arrays = ((self.xs @ self.w.values).reshape(T, B, G), hs, cs, self.acts, self.tcs)
+        uv, bv, wv, hs, cs = self.u.values, self.b.values, self.w.values, self.hs, self.cs
+        arrays = (hs, cs, self.acts, self.tcs)
         if self.splits:
-            _halves(lambda rows: _lstm_steps(uv, bv, *(a[:, rows] for a in arrays)), B, B * G)
+            xs = self.xs.reshape(T, B, -1)
+
+            def half(rows):
+                # x w over this half's own rows, time-major
+                xw = (xs[:, rows].reshape(-1, xs.shape[2]) @ wv).reshape(T, -1, G)
+                _lstm_steps(uv, bv, xw, *(a[:, rows] for a in arrays))
+
+            _halves(half, B, B * G)
         else:
-            _lstm_steps(uv, bv, *arrays)
+            _lstm_steps(uv, bv, (self.xs @ wv).reshape(T, B, G), *arrays)
         hiddens = Tensor(np.ascontiguousarray(hs[1:].transpose(1, 0, 2)))
         last = (T, slice(None)) if self.lengths is None else (self.lengths, np.arange(B))
         return hiddens, Tensor(np.concatenate([hs[last], cs[last]], axis=1))

@@ -213,20 +213,21 @@ def greedy_decode(cell: LSTMCell, table: Tensor, proj: OutputProjection,
     rows of the last ids (argmax ids, in range by construction), `attend`
     on its hiddens, and logits = feed @ W + bias with their argmax, over
     two row halves through autograd._halves when B x V logits are enough
-    to pay for it. Finished rows are fed PAD. Per-reply work, such as
-    checking the encoder mask, belongs in `attend`'s construction."""
+    to pay for it, else on the whole arrays. Finished rows are fed PAD.
+    Per-reply work, such as checking the encoder mask, belongs in
+    `attend`'s construction."""
     B = init.values.shape[0]
     W = proj.W.values
     bias = proj.b.values.copy()
     bias[[PAD_ID, BOS_ID]] = -np.inf
     logits = np.empty((B, W.shape[1]), dtype=W.dtype)
     best = np.empty(B, dtype=np.intp)
+    splits = autograd._splits(B, logits.size)
 
-    def argmax_rows(rows):
-        # rows `rows` of this token's feed
-        z = np.matmul(feed[rows], W, out=logits[rows])
+    def argmax_into(feed, z, best):
+        np.matmul(feed, W, out=z)
         z += bias
-        z.argmax(axis=1, out=best[rows])
+        z.argmax(axis=1, out=best)
 
     state = init
     current = np.full((B, 1), BOS_ID, dtype=np.int64)
@@ -236,7 +237,11 @@ def greedy_decode(cell: LSTMCell, table: Tensor, proj: OutputProjection,
     for step in range(max_len):
         hiddens, state = cell.step(Tensor(table.values[current]), state)
         feed = hiddens.values.reshape(B, -1) if attend is None else attend(hiddens).values
-        autograd._halves(argmax_rows, B, logits.size)
+        if splits:
+            autograd._halves(lambda rows: argmax_into(feed[rows], logits[rows], best[rows]),
+                             B, logits.size)
+        else:
+            argmax_into(feed, logits, best)
         chosen = np.where(finished, PAD_ID, best)
         tokens[:, step] = chosen
         # only non-finite logits pick the banned PAD or BOS: they end a reply too

@@ -41,6 +41,7 @@ from aem.autograd import (
     sum_all,
     tanh,
 )
+from aem.data import BOS_ID, PAD_ID
 from aem.gradcheck import check_gradients
 from helpers import (assert_halves_equal_whole, assert_same_bits_on_one_and_two_cpus,
                      composite_attention, composite_lstm, peak_traced_bytes, run_on_cpus)
@@ -131,6 +132,47 @@ def test_embedding_lookup_rows_only():
     assert np.all(table.grad[[0, 2, 4]] == 0)
     np.testing.assert_array_equal(table.grad[1], np.ones(3))
     np.testing.assert_array_equal(table.grad[3], 2 * np.ones(3))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("B, T, V, E", [(3, 4, 6, 2), (256, 9, 3000, 64)],
+                         ids=["tiny", "vocab_bound"])
+def test_embedding_lookup_scatter_writes_the_bytes_of_a_row_scatter(dtype, B, T, V, E):
+    """Two lookups of one table, as J2 and J4 read the target embedding:
+    backward scatters the second lookup's gradient, then the first's into
+    the sum so far, and the flat scatter writes the bytes of
+    np.add.at(grad, ids, gout) made in the same order. Every row starts
+    with BOS, and each row ends in a run of PAD as long as its index
+    allows, so BOS and PAD rows collect many adds."""
+    rng = np.random.default_rng(B)
+    table = Tensor(rng.standard_normal((V, E)).astype(dtype))
+    ids = []
+    for _ in range(2):
+        rows = rng.integers(3, V, (B, T))
+        rows[:, 0] = BOS_ID
+        for r in range(B):
+            rows[r, T - r % T:] = PAD_ID
+        ids.append(rows)
+    weights = [Tensor((rng.standard_normal((B, T, E))
+                       * 10.0 ** rng.integers(-3, 3, (B, T, 1))).astype(dtype)) for _ in ids]
+    with Tape() as tape:
+        outs = [embedding_lookup(table, rows) for rows in ids]
+        loss = add(*(sum_all(mul(out, w)) for out, w in zip(outs, weights)))
+    backward(tape, loss)
+    want = np.zeros_like(table.values)
+    for rows, out in reversed(list(zip(ids, outs))):
+        np.add.at(want, rows, out.grad)
+    assert table.grad.dtype == dtype and table.grad.tobytes() == want.tobytes()
+
+
+def test_embedding_lookup_refuses_a_gradient_whose_flat_form_is_a_copy():
+    table = Tensor(np.ones((5, 3)))
+    table.grad = np.zeros((3, 5)).T
+    with Tape() as tape:
+        out = sum_all(embedding_lookup(table, np.array([1, 3, 3])))
+    with pytest.raises(ValueError, match="C-contiguous table gradient"):
+        backward(tape, out)
+    assert not table.grad.any()
 
 
 def test_embedding_lookup_range_error():
@@ -703,6 +745,21 @@ def test_lstm_sequence_halves_equal_whole(B, H):
     for lengths in (None, RNG.integers(1, T + 1, B)):
         sizes = assert_halves_equal_whole(lambda: run(lengths))
         assert sizes.count(B * 4 * H) == 2  # the forward and the backward walk
+
+
+@pytest.mark.parametrize("B", [256, 512])
+@pytest.mark.parametrize("T", [1, 9, 40])
+def test_lstm_sequence_forward_halves_equal_whole(B, T):
+    """A run that splits by rows projects each half's own inputs (x w over
+    that half's time-major rows) before its steps: the hiddens and final
+    state equal the whole run's bytes at H = 128, E = 64 from one step to
+    forty, the vocab_bound and recurrence_bound lengths."""
+    E, H = 64, 128
+    rng = np.random.default_rng(T)
+    leaves = [Tensor(rng.uniform(-0.5, 0.5, shape).astype(np.float32))
+              for shape in ((B, T, E), (B, 2 * H), (E, 4 * H), (H, 4 * H), (4 * H,))]
+    sizes = assert_halves_equal_whole(lambda: [t.values for t in lstm_sequence(*leaves)])
+    assert sizes == [B * 4 * H]
 
 
 def test_linear_cross_entropy_halves_equal_whole_at_benchmark_shape():

@@ -1,9 +1,15 @@
+import sys
+
 import numpy as np
 import pytest
 
+import aem.autograd
 import aem.optim
+from aem.config import RunConfig
+from aem.model import DialogueModel
 from aem.optim import Adam, clip_grad_norm
 from aem.params import ParamStore, uniform_init
+from helpers import assert_same_bits_on_one_and_two_cpus, run_on_cpus
 
 
 def store_with(name="w", shape=(1,), dtype=np.float64):
@@ -109,6 +115,96 @@ def test_chunked_adam_equals_whole_array_formula_bit_for_bit():
         for name, p in store.items():
             for got, want in zip((p.values, opt.m[name], opt.v[name]), ref[name]):
                 assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
+def vocab_bound_store(seed):
+    """The aem store at the vocab_bound shape (H = 128, E = 64, V = 3000),
+    well above autograd._SPLIT_MIN values, with seeded gradients whose
+    magnitudes span six decades."""
+    cfg = RunConfig(kind="aem", hidden_size=128, embed_size=64, vocab_size=3000,
+                    seed=seed).validate()
+    store = DialogueModel("aem", cfg).store
+    assert store.num_values() >= aem.autograd._SPLIT_MIN
+    rng = np.random.default_rng(seed)
+    for _, p in store.items():
+        p.grad = (rng.standard_normal(p.values.shape)
+                  * 10.0 ** rng.integers(-4, 2)).astype(np.float32)
+    return store
+
+
+def store_halves(store):
+    """The parameter names that run in the caller and on the worker, by
+    the one rule that splits them."""
+    params = list(store.items())
+    return aem.autograd._in_two(lambda run: [name for name, _ in run], params,
+                                [p.values.size for _, p in params])
+
+
+def clip_and_step(max_norm):
+    """Two clip_grad_norm and Adam.step rounds on the vocab_bound store:
+    the norms and group norms, then the clipped gradients, then every
+    value, moment and zeroed gradient, after each round."""
+    store = vocab_bound_store(seed=11)
+    adam, out = Adam(store), []
+    for step in range(2):
+        norm = clip_grad_norm(store, max_norm)
+        assert (norm > max_norm) == (max_norm == 1.0)
+        out.append(np.array([norm] + [norm.groups[g] for g in sorted(norm.groups)]))
+        out += [p.grad.copy() for _, p in store.items()]
+        adam.step()
+        out += [a.copy() for name, p in store.items()
+                for a in (p.values, adam.m[name], adam.v[name], p.grad)]
+        for _, p in store.items():
+            p.grad += np.float32(step + 1) * p.values
+    return out
+
+
+@pytest.mark.parametrize("max_norm", [1.0, 1e9], ids=["clipping", "not-clipping"])
+def test_split_adam_and_clipping_same_bits_on_one_and_two_cpus(max_norm):
+    assert_same_bits_on_one_and_two_cpus(lambda: clip_and_step(max_norm))
+
+
+def test_split_adam_and_clipping_under_a_short_switch_interval():
+    # both threads switch every microsecond: each half must still touch
+    # only its own parameters and buffers
+    want = [a.tobytes() for a in run_on_cpus(1, lambda: clip_and_step(1.0))[0]]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got, on_worker = run_on_cpus(2, lambda: clip_and_step(1.0))
+            assert on_worker == [True] * 6  # per round: squares, scaling, update
+            assert [a.tobytes() for a in got] == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_clip_names_the_first_non_finite_gradient_of_the_worker_half():
+    store = vocab_bound_store(seed=12)
+    caller, worker = store_halves(store)
+    # NaN in the worker's half, then inf later in store order
+    store[worker[1]].grad[0, ...] = np.nan
+    store[worker[-1]].grad[...] = np.inf
+    grads = {name: p.grad.copy() for name, p in store.items()}
+    values = {name: p.values.copy() for name, p in store.items()}
+
+    def clip():
+        with pytest.raises(FloatingPointError, match="non-finite gradient in %s$" % worker[1]):
+            clip_grad_norm(store, 1e-6)
+
+    assert run_on_cpus(2, clip)[1] == [True]  # the squares; nothing was scaled
+    # a non-finite gradient in the caller's half comes first in store order
+    store[caller[-1]].grad[-1] = np.inf
+    grads[caller[-1]] = store[caller[-1]].grad.copy()
+
+    def clip_again():
+        with pytest.raises(FloatingPointError, match="non-finite gradient in %s$" % caller[-1]):
+            clip_grad_norm(store, 1e-6)
+
+    assert run_on_cpus(2, clip_again)[1] == [True]
+    for name, p in store.items():
+        assert p.grad.tobytes() == grads[name].tobytes()
+        assert p.values.tobytes() == values[name].tobytes()
 
 
 def test_clip_refuses_a_non_finite_gradient_and_scales_nothing():

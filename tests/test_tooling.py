@@ -101,10 +101,23 @@ def test_every_call_the_tracer_wraps_runs_on_the_main_thread():
 
     # per LSTM run's forward and backward: whether it ran on the main thread
     on_main = {"forward": [], "backward": []}
+    # per _both call: the span open on the main thread, and whether its
+    # second thunk ran on the worker
+    halves = []
+    floor = aem.autograd._SPLIT_MIN
 
     def run():
         tracer, patches = CheckingTracer(), spans.Patches()
         spans.install_tracer(tracer, patches)
+        both = aem.autograd._both
+
+        def spied(first, second, size):
+            span = tracer.names[tracer.stack[-1]] if tracer.stack else None
+            where = lambda: halves.append(
+                (span, threading.current_thread() is not threading.main_thread())) or second()
+            return both(first, where, size)
+
+        patches.set(aem.autograd, "_both", spied)
         for name, where in on_main.items():
             method = getattr(aem.autograd._Recurrence, name)
 
@@ -119,12 +132,21 @@ def test_every_call_the_tracer_wraps_runs_on_the_main_thread():
                 model.train_step(toy_batch(), model.make_optimizer())
                 # four sources: both halves of every greedy token run
                 model.generate([[4, 5, 6], [5, 4], [6], [4, 4]])
+            # a store above the real floor, whose Adam and clipping split at any floor
+            big = DialogueModel("aem", tiny_config(vocab_size=3000, hidden_size=16,
+                                                   embed_size=8))
+            assert big.store.num_values() >= floor
+            big.train_step(toy_batch(), big.make_optimizer())
         finally:
             patches.undo()
         return tracer
 
     tracer, on_worker = run_on_cpus(2, run)
     assert on_worker and all(on_worker)
+    # the wrapped optimizer calls returned on the main thread (off_main
+    # below), while their halves ran on the worker
+    assert {span for span, worker in halves if worker} >= {"optim.adam_step",
+                                                           "optim.clip_grad_norm"}
     # the two-row toy batch never splits by rows, so the AEM kinds' grouped
     # runs go side by side: some ran on the worker, both ways
     assert not all(on_main["forward"]) and not all(on_main["backward"])
