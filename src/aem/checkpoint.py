@@ -25,10 +25,12 @@ its shape and nothing else; an error names each entry that does not fit.
 
 A save writes <path>.tmp, fsyncs it and renames it over <path>
 (`atomic_write`, which the CLI's metrics.log trim uses too), so a crash
-at any point leaves either the old or the new file whole. The
-write streams: header bytes and a byte view of each array go to the
-file one piece at a time, with the CRC updated piece by piece, so a save
-copies no array and builds no buffer the size of the file.
+at any point leaves either the old or the new file whole. `atomic_link`
+puts a second name on a saved file the same way, by a rename, so no
+checkpoint is ever edited in place. The write streams: header bytes and
+a byte view of each array go to the file one piece at a time, with the
+CRC updated piece by piece, so a save copies no array and builds no
+buffer the size of the file.
 checkpoint_bytes joins the same pieces. Parsing reads the file's bytes
 in place: the CRC runs over a memoryview of the body, and each parsed
 array is a read-only view of them, so a load holds the file once and
@@ -39,7 +41,7 @@ import math
 import os
 import struct
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -228,23 +230,49 @@ def save_checkpoint(path, model, vocab, adam=None, epoch=0, best_val=math.inf, s
         f.write(_U32.pack(crc))
 
 
+def _remove(path):
+    with suppress(FileNotFoundError):
+        os.remove(path)
+
+
 @contextmanager
 def atomic_write(path):
-    """A binary file whose bytes replace `path` whole: they go to
+    """A binary file whose bytes replace `path` whole: they go to a new
     <path>.tmp, which is flushed, fsynced and renamed over `path` when the
-    block ends. If anything raises, the temp file is removed and `path`
-    keeps its previous bytes."""
+    block ends. A <path>.tmp left by a killed run is removed first, never
+    written through: it may be a link to another checkpoint. If anything
+    raises, the temp file is removed and `path` keeps its previous bytes."""
     tmp = "%s.tmp" % path
     try:
+        _remove(tmp)
         with open(tmp, "wb") as f:
             yield f
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        _remove(tmp)
         raise
+
+
+def atomic_link(src, path):
+    """Make `path` a hard link to the file `src`, replacing `path` whole:
+    <path>.tmp is linked to `src`, then renamed over `path`. Returns False,
+    with `path` untouched, where the filesystem refuses the link. The two
+    names then share one file, so it must be replaced, never edited in
+    place."""
+    tmp = "%s.tmp" % path
+    _remove(tmp)
+    try:
+        os.link(src, tmp)
+    except OSError:
+        return False
+    try:
+        os.replace(tmp, path)
+    finally:
+        # rename(2) leaves both names when they already link one file
+        _remove(tmp)
+    return True
 
 
 def load_checkpoint(path):

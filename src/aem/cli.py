@@ -7,7 +7,9 @@ Training writes one machine-readable line per epoch, of the form
 
 to stdout and to <ckpt_dir>/metrics.log (emptied on a fresh start, after
 an older run's checkpoints are removed), and saves best.ckpt (lowest
-validation total) when an epoch improves, then last.ckpt.
+validation total) when an epoch improves, then last.ckpt: on an improving
+epoch a hard link to that best.ckpt, or a second save where the
+filesystem refuses hard links.
 """
 
 import argparse
@@ -17,8 +19,8 @@ import sys
 from contextlib import nullcontext, suppress
 from dataclasses import replace
 
-from .checkpoint import CheckpointError, atomic_write, load_checkpoint, model_from_checkpoint, \
-    save_checkpoint
+from .checkpoint import CheckpointError, atomic_link, atomic_write, load_checkpoint, \
+    model_from_checkpoint, save_checkpoint
 from .config import load_config
 from .data import Vocabulary, build_vocab, encode_pairs, load_corpus, make_batches, tokenize
 from .metrics import eval_report, format_report, load_human_scores
@@ -173,10 +175,19 @@ def cmd_train(args):
         print(line)
         with open(metrics_path, "a", encoding="utf-8") as f:
             f.write(line + "\n")
-        # best first: no last.ckpt records a best.ckpt not yet written
-        for name in ("best.ckpt", "last.ckpt") if stale == 0 else ("last.ckpt",):
-            save_checkpoint(os.path.join(cfg.ckpt_dir, name), model, vocab, adam,
-                            epoch=epoch, best_val=best, stale=stale)
+
+        def save(name):
+            path = os.path.join(cfg.ckpt_dir, name)
+            save_checkpoint(path, model, vocab, adam, epoch=epoch, best_val=best, stale=stale)
+            return path
+
+        if stale == 0:
+            # best first: no last.ckpt records a best.ckpt not yet written.
+            # last.ckpt would hold the same bytes, so it becomes a second
+            # name for them wherever the filesystem allows hard links
+            if atomic_link(save("best.ckpt"), os.path.join(cfg.ckpt_dir, "last.ckpt")):
+                return
+        save("last.ckpt")
 
     fit(model, adam, train_pairs, valid_batches, cfg, log_and_save,
         start_epoch=start_epoch, best=best_val, stale=stale)

@@ -1,3 +1,5 @@
+import errno
+import os
 import re
 import struct
 import zlib
@@ -9,6 +11,7 @@ import aem.checkpoint
 from aem.checkpoint import (
     Checkpoint,
     CheckpointError,
+    atomic_link,
     checkpoint_bytes,
     load_checkpoint,
     model_from_checkpoint,
@@ -348,6 +351,77 @@ def test_stale_truncated_temp_file_does_not_affect_loading(tmp_path):
     save_checkpoint(str(path), model, tiny_vocab(), adam, epoch=4)
     assert load_checkpoint(path).epoch == 4
     assert not stale.exists()
+
+
+@pytest.mark.parametrize("leftover", ["hard_link", "symlink"])
+def test_save_never_writes_through_a_leftover_temp(tmp_path, leftover):
+    # a link step killed before its rename leaves last.ckpt.tmp naming
+    # best.ckpt; the next last.ckpt save must not write into that file
+    best, last = tmp_path / "best.ckpt", tmp_path / "last.ckpt"
+    model, adam = trained_model()
+    save_checkpoint(str(best), model, tiny_vocab(), adam, epoch=3)
+    before = best.read_bytes()
+    stale = tmp_path / "last.ckpt.tmp"
+    if leftover == "hard_link":
+        os.link(best, stale)
+    else:
+        stale.symlink_to(best)
+    save_checkpoint(str(last), model, tiny_vocab(), adam, epoch=4)
+    assert best.read_bytes() == before
+    assert load_checkpoint(last).epoch == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt", "last.ckpt"]
+
+
+def saved_pair(tmp_path):
+    """best.ckpt at epoch 3 and an older, separate last.ckpt at epoch 2."""
+    best, last = tmp_path / "best.ckpt", tmp_path / "last.ckpt"
+    model, adam = trained_model()
+    save_checkpoint(str(last), model, tiny_vocab(), adam, epoch=2)
+    save_checkpoint(str(best), model, tiny_vocab(), adam, epoch=3)
+    return best, last
+
+
+def test_atomic_link_makes_path_a_second_name_and_leaves_no_temp(tmp_path):
+    best, last = saved_pair(tmp_path)
+    before = best.read_bytes()
+    (tmp_path / "last.ckpt.tmp").write_bytes(b"left by a killed save")
+    assert atomic_link(str(best), str(last))
+    assert os.path.samefile(best, last)
+    assert best.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt", "last.ckpt"]
+    # the rename is a no-op when both names already link one file
+    assert atomic_link(str(best), str(last))
+    assert os.path.samefile(best, last)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt", "last.ckpt"]
+
+
+def test_atomic_link_refused_leaves_path_untouched(tmp_path, monkeypatch):
+    best, last = saved_pair(tmp_path)
+    before = last.read_bytes()
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.EPERM, "Operation not permitted")
+
+    monkeypatch.setattr(aem.checkpoint.os, "link", refuse)
+    assert atomic_link(str(best), str(last)) is False
+    monkeypatch.undo()
+    assert last.read_bytes() == before and not os.path.samefile(best, last)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt", "last.ckpt"]
+
+
+def test_atomic_link_failing_rename_keeps_path_and_no_temp(tmp_path, monkeypatch):
+    best, last = saved_pair(tmp_path)
+    before = last.read_bytes()
+
+    def fail(*args):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(aem.checkpoint.os, "replace", fail)
+    with pytest.raises(OSError, match="Input/output"):
+        atomic_link(str(best), str(last))
+    monkeypatch.undo()
+    assert last.read_bytes() == before and not os.path.samefile(best, last)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt", "last.ckpt"]
 
 
 MISMATCH = "vocabulary has 8 entries but the model was built for 7"

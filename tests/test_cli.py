@@ -1,6 +1,8 @@
+import errno
 import math
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,6 +47,40 @@ def workspace(tmp_path):
     write_corpus(tmp_path / "train.tsv", TOY_PAIRS[:5])
     write_corpus(tmp_path / "valid.tsv", TOY_PAIRS[5:])
     return tmp_path
+
+
+def _ignore(path, epoch, model):
+    pass
+
+
+def hook_checkpoint_writes(monkeypatch, before=_ignore, after=_ignore):
+    """Patch both ways `aem train` writes a checkpoint file, a save and the
+    link of last.ckpt to the best.ckpt just saved, so that every write
+    calls before(path, epoch, model) ahead of it and after(path, epoch,
+    model) once it is done. A link carries the epoch and model of the save
+    it links to."""
+    save, link = aem.cli.save_checkpoint, aem.cli.atomic_link
+    saved = {}
+
+    def hooked_save(path, model, *args, epoch, **kwargs):
+        saved.update(epoch=epoch, model=model)
+        before(path, epoch, model)
+        save(path, model, *args, epoch=epoch, **kwargs)
+        after(path, epoch, model)
+
+    def hooked_link(src, path):
+        before(path, **saved)
+        linked = link(src, path)
+        if linked:
+            after(path, **saved)
+        return linked
+
+    monkeypatch.setattr(aem.cli, "save_checkpoint", hooked_save)
+    monkeypatch.setattr(aem.cli, "atomic_link", hooked_link)
+
+
+def temp_files(ckpt_dir):
+    return sorted(p.name for p in ckpt_dir.iterdir() if p.name.endswith(".tmp"))
 
 
 def test_train_writes_checkpoints_and_metrics(workspace, capsys):
@@ -225,14 +261,11 @@ def test_resume_after_crash_between_metrics_and_checkpoint(workspace, monkeypatc
     for name in names:
         os.remove(ckpt_dir / name)
 
-    save = aem.cli.save_checkpoint
-
-    def save_or_die(path, *args, epoch, **kwargs):
+    def die(path, epoch, model):
         if epoch == 3 and path.endswith("last.ckpt"):
             raise OSError("killed while saving")
-        save(path, *args, epoch=epoch, **kwargs)
 
-    monkeypatch.setattr(aem.cli, "save_checkpoint", save_or_die)
+    hook_checkpoint_writes(monkeypatch, before=die)
     assert main(["train", "--config", str(cfg)]) == 1
     monkeypatch.undo()
     assert len((ckpt_dir / "metrics.log").read_text(encoding="utf-8").splitlines()) == 3
@@ -241,25 +274,24 @@ def test_resume_after_crash_between_metrics_and_checkpoint(workspace, monkeypatc
         assert (ckpt_dir / name).read_bytes() == straight[name], name
 
 
-@pytest.mark.parametrize("window", ["first", "last"])
+@pytest.mark.parametrize("window", ["first", "last", "mid_link"])
 @pytest.mark.parametrize("killed_in", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["aem", "seq2seq_attention"])
 def test_kill_after_a_checkpoint_write_then_restart_matches_uninterrupted_run(
         workspace, monkeypatch, kind, killed_in, window):
     # the run dies right after epoch `killed_in`'s first or last checkpoint
-    # write, then resumes from last.ckpt, or starts afresh if there is none
+    # write (a save or the link of last.ckpt), or (mid_link) once
+    # last.ckpt.tmp links best.ckpt, as a link killed before its rename
+    # leaves it: on an improving epoch after its best.ckpt write, else
+    # where its last.ckpt save would write through such a leftover. Then
+    # it resumes from last.ckpt, or starts afresh if there is none
     cfg = write_config(workspace, kind=kind, epochs=6, patience=2)
     ckpt_dir = workspace / "ckpt"
     names = ("metrics.log", "last.ckpt", "best.ckpt")
-    save = aem.cli.save_checkpoint
     writes = []
-
-    def save_and_count(path, *args, epoch, **kwargs):
-        save(path, *args, epoch=epoch, **kwargs)
-        writes.append(epoch)
-
-    monkeypatch.setattr(aem.cli, "save_checkpoint", save_and_count)
+    hook_checkpoint_writes(monkeypatch, after=lambda path, epoch, model: writes.append(epoch))
     assert main(["train", "--config", str(cfg)]) == 0
+    monkeypatch.undo()
     assert max(writes) >= 3
     straight = {name: (ckpt_dir / name).read_bytes() for name in names}
     for name in names:
@@ -268,20 +300,93 @@ def test_kill_after_a_checkpoint_write_then_restart_matches_uninterrupted_run(
     kill_at = writes.count(killed_in) if window == "last" else 1
     seen = []
 
-    def save_or_die(path, *args, epoch, **kwargs):
-        save(path, *args, epoch=epoch, **kwargs)
+    def die_after(path, epoch, model):
         seen.append(epoch)
         if seen.count(killed_in) == kill_at:
-            raise OSError("killed after saving %s" % path)
+            raise OSError("killed after writing %s" % path)
 
-    monkeypatch.setattr(aem.cli, "save_checkpoint", save_or_die)
+    def die_mid_link(path, epoch, model):
+        if epoch == killed_in and path.endswith("last.ckpt"):
+            os.link(ckpt_dir / "best.ckpt", path + ".tmp")
+            raise OSError("killed while linking %s" % path)
+
+    if window == "mid_link":
+        hook_checkpoint_writes(monkeypatch, before=die_mid_link)
+    else:
+        hook_checkpoint_writes(monkeypatch, after=die_after)
     assert main(["train", "--config", str(cfg)]) == 1
     monkeypatch.undo()
+    if window == "mid_link":
+        assert temp_files(ckpt_dir) == ["last.ckpt.tmp"]
+        assert os.path.samefile(ckpt_dir / "last.ckpt.tmp", ckpt_dir / "best.ckpt")
+    for name in ("last.ckpt", "best.ckpt"):
+        if (ckpt_dir / name).exists():
+            load_checkpoint(ckpt_dir / name)
     last = ckpt_dir / "last.ckpt"
     resume = ["--resume", str(last)] if last.exists() else []
     assert main(["train", "--config", str(cfg)] + resume) == 0
     for name in names:
         assert (ckpt_dir / name).read_bytes() == straight[name], name
+    assert temp_files(ckpt_dir) == []
+
+
+def counted_saves(monkeypatch):
+    """The epochs of aem train's save_checkpoint calls, one per call."""
+    save, epochs = aem.cli.save_checkpoint, []
+
+    def counted(path, *args, epoch, **kwargs):
+        epochs.append(epoch)
+        save(path, *args, epoch=epoch, **kwargs)
+
+    monkeypatch.setattr(aem.cli, "save_checkpoint", counted)
+    return epochs
+
+
+def test_improving_epoch_saves_once_and_links_last_to_best(workspace, monkeypatch):
+    saves = counted_saves(monkeypatch)
+    assert main(["train", "--config", str(write_config(workspace, epochs=1))]) == 0
+    ckpt_dir = workspace / "ckpt"
+    assert saves == [1]
+    assert os.path.samefile(ckpt_dir / "best.ckpt", ckpt_dir / "last.ckpt")
+    assert load_checkpoint(ckpt_dir / "last.ckpt").epoch == 1
+    assert temp_files(ckpt_dir) == []
+
+
+def test_non_improving_epoch_writes_last_alone_and_leaves_best_whole(workspace):
+    assert main(["train", "--config", str(write_config(workspace, epochs=1))]) == 0
+    ckpt_dir = workspace / "ckpt"
+    best = ckpt_dir / "best.ckpt"
+    kept = (best.read_bytes(), best.stat().st_ino)
+    # resume under a best validation total no epoch can beat; written to a
+    # file of its own, as best.ckpt and last.ckpt are one file
+    resume = workspace / "resume.ckpt"
+    resume.write_bytes(checkpoint_bytes(
+        replace(load_checkpoint(ckpt_dir / "last.ckpt"), best_val=0.0)))
+    assert main(["train", "--config", str(write_config(workspace, epochs=2)),
+                 "--resume", str(resume)]) == 0
+    last = load_checkpoint(ckpt_dir / "last.ckpt")
+    assert (last.epoch, last.stale) == (2, 1)
+    assert not os.path.samefile(best, ckpt_dir / "last.ckpt")
+    assert (best.read_bytes(), best.stat().st_ino) == kept
+    assert temp_files(ckpt_dir) == []
+
+
+def test_refused_hard_link_saves_last_as_a_second_file(workspace, monkeypatch):
+    cfg = write_config(workspace, epochs=1)
+    ckpt_dir = workspace / "ckpt"
+    assert main(["train", "--config", str(cfg)]) == 0
+    linked = (ckpt_dir / "last.ckpt").read_bytes()
+
+    def refuse(src, dst, **kwargs):
+        raise OSError(errno.EPERM, "Operation not permitted")
+
+    monkeypatch.setattr(os, "link", refuse)
+    saves = counted_saves(monkeypatch)
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert saves == [1, 1]
+    assert not os.path.samefile(ckpt_dir / "best.ckpt", ckpt_dir / "last.ckpt")
+    assert (ckpt_dir / "best.ckpt").read_bytes() == (ckpt_dir / "last.ckpt").read_bytes() == linked
+    assert temp_files(ckpt_dir) == []
 
 
 def test_fresh_run_starts_the_metrics_log_empty(workspace, capsys):
@@ -702,14 +807,11 @@ def test_chat_logs_transcript(workspace, capsys, monkeypatch):
 def test_nan_abort_keeps_last_checkpoint(workspace, capsys, monkeypatch):
     # poison one parameter once epoch 1 is saved: epoch 2's losses turn
     # non-finite, training aborts, and epoch 1's checkpoint survives
-    save = aem.cli.save_checkpoint
-
-    def save_then_poison(path, model, *args, **kwargs):
-        save(path, model, *args, **kwargs)
+    def poison(path, epoch, model):
         if path.endswith("last.ckpt"):
             model.src_proj.b.values[0] = np.nan
 
-    monkeypatch.setattr(aem.cli, "save_checkpoint", save_then_poison)
+    hook_checkpoint_writes(monkeypatch, after=poison)
     cfg = write_config(workspace, epochs=6)
     assert main(["train", "--config", str(cfg)]) == 1
     assert "non-finite" in capsys.readouterr().err
