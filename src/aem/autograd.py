@@ -29,8 +29,10 @@ and four rows. That covers B x 4H gate values for each step of the
 `lstm_sequence` forward recurrence (each half projecting its own rows'
 inputs, x w, before its steps) and of its backward walk, rows x V
 logits for each `linear_softmax_cross_entropy` block (its projection,
-bias, shift, exp, loss and (P - onehot) passes) and B x V logits for
-each greedy token (`layers.greedy_decode`); the elementwise gate factors
+bias, shift, exp, loss and (P - onehot) passes) and a greedy reply's
+B x V logits, whose rows split once for every token of the reply: each
+half drives `_lstm_steps` and `_attention_forward` for its own rows
+(`layers.greedy_decode`); the elementwise gate factors
 of `lstm_sequence` backward split the same way over halves of the steps
 (T x B x 4H values, four steps or more). Below the floor the pass runs
 whole; on one CPU its halves run one after the other in the caller. Two
@@ -732,6 +734,26 @@ class AttentionMask:
         self.keep = mask[:, None, :] > 0
 
 
+def _attention_forward(hv, sv, keep, wa, wc):
+    """attention_sequence's forward on arrays, the one copy of its math:
+    (proj, weights, joined, tanh(joined wc)) for (B, T, H) hiddens `hv`
+    against (B, S, H) states `sv` under an AttentionMask's (B, 1, S)
+    `keep`. Numpy only, so greedy decoding runs it for its own rows on
+    either CPU."""
+    B, T, H = hv.shape
+    flat = hv.reshape(B * T, H)
+    proj = (flat @ wa).reshape(B, T, H)
+    # einsum, not matmul, for the forward: it sums in the composite ops' order
+    scores = np.einsum("bth,bsh->bts", proj, sv)
+    neg = np.where(keep, scores, -np.inf)
+    e = np.exp(neg - neg.max(axis=2, keepdims=True))
+    e = np.where(keep, e, 0.0).astype(hv.dtype)
+    weights = e / e.sum(axis=2, keepdims=True)
+    context = np.einsum("bts,bsh->bth", weights, sv)
+    joined = np.concatenate([context.reshape(B * T, H), flat], axis=1)
+    return proj, weights, joined, np.tanh(joined @ wc)
+
+
 def attention_sequence(hiddens: Tensor, states: Tensor, mask: AttentionMask,
                        w_a: Tensor, w_c: Tensor) -> Tensor:
     """Luong general-score attention for every decoder step as one op:
@@ -743,7 +765,8 @@ def attention_sequence(hiddens: Tensor, states: Tensor, mask: AttentionMask,
     tanh([c_t; h_t] w_c) as row b*T + t of a (B*T, H) output. In float32
     that equals the per-step chain of slice_cols, matmul, batched_dot,
     masked_softmax, attend, concat_cols, matmul and tanh. Teacher forcing
-    calls it over all target steps and greedy decoding once per token.
+    calls it over all target steps; greedy decoding runs only its forward,
+    _attention_forward, once per token with no record.
 
     Backward forms dw_a and dw_c with one matmul each, the score and
     context gradients with batched matmuls, and accumulates into the
@@ -756,21 +779,12 @@ def attention_sequence(hiddens: Tensor, states: Tensor, mask: AttentionMask,
         raise ValueError(f"attention_sequence shape mismatch: hiddens {hv.shape}, states "
                          f"{sv.shape}, w_a {w_a.values.shape}, w_c {w_c.values.shape}")
     B, T, H = hv.shape
-    dtype = hv.dtype
     if mask.positions != sv.shape[:2]:
         raise ValueError(f"mask shape {mask.positions} != states positions {sv.shape[:2]}")
-    keep = mask.keep
     flat = hv.reshape(B * T, H)
-    proj = (flat @ w_a.values).reshape(B, T, H)
-    # einsum, not matmul, for the forward: it sums in the composite ops' order
-    scores = np.einsum("bth,bsh->bts", proj, sv)
-    neg = np.where(keep, scores, -np.inf)
-    e = np.exp(neg - neg.max(axis=2, keepdims=True))
-    e = np.where(keep, e, 0.0).astype(dtype)
-    weights = e / e.sum(axis=2, keepdims=True)
-    context = np.einsum("bts,bsh->bth", weights, sv)
-    joined = np.concatenate([context.reshape(B * T, H), flat], axis=1)
-    out = Tensor(np.tanh(joined @ w_c.values))
+    proj, weights, joined, attended = _attention_forward(hv, sv, mask.keep, w_a.values,
+                                                         w_c.values)
+    out = Tensor(attended)
 
     def back(gout):
         dz = gout * (1.0 - out.values * out.values)

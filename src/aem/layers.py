@@ -3,21 +3,22 @@ representation-mapping MLP, output projection, and Luong-style
 attention. The sequence runners take an embedding as its (V, E)
 table, a ParamStore tensor, and gather its rows by token id.
 
-Every LSTM and every attention, whether over a whole sequence (encoder,
-teacher-forced decoder) or one greedy decoding step, runs through one
-fused op, `lstm_sequence` or `attention_sequence`, which holds the only
-copy of its math; each is reached through one method, `LSTMCell.step`
-or `LuongAttention.attentional_hidden`, and independent LSTM runs of
+Every LSTM and every attention over a whole sequence (encoder,
+teacher-forced decoder) runs through one fused op, `lstm_sequence` or
+`attention_sequence`, reached through one method, `LSTMCell.step` or
+`LuongAttention.attentional_hidden`, and independent LSTM runs of
 several cells through `step_cells`, one `lstm_sequences` group (see
-`encode_sequences` and `decode_sequences`). LSTM state is always one
-[h; c] tensor of width 2H.
+`encode_sequences` and `decode_sequences`). Greedy decoding records
+nothing: its loop drives the ops' own numpy, `autograd._lstm_steps` and
+`autograd._attention_forward`, so each piece of math has one copy. LSTM
+state is one [h; c] tensor of width 2H.
 
 All parameters are registered in a ParamStore under the prefix given at
 construction, in the store's dtype, so layer code never owns arrays
 directly and checkpoints are a flat name -> array map. The training
 loss head is `linear_softmax_cross_entropy` over an OutputProjection's
 W and b; greedy decoding computes `logits`' h W + b straight from the
-arrays, with no op records.
+arrays.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ class LSTMCell:
     def step(self, x: Tensor, state: Tensor,
              lengths: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
         """Step the cell through all T steps of (B, T, E) inputs from the
-        [h; c] state (T = 1 for one greedy token), as one lstm_sequence
-        record. Returns (hiddens (B, T, H), final [h; c]), the final state
-        read after step lengths[r] of row r when lengths is given."""
+        [h; c] state, as one lstm_sequence record. Returns (hiddens
+        (B, T, H), final [h; c]), the final state read after step
+        lengths[r] of row r when lengths is given."""
         return lstm_sequence(x, state, self.W, self.U, self.b, lengths)
 
 
@@ -122,8 +123,8 @@ class LuongAttention:
                            mask: AttentionMask) -> Tensor:
         """tanh([c_t; h_t] W_c), c_t as in context(h_t), for every step of
         (B, T, H) decoder hiddens, as (B*T, H) rows b*T + t: one op for a
-        whole teacher-forced target or one greedy step, over the encoder
-        mask checked once as an AttentionMask."""
+        whole teacher-forced target, over the encoder mask checked once as
+        an AttentionMask."""
         return attention_sequence(decoder_hiddens, encoder_states, mask, self.W_a, self.W_c)
 
 
@@ -175,11 +176,12 @@ def decode_teacher_forced(cell: LSTMCell, table: Tensor, init: Tensor,
     targets[b, t] from the ones before it, starting the recurrence from
     `init` ([h; c], width 2H).
 
-    `attend`, when given, maps (B, T, H) decoder hiddens to the (B*T, H)
-    attentional hiddens that replace them, as DialogueModel builds it from
-    LuongAttention.attentional_hidden. The recurrence never reads
-    attention (there is no input feeding), so the whole decoder LSTM runs
-    first and attention covers all its hiddens in one call.
+    `attend`, when given, is the (LuongAttention, encoder states,
+    AttentionMask) that DialogueModel._attend builds: the (B*T, H)
+    attentional hiddens of that attention over the (B, T, H) decoder
+    hiddens replace them. The recurrence never reads attention (there is
+    no input feeding), so the whole decoder LSTM runs first and attention
+    covers all its hiddens in one call.
     """
     hiddens, _ = cell.step(embedding_lookup(table, shifted_inputs(targets)), init)
     return _features(hiddens, attend)
@@ -198,57 +200,70 @@ def _features(hiddens: Tensor, attend) -> Tensor:
     if attend is None:
         B, T, H = hiddens.shape
         return reshape(hiddens, (B * T, H))
-    return attend(hiddens)
+    attention, states, mask = attend
+    return attention.attentional_hidden(hiddens, states, mask)
 
 
 def greedy_decode(cell: LSTMCell, table: Tensor, proj: OutputProjection,
                   init: Tensor, max_len: int, attend=None) -> list[list[int]]:
     """Argmax decoding from `init`, at most max_len tokens per sequence,
-    stopping at EOS, with `attend` as in decode_teacher_forced applied to
-    each step's (B, 1, H) hiddens. PAD and BOS are never emitted; argmax
-    ties break toward the lowest token id.
+    stopping at EOS, attending as decode_teacher_forced does when `attend`
+    is given. PAD and BOS are never emitted; argmax ties break toward the
+    lowest token id.
 
-    Per reply the bias is copied once with -inf at PAD and BOS; per token
-    only the recurrence runs: the cell's `step` over the (B, 1, E) embedding
-    rows of the last ids (argmax ids, in range by construction), `attend`
-    on its hiddens, and logits = feed @ W + bias with their argmax, over
-    two row halves through autograd._halves when B x V logits are enough
-    to pay for it, else on the whole arrays. Finished rows are fed PAD.
-    Per-reply work, such as checking the encoder mask, belongs in
-    `attend`'s construction."""
-    B = init.values.shape[0]
+    Greedy rows never read each other, so the rows split once per reply:
+    through autograd._halves over B x V logits, as two row halves when
+    those pay for the worker (as for 256 sources at V = 3000), else whole
+    (one-source chat). Each part runs every token for its own rows with
+    numpy only and no op records: it gathers the embedding rows of the
+    last ids (in range by construction), projects them (x W), runs
+    autograd._lstm_steps, then autograd._attention_forward when
+    attending, and forms logits = feed @ W + bias and their argmax, the
+    bias copied once per reply with -inf at PAD and BOS. A row that emits
+    EOS is fed it once, then PAD; a part stops once all its rows have
+    ended. Both parts write row views of buffers made here once per reply,
+    so the worker allocates only per-token temporaries."""
+    B, H = init.values.shape[0], cell.hidden_size
     W = proj.W.values
+    dtype = W.dtype
     bias = proj.b.values.copy()
     bias[[PAD_ID, BOS_ID]] = -np.inf
-    logits = np.empty((B, W.shape[1]), dtype=W.dtype)
-    best = np.empty(B, dtype=np.intp)
-    splits = autograd._splits(B, logits.size)
-
-    def argmax_into(feed, z, best):
-        np.matmul(feed, W, out=z)
-        z += bias
-        z.argmax(axis=1, out=best)
-
-    state = init
-    current = np.full((B, 1), BOS_ID, dtype=np.int64)
+    tv, wv, uv, bv = table.values, cell.W.values, cell.U.values, cell.b.values
+    if attend is None:
+        feed = lambda hidden, rows: hidden
+    else:
+        attention, states, mask = attend
+        wa, wc = attention.W_a.values, attention.W_c.values
+        feed = lambda hidden, rows: autograd._attention_forward(
+            hidden[:, None], states.values[rows], mask.keep[rows], wa, wc)[3]
+    # h and c before and after a token: the two slots swap roles every token
+    hs, cs = np.empty((2, B, H), dtype=dtype), np.empty((2, B, H), dtype=dtype)
+    hs[0], cs[0] = init.values[:, :H], init.values[:, H:]
+    acts, tcs = np.empty((1, B, 4 * H), dtype=dtype), np.empty((1, B, H), dtype=dtype)
+    logits = np.empty((B, W.shape[1]), dtype=dtype)
+    ids = np.full(B, BOS_ID, dtype=np.intp)
     tokens = np.empty((B, max_len), dtype=np.int64)
     lengths = np.full(B, max_len)
     finished = np.zeros(B, dtype=bool)
-    for step in range(max_len):
-        hiddens, state = cell.step(Tensor(table.values[current]), state)
-        feed = hiddens.values.reshape(B, -1) if attend is None else attend(hiddens).values
-        if splits:
-            autograd._halves(lambda rows: argmax_into(feed[rows], logits[rows], best[rows]),
-                             B, logits.size)
-        else:
-            argmax_into(feed, logits, best)
-        chosen = np.where(finished, PAD_ID, best)
-        tokens[:, step] = chosen
-        # only non-finite logits pick the banned PAD or BOS: they end a reply too
-        ended = ~finished & (chosen <= EOS_ID)
-        lengths[ended] = step
-        finished |= ended
-        if finished.all():
-            break
-        current = chosen[:, None]
+
+    def decode_rows(rows):
+        # every token of rows `rows`, through views of those rows alone
+        last, z, out, ends, done = (a[rows] for a in (ids, logits, tokens, lengths, finished))
+        for step in range(max_len):
+            slots = slice(None, None, -1 if step % 2 else 1)
+            h, c = hs[slots, rows], cs[slots, rows]
+            autograd._lstm_steps(uv, bv, (tv[last] @ wv)[None], h, c, acts[:, rows], tcs[:, rows])
+            np.matmul(feed(h[1], rows), W, out=z)
+            z += bias
+            z.argmax(axis=1, out=last)
+            last[done] = PAD_ID
+            out[:, step] = last
+            # only non-finite logits pick the banned PAD or BOS: they end a reply too
+            ended = ~done & (last <= EOS_ID)
+            ends[ended] = step
+            done |= ended
+            if done.all():
+                break
+
+    autograd._halves(decode_rows, B, logits.size)
     return [row[:n].tolist() for row, n in zip(tokens, lengths)]

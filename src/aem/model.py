@@ -154,12 +154,13 @@ class DialogueModel:
 
     def _attend(self, encoder_states, encoder_mask):
         """The decoders' `attend` over these annotations for attention
-        kinds, None for the plain kinds. The mask is converted and checked
-        here, once, however many steps the decoder attends."""
+        kinds, (attention, states, AttentionMask), and None for the plain
+        kinds. The mask is converted and checked here, once, however many
+        steps the decoder attends."""
         if self.attention is None:
             return None
         mask = AttentionMask(encoder_mask, encoder_states.shape[:2], encoder_states.dtype)
-        return lambda hiddens: self.attention.attentional_hidden(hiddens, encoder_states, mask)
+        return self.attention, encoder_states, mask
 
     # the teacher-forced decoders, as (cell, table, proj, init, tokens, mask, attend)
 

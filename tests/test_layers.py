@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import aem.layers
-from aem.autograd import (AttentionMask, Tape, Tensor, backward, concat_cols, embedding_lookup,
-                          mul, reshape, slice_cols, softmax_cross_entropy, sum_all)
+from aem.autograd import (AttentionMask, Tape, Tensor, backward, embedding_lookup, mul, reshape,
+                          slice_cols, softmax_cross_entropy, sum_all)
+from aem.data import BOS_ID, EOS_ID, PAD_ID
 from aem.gradcheck import check_gradients
 from aem.layers import (
     LSTMCell,
@@ -17,7 +18,7 @@ from aem.layers import (
 )
 from aem.params import ParamStore, uniform_init
 from helpers import (assert_halves_equal_whole, composite_attention, composite_lstm,
-                     composite_lstm_step)
+                     composite_lstm_step, run_on_cpus)
 
 RNG = np.random.default_rng(7)
 
@@ -300,8 +301,7 @@ def test_decode_with_attention_gradient():
 
     def loss():
         logits = teacher_forced_logits(
-            cell, emb, proj, init, targets,
-            lambda hiddens: attn.attentional_hidden(hiddens, enc_states, enc_mask))
+            cell, emb, proj, init, targets, (attn, enc_states, enc_mask))
         flat = reshape(logits, (4, 5))
         out, _ = softmax_cross_entropy(flat, targets.reshape(-1), np.ones(4))
         return out
@@ -358,9 +358,9 @@ def test_greedy_decode_non_finite_logits_end_the_reply():
 
 
 def test_greedy_decode_two_row_halves_equal_whole_at_default_size(monkeypatch):
-    """Four sources at the default sizes (H = 512, E = 64, V = 40000):
-    each token's 4 x V logits reach the floor, so its product runs as two
-    halves of two rows, the fewest the split makes. Every logits row and
+    """Five sources at the default sizes (H = 512, E = 64, V = 40000): the
+    reply's 5 x V logits reach the floor, so its rows split once, two and
+    three rows decoding every token on their own. Every logits row and
     every id equal the whole pass's (numpy's OpenBLAS at this shape)."""
     V, E, H = 40000, 64, 512
     store = ParamStore(np.float32)
@@ -370,7 +370,7 @@ def test_greedy_decode_two_row_halves_equal_whole_at_default_size(monkeypatch):
     for _, p in store.items():
         rng.standard_normal(p.shape, dtype=np.float32, out=p.values)
         p.values *= 0.1
-    init = Tensor(rng.standard_normal((4, 2 * H), dtype=np.float32))
+    init = Tensor(rng.standard_normal((5, 2 * H), dtype=np.float32))
     products = []  # the bytes of every logits row the decoder's matmul writes
 
     class RecordingNumpy:
@@ -392,10 +392,54 @@ def test_greedy_decode_two_row_halves_equal_whole_at_default_size(monkeypatch):
         return [np.frombuffer(b"".join(sorted(products)), dtype=np.uint8)] + [
             np.array(reply, dtype=np.int64) for reply in replies]
 
-    assert assert_halves_equal_whole(run) == [4 * V] * 3
+    assert assert_halves_equal_whole(run) == [5 * V]
+    assert len(products) == 5 * 3
 
 
-def test_float32_sequences_and_greedy_ids_bit_equal_to_composite(monkeypatch):
+def test_greedy_decode_half_whose_rows_end_early_stops_alone():
+    """Rows 0-3 (the first half) reach EOS at their own steps while rows
+    4-7 never can: each row is fed BOS, its ids, its EOS once, then PAD,
+    the first half stops at its last row's EOS and the second runs to
+    max_len, with the replies of the whole pass and of each row alone."""
+    store, cell, emb, proj = decoder_fixture(V=12, E=4, H=6, seed=41)
+    proj.b.values[[0, 1]] = 100.0  # PAD and BOS would win every unbanned argmax
+    proj.b.values[2] += 0.6  # EOS near the top: rows reach it at different steps
+    # hidden unit 5 keeps its cell value (input gate shut, forget gate
+    # open, nothing feeds it) and moves only the EOS logit: a row starting
+    # at c = -5 never emits EOS, one at c = 0 decodes as if it were absent
+    gates = np.arange(4) * 6 + 5
+    cell.W.values[:, gates] = cell.U.values[:, gates] = cell.U.values[5] = 0.0
+    cell.b.values[gates] = [-50.0, 50.0, 0.0, 50.0]
+    proj.W.values[5] = 0.0
+    proj.W.values[5, EOS_ID] = 50.0
+    init = np.random.default_rng(2).standard_normal((8, 12))
+    init[:, 11] = [0.0] * 4 + [-5.0] * 4
+    fed = []
+
+    class FedIds(np.ndarray):
+        def __getitem__(self, ids):
+            fed.append(np.array(ids))
+            return self.view(np.ndarray)[ids]
+
+    table = Tensor(emb.values)
+    table.values = emb.values.view(FedIds)
+    max_len = 10
+    out, _ = run_on_cpus(1, lambda: greedy_decode(cell, table, proj, Tensor(init), max_len))
+    lengths = [len(row) for row in out]
+    assert len(set(lengths[:4])) >= 2 and max(lengths[:4]) < max_len
+    assert lengths[4:] == [max_len] * 4
+    # on one CPU the halves run one after the other: the first half's tokens, then the second's
+    first = max(lengths[:4]) + 1
+    assert len(fed) == first + max_len and all(ids.shape == (4,) for ids in fed)
+    for r, row in enumerate(out):
+        steps = fed[:first] if r < 4 else fed[first:]
+        expected = ([BOS_ID] + row + [EOS_ID] + [PAD_ID] * max_len)[:len(steps)]
+        assert [int(ids[r % 4]) for ids in steps] == expected, r
+        assert greedy_decode(cell, emb, proj, Tensor(init[r:r + 1]), max_len) == [row]
+    assert greedy_decode(cell, emb, proj, Tensor(init), max_len) == out
+
+
+def test_float32_sequences_and_greedy_ids_bit_equal_to_composite():
     rng = np.random.default_rng(3)
     B, T, T2, V, E, H = 32, 35, 25, 60, 64, 128
     store = ParamStore()
@@ -425,31 +469,23 @@ def test_float32_sequences_and_greedy_ids_bit_equal_to_composite(monkeypatch):
     plain = decode_teacher_forced(dec, emb, final, targets)
     assert plain.values.tobytes() == ref_hiddens.values.reshape(B * T2, H).tobytes()
     # both decoders attend through a mask checked once, as the model does
-    checked = AttentionMask(mask, (B, T), np.float32)
-    attend = lambda hiddens: attn.attentional_hidden(hiddens, states, checked)
+    attend = (attn, states, AttentionMask(mask, (B, T), np.float32))
     attended = decode_teacher_forced(dec, emb, final, targets, attend)
     ref_attended = composite_attention(ref_hiddens, ref_states, mask, attn.W_a, attn.W_c)
     assert attended.values.tobytes() == ref_attended.values.tobytes()
 
-    fused_ids = greedy_decode(dec, emb, proj, final, 12, attend)
-
-    swapped = []
-
-    def composite_sequence(x, state, w, u, b, lengths=None):
-        # greedy decoding runs the LSTM one (B, 1, E) step at a time
-        assert x.shape == (B, 1, E)
-        swapped.append("lstm")
-        h, c = composite_lstm_step(reshape(x, (B, E)), slice_cols(state, 0, H),
-                                   slice_cols(state, H, 2 * H), w, u, b)
-        return reshape(h, (B, 1, H)), concat_cols(h, c)
-
-    def composite_attention_sequence(hiddens, encoder_states, checked_mask, w_a, w_c):
-        assert checked_mask is checked
-        swapped.append("attention")
-        return composite_attention(hiddens, encoder_states, mask, w_a, w_c)
-
-    monkeypatch.setattr(aem.layers, "lstm_sequence", composite_sequence)
-    monkeypatch.setattr(aem.layers, "attention_sequence", composite_attention_sequence)
-    assert greedy_decode(dec, emb, proj, final, 12, attend) == fused_ids
-    # both fused ops were swapped out on every decoded token
-    assert swapped and swapped == ["lstm", "attention"] * (len(swapped) // 2)
+    # the composite chain one token at a time, PAD and BOS banned, each
+    # row's reply ending at its first EOS; rows never read each other
+    h, c = slice_cols(final, 0, H), slice_cols(final, H, 2 * H)
+    current, replies, ended = np.full(B, BOS_ID), [[] for _ in range(B)], np.zeros(B, bool)
+    for _ in range(12):
+        h, c = composite_lstm_step(embedding_lookup(emb, current), h, c, dec.W, dec.U, dec.b)
+        feed = composite_attention(reshape(h, (B, 1, H)), states, mask, attn.W_a, attn.W_c)
+        logits = proj.logits(feed).values
+        logits[:, [PAD_ID, BOS_ID]] = -np.inf
+        current = logits.argmax(axis=1)
+        for r in np.flatnonzero(~ended):
+            ended[r] = current[r] == EOS_ID
+            replies[r] += [] if ended[r] else [int(current[r])]
+    assert any(map(len, replies)) and ended.any()
+    assert greedy_decode(dec, emb, proj, final, 12, attend) == replies

@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 import aem.autograd
 import aem.layers
-from aem.autograd import AttentionMask, Tape, Tensor, attention_sequence, backward
+import aem.model
+from aem.autograd import AttentionMask, Tape, Tensor, backward
 from aem.config import MODEL_KINDS
 from aem.data import DialoguePair, pairs_to_batch
 from aem.layers import LuongAttention, greedy_decode
@@ -184,24 +186,75 @@ def test_generate_same_bits_on_one_and_two_cpus(kind):
     assert_same_bits_on_one_and_two_cpus(run)
 
 
-@pytest.mark.parametrize("kind", ["seq2seq", "aem_attention"])
-def test_generate_halves_equal_whole_at_benchmark_shape(kind):
-    """256 sources at H = 128, E = 64, V = 3000 (`aem generate` in the
-    benchmark): the encoder recurrence and each token's logits and argmax
-    over row halves pick the ids of the whole pass. This pins the
-    row-partition invariance of numpy's BLAS (OpenBLAS in numpy's wheels)
-    at these shapes."""
+def benchmark_replies(kind):
+    """A thunk: seeded `generate` of 256 sources at H = 128, E = 64,
+    V = 3000 (`aem generate` in the benchmark), as one id array per reply.
+    The untrained model never emits EOS, so every row decodes every token."""
     config = tiny_config(kind=kind, hidden_size=128, embed_size=64, vocab_size=3000,
                          batch_size=256)
     model = DialogueModel(kind, config)
     rng = np.random.default_rng(11)
     sources = [rng.integers(3, 3000, rng.integers(4, 9)).tolist() for _ in range(256)]
+    return lambda: [np.array(reply, dtype=np.int64) for reply in model.generate(sources, max_len=6)]
 
-    def run():
-        return [np.array(reply, dtype=np.int64) for reply in model.generate(sources, max_len=6)]
 
-    sizes = assert_halves_equal_whole(run)
-    assert 256 * 4 * 128 in sizes and 256 * 3000 in sizes
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_generate_halves_equal_whole_at_benchmark_shape(kind):
+    """The encoder recurrence over two row halves, then the reply's rows
+    split once into two halves that decode every token on their own, pick
+    the ids of the whole pass. This pins the row-partition invariance of
+    numpy's BLAS (OpenBLAS in numpy's wheels) at these shapes."""
+    assert assert_halves_equal_whole(benchmark_replies(kind)) == [256 * 4 * 128, 256 * 3000]
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_generate_same_bits_on_one_and_two_cpus_at_benchmark_shape(kind):
+    assert_same_bits_on_one_and_two_cpus(benchmark_replies(kind))
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_generate_same_bits_under_a_short_switch_interval(kind):
+    # both threads switch every microsecond: each half must still read and
+    # write only its own rows of the reply's buffers
+    run = benchmark_replies(kind)
+    want, _ = run_on_cpus(1, run)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got, on_worker = run_on_cpus(2, run, split_min=aem.autograd._SPLIT_MIN)
+            assert on_worker == [True, True]  # the encoder's steps and the decode loop
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("kind", ["seq2seq", "aem_attention"])
+def test_a_splitting_reply_hands_its_decode_loop_to_the_worker_once(kind, monkeypatch):
+    # one _both call for all the tokens of a 256-source reply, none for one source
+    calls, decoding = [], []
+    both, decode = aem.autograd._both, aem.model.greedy_decode
+
+    def counted(first, second, size):
+        calls.append((bool(decoding), size))
+        return both(first, second, size)
+
+    def flagged(*args, **kwargs):
+        decoding.append(True)
+        try:
+            return decode(*args, **kwargs)
+        finally:
+            decoding.clear()
+
+    monkeypatch.setattr(aem.autograd, "_both", counted)
+    monkeypatch.setattr(aem.model, "greedy_decode", flagged)
+    replies = benchmark_replies(kind)()
+    assert [len(reply) for reply in replies] == [6] * 256
+    assert [size for in_decode, size in calls if in_decode] == [256 * 3000]
+    calls.clear()
+    config = tiny_config(kind=kind, hidden_size=128, embed_size=64, vocab_size=3000)
+    DialogueModel(kind, config).generate([[4, 5, 6, 7]], max_len=6)
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", ["aem", "aem_attention"])
@@ -493,8 +546,8 @@ def test_attention_baseline_single_token_reduction():
     from aem.layers import decode_teacher_forced
     features = decode_teacher_forced(
         model.tgt_dec, model.tgt_embed, h, batch.target,
-        attend=lambda hiddens: model.attention.attentional_hidden(
-            hiddens, states, AttentionMask(batch.source_mask, states.shape[:2], states.dtype)))
+        attend=(model.attention, states,
+                AttentionMask(batch.source_mask, states.shape[:2], states.dtype)))
     logits = model.tgt_proj.logits(features).values.reshape(1, 2, cfg.vocab_size)
     # hand-stepped first decode position
     def sig(v):
@@ -525,19 +578,21 @@ def test_attention_generate_zeroed_weights_degenerates_to_uniform():
 
 @pytest.mark.parametrize("kind", ["seq2seq_attention", "aem_attention"])
 def test_attention_generate_runs_one_fused_attention_op_per_token(kind, monkeypatch):
-    # greedy decoding attends through attentional_hidden alone; context is
-    # kept for reading attention weights and must not be on the path
+    # greedy decoding attends through attention_sequence's forward alone,
+    # once per token; context is kept for reading attention weights and
+    # must not be on the path
     def refuse(*args):
         raise AssertionError("greedy decoding called LuongAttention.context")
 
     calls = []
+    forward = aem.autograd._attention_forward
 
     def counted(*args):
         calls.append(args[0].shape)
-        return attention_sequence(*args)
+        return forward(*args)
 
     monkeypatch.setattr(LuongAttention, "context", refuse)
-    monkeypatch.setattr(aem.layers, "attention_sequence", counted)
+    monkeypatch.setattr(aem.autograd, "_attention_forward", counted)
     model = DialogueModel(kind, tiny_config())
     model.tgt_proj.b.values[2] = -50.0  # EOS unreachable: every row runs to the cap
     out = model.generate([[4, 5], [6]], max_len=5)

@@ -72,12 +72,11 @@ def test_the_layer_methods_the_tracer_wraps_are_on_the_model_path(monkeypatch):
         calls.clear()
         groups.clear()
 
-        (reply,) = model.generate([[4, 5, 6]])
-        # the encoder once over the source and its EOS, then one T = 1
-        # step per decoded token, EOS included
-        tokens = min(len(reply) + 1, model.config.max_gen_len)
+        model.generate([[4, 5, 6]])
+        # the encoder once over the source and its EOS; greedy decoding
+        # runs its tokens' LSTM steps inside layers.greedy_decode
         steps = [shape for name, shape in calls if name == "LSTMCell.step"]
-        assert steps == [(1, 4, E)] + [(1, 1, E)] * tokens and groups == [], kind
+        assert steps == [(1, 4, E)] and groups == [], kind
         reached.update(name for name, _ in calls)
         calls.clear()
     assert reached == wrapped - OFF_PATH
@@ -130,7 +129,7 @@ def test_every_call_the_tracer_wraps_runs_on_the_main_thread():
             for kind in MODEL_KINDS:
                 model = DialogueModel(kind, tiny_config(kind=kind))
                 model.train_step(toy_batch(), model.make_optimizer())
-                # four sources: both halves of every greedy token run
+                # four sources: the reply's rows split into two halves
                 model.generate([[4, 5, 6], [5, 4], [6], [4, 4]])
             # a store above the real floor, whose Adam and clipping split at any floor
             big = DialogueModel("aem", tiny_config(vocab_size=3000, hidden_size=16,
@@ -143,10 +142,11 @@ def test_every_call_the_tracer_wraps_runs_on_the_main_thread():
 
     tracer, on_worker = run_on_cpus(2, run)
     assert on_worker and all(on_worker)
-    # the wrapped optimizer calls returned on the main thread (off_main
-    # below), while their halves ran on the worker
+    # the wrapped optimizer calls and greedy decoding returned on the main
+    # thread (off_main below), while their halves ran on the worker
     assert {span for span, worker in halves if worker} >= {"optim.adam_step",
-                                                           "optim.clip_grad_norm"}
+                                                           "optim.clip_grad_norm",
+                                                           "layers.greedy_decode"}
     # the two-row toy batch never splits by rows, so the AEM kinds' grouped
     # runs go side by side: some ran on the worker, both ways
     assert not all(on_main["forward"]) and not all(on_main["backward"])
