@@ -4,7 +4,10 @@ Ops record onto the innermost active Tape (a `with Tape() as tape:`
 block); outside any tape they just compute values, which is the
 inference path. Backward replays the tape in reverse recording order
 and accumulates into `.grad`, never overwriting, so a tensor used
-twice collects both contributions.
+twice collects both contributions. It takes each record off the tape as
+it runs it, so the record's closure and the forward arrays it saved are
+freed once backward has passed them (unless the caller still holds
+them), and it runs a tape once: the tape is empty when it returns.
 
 Training runs in float32; gradient-check tests build float64 graphs.
 Ops never broadcast except where stated (add_bias, lerp_mask).
@@ -97,6 +100,7 @@ class Tape:
         self._records: list[tuple[tuple[Tensor, ...], callable]] = []
         self._produced: set[int] = set()
         self._watched: list[Tensor] = []
+        self._ran = False
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -143,16 +147,31 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 def backward(tape: Tape, loss: Tensor) -> None:
     """Populate grads of everything reachable from `loss`; watched leaves
-    that stay unreachable get zero grads."""
+    that stay unreachable get zero grads.
+
+    Each record is popped off the tape before it runs, so its closure,
+    and the forward arrays and output tensors that only it held, are
+    freed before the next one runs; the tape is empty once backward has
+    returned or raised. A tape runs backward once: a second call raises
+    ValueError and leaves every gradient as it was."""
     if loss.values.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.values.shape}")
+    if tape._ran:
+        raise ValueError("backward already ran this tape")
     if id(loss) not in tape._produced:
         raise ValueError("loss was not produced on this tape")
+    tape._ran = True
     _accum(loss, np.ones_like(loss.values))
-    for outs, backward_fn in reversed(tape._records):
-        grads = [t.grad for t in outs]
-        if any(g is not None for g in grads):
-            backward_fn(*grads)
+    records = tape._records
+    try:
+        while records:
+            # rebinding outs and backward_fn drops the previous record before this one runs
+            outs, backward_fn = records.pop()
+            grads = [t.grad for t in outs]
+            if any(g is not None for g in grads):
+                backward_fn(*grads)
+    finally:
+        records.clear()
     for t in tape._watched:
         if t.grad is None:
             t.grad = np.zeros_like(t.values)

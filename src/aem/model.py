@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autograd
 from .autograd import AttentionMask, Tape, add, backward, detach, linear_softmax_cross_entropy, \
     mul, scale, sub, sum_all
 from .config import MODEL_KINDS
@@ -262,6 +263,18 @@ class DialogueModel:
         kinds), and decodes until EOS or the length cap. The target
         encoder is never touched: responses depend on the source alone.
         No sources give no responses.
+
+        Sources run in chunks of at most max(1, autograd._BLOCK_LOGITS //
+        V) (1,398 at V = 3000, the rows of one output-head block), in
+        input order, each chunk padded to its own longest source, so a
+        call holds one chunk's encoder arrays and logits however many
+        sources it is given. Replies come back in input order, each what
+        generating its chunk alone gives; up to one chunk of sources runs
+        as one batch. Over several chunks the replies can differ from one
+        whole batch's only where a product's last bits depend on its row
+        count or padded length (OpenBLAS picks kernels by shape) and tip
+        an argmax; the tests find none at their shapes, with attention or
+        without.
         """
         if not sources:
             return []
@@ -270,6 +283,14 @@ class DialogueModel:
                 raise ValueError("source %d is empty" % i)
         if max_len is None:
             max_len = self.config.max_gen_len
+        chunk = max(1, autograd._BLOCK_LOGITS // self.tgt_proj.W.shape[1])
+        return [reply for start in range(0, len(sources), chunk)
+                for reply in self._generate_chunk(sources[start : start + chunk], max_len)]
+
+    def _generate_chunk(self, sources, max_len):
+        """generate's replies to one chunk of non-empty sources, as one
+        padded batch; a frame of its own, so that a chunk's arrays are
+        freed before the next chunk is encoded."""
         ids, mask = pad_sequences(sources)
         states, h = self.encode_source(Batch(ids, mask, ids, mask))
         # the losses guard training; generation has only this check

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,8 @@ from aem.autograd import (
 from aem.data import BOS_ID, PAD_ID
 from aem.gradcheck import check_gradients
 from helpers import (assert_halves_equal_whole, assert_same_bits_on_one_and_two_cpus,
-                     composite_attention, composite_lstm, peak_traced_bytes, run_on_cpus)
+                     composite_attention, composite_lstm, peak_traced_bytes, run_on_cpus,
+                     traced_bytes)
 
 RNG = np.random.default_rng(20240815)
 
@@ -288,6 +290,76 @@ def test_backward_rejects_foreign_loss():
         loss = sum_all(p)
     with pytest.raises(ValueError):
         backward(tape, loss)
+
+
+def test_backward_refuses_a_tape_it_already_ran():
+    # a second run would find the tape empty and leave every gradient as it was
+    p = Tensor(np.random.default_rng(1).standard_normal((3, 2)))
+    with Tape() as tape:
+        loss = sum_all(mul(p, p))
+    backward(tape, loss)
+    assert len(tape) == 0
+    grads = [p.grad.tobytes(), loss.grad.tobytes()]
+    with pytest.raises(ValueError, match="already ran"):
+        backward(tape, loss)
+    assert [p.grad.tobytes(), loss.grad.tobytes()] == grads
+
+
+def test_backward_frees_each_record_once_it_has_run():
+    # the head, recorded last, runs first: its closure and the dh it saved
+    # are gone by the time the embedding lookup, recorded first, runs
+    rng = np.random.default_rng(2)
+    leaf = lambda *shape: Tensor(rng.standard_normal(shape))
+    table, init, w, u, b, proj_w, proj_b = (leaf(5, 3), leaf(2, 4), leaf(3, 8), leaf(2, 8),
+                                            leaf(8), leaf(2, 5), leaf(5))
+    ids = rng.integers(0, 5, (2, 3))
+    with Tape() as tape:
+        hiddens, _ = lstm_sequence(embedding_lookup(table, ids), init, w, u, b)
+        loss, _ = linear_softmax_cross_entropy(reshape(hiddens, (6, 2)), proj_w, proj_b,
+                                               ids.reshape(-1), np.ones(6))
+    head = tape._records[-1][1]
+    saved = dict(zip(head.__code__.co_freevars, (cell.cell_contents for cell in head.__closure__)))
+    refs = [weakref.ref(head), weakref.ref(saved["dh"])]
+    del head, saved
+    lookup_outs, lookup = tape._records[0]
+    alive = []
+
+    def checked(gout):
+        alive.extend(ref() is not None for ref in refs)
+        lookup(gout)
+
+    tape._records[0] = (lookup_outs, checked)
+    backward(tape, loss)
+    assert alive == [False, False]
+    assert len(tape) == 0 and table.grad is not None
+
+
+def independent_heads(n_heads=6):
+    """A tape of n_heads linear_softmax_cross_entropy records over their
+    own leaves, each saving a 512 KiB dW, and the sum of their losses."""
+    rng = np.random.default_rng(3)
+    targets, mask = rng.integers(0, 1024, 8), np.ones(8)
+    with Tape() as tape:
+        losses = [linear_softmax_cross_entropy(*(Tensor(rng.standard_normal(shape))
+                                                 for shape in ((8, 64), (64, 1024), (1024,))),
+                                               targets, mask)[0] for _ in range(n_heads)]
+        loss = losses[0]
+        for other in losses[1:]:
+            loss = add(loss, other)
+    return tape, loss
+
+
+def test_backward_peak_falls_by_the_records_it_frees():
+    # each head's saved sums go once backward has added them into the
+    # grads, so its peak stays near one head's; a caller that holds the
+    # records, as every tape did while backward kept them, holds all six
+    tape, loss = independent_heads()
+    peak = traced_bytes(lambda: backward(tape, loss))[2]
+    tape, loss = independent_heads()
+    held = list(tape._records)
+    peak_held = traced_bytes(lambda: backward(tape, loss))[2]
+    assert len(held) == 11 and len(tape) == 0
+    assert peak < peak_held / 2
 
 
 def test_backward_accumulates_reused_tensor():

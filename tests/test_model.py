@@ -13,7 +13,7 @@ from aem.data import DialoguePair, pairs_to_batch
 from aem.layers import LuongAttention, greedy_decode
 from aem.model import DialogueModel, LossBreakdown, build_baseline, total_loss
 from helpers import (assert_halves_equal_whole, assert_same_bits_on_one_and_two_cpus, run_on_cpus,
-                     tiny_config, toy_batch, toy_pairs)
+                     tiny_config, toy_batch, toy_pairs, traced_bytes)
 
 
 def zero_projections(model):
@@ -372,6 +372,57 @@ def test_generate_never_reads_target_encoder_or_source_decoder():
     assert model.generate(sources) == before
 
 
+# ten sources of 1-11 tokens, so chunks of four pad to different lengths
+MIXED_SOURCES = [[4, 5, 6], [7], [8, 9, 10, 11, 4, 5, 6, 7, 8], [5, 5], [6, 11, 4],
+                 [9, 8, 7, 6, 5], [10], [11, 10, 9, 8, 7, 6, 5, 4, 3, 9, 10], [4, 4, 4, 4], [7, 8]]
+
+
+def four_source_chunks(kind, monkeypatch):
+    """A model whose generate runs chunks of four sources: _BLOCK_LOGITS
+    patched to four rows of its V = 200 logits."""
+    model = DialogueModel(kind, tiny_config(kind=kind, hidden_size=32, embed_size=16,
+                                            vocab_size=200))
+    monkeypatch.setattr(aem.autograd, "_BLOCK_LOGITS", 4 * 200)
+    return model
+
+
+@pytest.mark.parametrize("kind", ["aem", "aem_attention"])
+def test_generate_decodes_in_chunks_in_input_order(kind, monkeypatch):
+    model = four_source_chunks(kind, monkeypatch)
+    rows, decode = [], aem.model.greedy_decode
+
+    def counted(cell, table, proj, init, **kwargs):
+        rows.append(init.shape[0])
+        return decode(cell, table, proj, init, **kwargs)
+
+    monkeypatch.setattr(aem.model, "greedy_decode", counted)
+    replies = model.generate(MIXED_SOURCES, max_len=8)
+    assert rows == [4, 4, 2]
+    alone = [reply for start in (0, 4, 8)
+             for reply in model.generate(MIXED_SOURCES[start : start + 4], max_len=8)]
+    assert replies == alone and any(replies)
+    # at this shape a chunk padded to its own longest source picks the ids
+    # of one batch padded to the longest of all ten, attention included
+    rows.clear()
+    monkeypatch.setattr(aem.autograd, "_BLOCK_LOGITS", 4 * 1024 * 1024)
+    assert model.generate(MIXED_SOURCES, max_len=8) == replies
+    assert rows == [10]
+
+
+@pytest.mark.parametrize("kind", ["aem", "aem_attention"])
+def test_generate_memory_stays_flat_in_the_source_count(kind, monkeypatch):
+    # four times the sources add four times the chunks, each freed before
+    # the next: the peak grows by no more than the replies it returns
+    model = four_source_chunks(kind, monkeypatch)
+    run = lambda n: traced_bytes(lambda: model.generate(MIXED_SOURCES * n, max_len=8))
+    (_, _, peak), (replies, held, peak_4x) = run(1), run(4)
+    assert len(replies) == 40
+    assert peak_4x <= peak + held
+    # one batch of all 40 sources holds about four times as much
+    monkeypatch.setattr(aem.autograd, "_BLOCK_LOGITS", 4 * 1024 * 1024)
+    assert run(4)[2] > 3 * peak
+
+
 def test_single_pair_overfit_reproduces_both_sides():
     cfg = tiny_config(hidden_size=24, embed_size=12, vocab_size=10, seed=1)
     model = DialogueModel("aem", cfg)
@@ -603,7 +654,7 @@ def test_attention_generate_runs_one_fused_attention_op_per_token(kind, monkeypa
 @pytest.mark.parametrize("kind", ["seq2seq_attention", "aem_attention"])
 def test_attention_generate_checks_the_encoder_mask_once(kind, monkeypatch):
     # the encoder mask is the same for every token of a reply: it is read
-    # (converted and checked) once per generate call, not once per token
+    # (converted and checked) once per chunk of sources, not once per token
     reads = []
 
     class CountedMask:
