@@ -12,10 +12,10 @@ them), and it runs a tape once: the tape is empty when it returns.
 Training runs in float32; gradient-check tests build float64 graphs.
 Ops never broadcast except where stated (add_bias, lerp_mask).
 
-The model runs three fused ops: `lstm_sequence` runs a whole LSTM
-sequence as one record (one recurrence for every LSTM; an encoder reads
-each row's final state at its length, and `lstm_sequences` runs several
-independent sequences as one record), `attention_sequence` runs Luong
+The model runs three fused ops: `lstm_sequences` runs one or more
+independent LSTM sequences as one record (the one recurrence for every
+LSTM; an encoder reads each row's final state at its length, and
+`lstm_sequence` is a group of one), `attention_sequence` runs Luong
 attention over every decoder step given to it (a whole teacher-forced
 target, or one greedy step), and `linear_softmax_cross_entropy` is the
 training output head. The composite ops they replace (matmul, add_bias,
@@ -28,19 +28,19 @@ Row-independent passes use a second CPU through one worker thread (see
 `_both`), which the first pass that splits starts when the process may
 run on more than one CPU. A pass runs as two row halves when its shape
 says it pays for it (`_halves`): at least _SPLIT_MIN elements per step
-and four rows. That covers B x 4H gate values for each step of the
-`lstm_sequence` forward recurrence (each half projecting its own rows'
+and four rows. That covers B x 4H gate values for each step of an
+LSTM run's forward recurrence (each half projecting its own rows'
 inputs, x w, before its steps) and of its backward walk, rows x V
 logits for each `linear_softmax_cross_entropy` block (its projection,
 bias, shift, exp, loss and (P - onehot) passes) and a greedy reply's
 B x V logits, whose rows split once for every token of the reply: each
 half drives `_lstm_steps` and `_attention_forward` for its own rows
 (`layers.greedy_decode`); the elementwise gate factors
-of `lstm_sequence` backward split the same way over halves of the steps
+of a lone LSTM run's backward split the same way over halves of the steps
 (T x B x 4H values, four steps or more). Below the floor the pass runs
 whole; on one CPU its halves run one after the other in the caller. Two
 pairs of unlike work are only placed by `_both`: du and db beside dw and
-dx in `lstm_sequence` backward, and under a tape each head block's dh
+dx in a lone LSTM run's backward, and under a tape each head block's dh
 and db beside dw. The third kind of split is whole items side by side,
 the first ones, about half the size, in the caller and the rest on the
 worker (`_in_two`): `lstm_sequences` does this with independent LSTM
@@ -478,35 +478,27 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
     when lengths is omitted), then forms dw, du, db and dx with one matmul
     or sum each. Each row's recurrence is its own, so the forward steps and
     the backward walk run over two row halves once B x 4H reaches
-    _SPLIT_MIN (see _halves). Independent runs go through lstm_sequences.
+    _SPLIT_MIN (see _halves). It is lstm_sequences' group of one run.
     """
-    run = _Recurrence(x, state, w, u, b, lengths)
-    out = run.forward()
-
-    def back(g_hiddens, g_final):
-        run.accumulate(run.backward(g_hiddens, g_final, beside=False))
-
-    _record(out, back)
-    return out
+    return lstm_sequences([(x, state, w, u, b, lengths)])[0]
 
 
 def lstm_sequences(runs) -> list[tuple[Tensor, Tensor]]:
-    """Independent LSTM runs as one op: each of `runs` is the (x, state, w,
-    u, b, lengths) that lstm_sequence takes, and each result is what
-    lstm_sequence returns for it, in order. Runs may share tensors (two
-    decoders of one cell), but none may take another's output.
+    """Independent LSTM runs as one op, the one LSTM implementation: each
+    of `runs` is lstm_sequence's (x, state, w, u, b, lengths) and each
+    result its (hiddens, final [h; c]), in order. Runs may share tensors
+    (two decoders of one cell), but none may take another's output.
 
     Two or more runs of which none splits by rows (fewer than four rows,
     or B x 4H under _SPLIT_MIN) run side by side: through _both, the
     first runs, about half of the gate values, in the caller and the rest
     on the worker, each run whole, for the forward steps and again for
-    backward. A group with a run that splits by rows runs one run after
-    another, each as lstm_sequence runs it. Backward adds every run's
+    backward. A lone run, or a group with a run that splits by rows, runs
+    one run after another, each alone. Backward adds every run's
     gradients in the caller once all are formed, the last run's first:
-    the order of a tape of one lstm_sequence record per run. So outputs
-    and gradients equal lstm_sequence's run by run, byte for byte, and
-    where a run goes depends on the runs' order and shapes alone, never
-    on the CPU count.
+    the order of a tape of one record per run. So outputs and gradients
+    equal each run's group of one, byte for byte, and where a run goes
+    depends on the runs' order and shapes alone, never on the CPU count.
     """
     group = [_Recurrence(*run) for run in runs]
     beside = len(group) > 1 and not any(r.splits for r in group)
@@ -559,9 +551,9 @@ def _lstm_steps(uv, bv, xw, hs, cs, acts, tcs):
 
 
 class _Recurrence:
-    """One run of lstm_sequence or lstm_sequences: its tensors and the
-    forward arrays that its backward reads, all time-major (row t*B + b),
-    so every step reads contiguous blocks."""
+    """One run of lstm_sequences: its tensors and the forward arrays that
+    its backward reads, all time-major (row t*B + b), so every step reads
+    contiguous blocks."""
 
     __slots__ = ("x", "state", "w", "u", "b", "lengths", "xs", "acts", "tcs", "hs", "cs")
 

@@ -3,12 +3,11 @@ representation-mapping MLP, output projection, and Luong-style
 attention. The sequence runners take an embedding as its (V, E)
 table, a ParamStore tensor, and gather its rows by token id.
 
-Every LSTM and every attention over a whole sequence (encoder,
-teacher-forced decoder) runs through one fused op, `lstm_sequence` or
-`attention_sequence`, reached through one method, `LSTMCell.step` or
-`LuongAttention.attentional_hidden`, and independent LSTM runs of
-several cells through `step_cells`, one `lstm_sequences` group (see
-`encode_sequences` and `decode_sequences`). Greedy decoding records
+Every LSTM and attention over a whole sequence (encoder, teacher-forced
+decoder) runs through one fused op: `lstm_sequences`, in groups that
+`encode_sequences` and `decode_sequences` build (`encode_sequence` and
+`decode_teacher_forced` give groups of one), and `attention_sequence`
+through `LuongAttention.attentional_hidden`. Greedy decoding records
 nothing: its loop drives the ops' own numpy, `autograd._lstm_steps` and
 `autograd._attention_forward`, so each piece of math has one copy. LSTM
 state is one [h; c] tensor of width 2H.
@@ -46,7 +45,7 @@ from .params import ParamStore
 
 
 class LSTMCell:
-    """LSTM weights W (E, 4H), U (H, 4H) and b (4H,), run by `step`.
+    """LSTM weights W (E, 4H), U (H, 4H) and b (4H,); `step` runs them alone.
 
     The 4H gate axis is ordered [input, forget, cell candidate, output];
     this order is part of the checkpoint format and must not change.
@@ -65,14 +64,6 @@ class LSTMCell:
         (B, T, H), final [h; c]), the final state read after step
         lengths[r] of row r when lengths is given."""
         return lstm_sequence(x, state, self.W, self.U, self.b, lengths)
-
-
-def step_cells(runs) -> list[tuple[Tensor, Tensor]]:
-    """cell.step(x, state, lengths) for each (cell, x, state, lengths) of
-    `runs`, in order, as one lstm_sequences record: runs that take none of
-    each other's outputs share both CPUs (see autograd.lstm_sequences)."""
-    return lstm_sequences([(x, state, cell.W, cell.U, cell.b, lengths)
-                           for cell, x, state, lengths in runs])
 
 
 class OutputProjection:
@@ -128,20 +119,6 @@ class LuongAttention:
         return attention_sequence(decoder_hiddens, encoder_states, mask, self.W_a, self.W_c)
 
 
-def _encoder_run(cell: LSTMCell, table: Tensor, tokens: np.ndarray, mask: np.ndarray):
-    """(cell, x, zero [h; c], lengths): what encode_sequence steps the cell
-    through, with the mask checked."""
-    mask = np.asarray(mask)
-    lengths = np.count_nonzero(mask, axis=1)
-    gaps = (mask != 0) != (np.arange(tokens.shape[1]) < lengths[:, None])
-    if gaps.any():
-        raise ValueError(f"encode_sequence mask row {int(gaps.any(axis=1).argmax())} has a gap")
-    if lengths.min() < 1:
-        raise ValueError(f"encode_sequence mask row {int(lengths.argmin())} has no real token")
-    init = Tensor(np.zeros((tokens.shape[0], 2 * cell.hidden_size), dtype=cell.W.values.dtype))
-    return cell, embedding_lookup(table, tokens), init, lengths
-
-
 def encode_sequence(cell: LSTMCell, table: Tensor, tokens: np.ndarray,
                     mask: np.ndarray) -> tuple[Tensor, Tensor]:
     """Run the cell left to right from a zero state over the `table` rows
@@ -152,14 +129,24 @@ def encode_sequence(cell: LSTMCell, table: Tensor, tokens: np.ndarray,
     at each row's last unmasked position). Hiddens at padded positions
     run on over the padding; attention masks them out.
     """
-    cell, x, init, lengths = _encoder_run(cell, table, tokens, mask)
-    return cell.step(x, init, lengths)
+    return encode_sequences([(cell, table, tokens, mask)])[0]
 
 
 def encode_sequences(encoders) -> list[tuple[Tensor, Tensor]]:
     """encode_sequence for each (cell, table, tokens, mask) of `encoders`,
-    their LSTMs run as one group by step_cells."""
-    return step_cells([_encoder_run(*encoder) for encoder in encoders])
+    their LSTMs run as one lstm_sequences group."""
+    runs = []
+    for cell, table, tokens, mask in encoders:
+        mask = np.asarray(mask)
+        lengths = np.count_nonzero(mask, axis=1)
+        gaps = (mask != 0) != (np.arange(tokens.shape[1]) < lengths[:, None])
+        if gaps.any():
+            raise ValueError(f"encode_sequence mask row {int(gaps.any(axis=1).argmax())} has a gap")
+        if lengths.min() < 1:
+            raise ValueError(f"encode_sequence mask row {int(lengths.argmin())} has no real token")
+        init = Tensor(np.zeros((tokens.shape[0], 2 * cell.hidden_size), dtype=cell.W.values.dtype))
+        runs.append((embedding_lookup(table, tokens), init, cell.W, cell.U, cell.b, lengths))
+    return lstm_sequences(runs)
 
 
 def shifted_inputs(targets: np.ndarray) -> np.ndarray:
@@ -183,25 +170,24 @@ def decode_teacher_forced(cell: LSTMCell, table: Tensor, init: Tensor,
     no input feeding), so the whole decoder LSTM runs first and attention
     covers all its hiddens in one call.
     """
-    hiddens, _ = cell.step(embedding_lookup(table, shifted_inputs(targets)), init)
-    return _features(hiddens, attend)
+    return decode_sequences([(cell, table, init, targets, attend)])[0]
 
 
 def decode_sequences(decoders) -> list[Tensor]:
     """decode_teacher_forced for each (cell, table, init, targets, attend)
-    of `decoders`, their LSTMs run as one group by step_cells."""
-    outs = step_cells([(cell, embedding_lookup(table, shifted_inputs(targets)), init, None)
-                       for cell, table, init, targets, _ in decoders])
-    return [_features(hiddens, decoder[4]) for (hiddens, _), decoder in zip(outs, decoders)]
-
-
-def _features(hiddens: Tensor, attend) -> Tensor:
-    """The (B*T, H) rows a decoder hands the output projection."""
-    if attend is None:
-        B, T, H = hiddens.shape
-        return reshape(hiddens, (B * T, H))
-    attention, states, mask = attend
-    return attention.attentional_hidden(hiddens, states, mask)
+    of `decoders`, their LSTMs run as one lstm_sequences group."""
+    outs = lstm_sequences([(embedding_lookup(table, shifted_inputs(targets)), init,
+                            cell.W, cell.U, cell.b, None)
+                           for cell, table, init, targets, _ in decoders])
+    features = []
+    for (hiddens, _), (*_, attend) in zip(outs, decoders):
+        if attend is None:
+            B, T, H = hiddens.shape
+            features.append(reshape(hiddens, (B * T, H)))
+        else:
+            attention, states, mask = attend
+            features.append(attention.attentional_hidden(hiddens, states, mask))
+    return features
 
 
 def greedy_decode(cell: LSTMCell, table: Tensor, proj: OutputProjection,

@@ -31,6 +31,8 @@ from .autograd import AttentionMask, Tape, add, backward, detach, linear_softmax
     mul, scale, sub, sum_all
 from .config import MODEL_KINDS
 from .data import Batch, pad_sequences
+# perfbench/spans.py patches encode_sequence and decode_teacher_forced in this module
+# (tests/test_tooling.py pins both names), so both stay imported, called or not
 from .layers import LSTMCell, LuongAttention, MappingMLP, OutputProjection, \
     decode_sequences, decode_teacher_forced, encode_sequence, encode_sequences, greedy_decode
 from .optim import Adam, clip_grad_norm
@@ -178,13 +180,11 @@ class DialogueModel:
     def _decode_losses(self, decoders):
         """Decode each decoder's (B, T) tokens teacher-forced from its init
         and score them: (summed cross-entropy over mask == 1 positions,
-        their count) per decoder. A lone decoder runs decode_teacher_forced,
-        several run as one decode_sequences group. The head is fused, so
-        the (B*T, V) logits are never recorded."""
-        runs = [(cell, table, init, tokens, attend)
-                for cell, table, _, init, tokens, _, attend in decoders]
-        features = (decode_sequences(runs) if len(runs) > 1
-                    else [decode_teacher_forced(*runs[0])])
+        their count) per decoder. The decoders' LSTMs run as one
+        decode_sequences group, a lone decoder as a group of one. The head
+        is fused, so the (B*T, V) logits are never recorded."""
+        features = decode_sequences([(cell, table, init, tokens, attend)
+                                     for cell, table, _, init, tokens, _, attend in decoders])
         return [linear_softmax_cross_entropy(f, proj.W, proj.b, tokens.reshape(-1),
                                              mask.reshape(-1))
                 for f, (_, _, proj, _, tokens, mask, _) in zip(features, decoders)]
@@ -195,10 +195,10 @@ class DialogueModel:
         """Build the weighted total under the ambient tape.
 
         Returns (total Tensor, LossBreakdown of the current values); the
-        plain kinds leave j1, j2 and j3 at 0. The AEM kinds run their two
-        encoders as one group and, once h, s and t = g(h) exist, their
-        three decoders as another, so independent recurrences share both
-        CPUs.
+        plain kinds leave j1, j2 and j3 at 0. Each LSTM group is one
+        lstm_sequences record: the AEM kinds' two encoders, then, once h, s
+        and t = g(h) exist, their three decoders, so independent recurrences
+        share both CPUs; a plain kind runs groups of one.
         """
         cfg = self.config
         if self.is_aem:

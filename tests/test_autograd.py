@@ -48,11 +48,15 @@ from helpers import (assert_halves_equal_whole, assert_same_bits_on_one_and_two_
                      composite_attention, composite_lstm, peak_traced_bytes, run_on_cpus,
                      traced_bytes)
 
-RNG = np.random.default_rng(20240815)
+@pytest.fixture
+def rng():
+    """A generator of the test's own, seeded alike for every test, so what
+    a test draws does not depend on which tests ran before it."""
+    return np.random.default_rng(20240815)
 
 
-def t64(*shape):
-    return Tensor(RNG.standard_normal(shape))
+def t64(rng, *shape):
+    return Tensor(rng.standard_normal(shape))
 
 
 def test_matmul_identity():
@@ -67,13 +71,13 @@ def test_matmul_hand_case():
     np.testing.assert_array_equal(matmul(a, b).values, [[11.0]])
 
 
-def test_matmul_shape_error_names_shapes():
+def test_matmul_shape_error_names_shapes(rng):
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-        matmul(t64(2, 3), t64(2, 3))
+        matmul(t64(rng, 2, 3), t64(rng, 2, 3))
 
 
-def test_matmul_gradient_vs_finite_differences():
-    a, b = t64(3, 4), t64(4, 2)
+def test_matmul_gradient_vs_finite_differences(rng):
+    a, b = t64(rng, 3, 4), t64(rng, 4, 2)
     err = check_gradients(lambda: sum_all(tanh(matmul(a, b))), [a, b])
     assert err < 1e-4
 
@@ -86,10 +90,10 @@ def test_elementwise_trivial_values():
     )
 
 
-def test_elementwise_shape_errors():
+def test_elementwise_shape_errors(rng):
     for op in (add, sub, mul):
         with pytest.raises(ValueError):
-            op(t64(2, 3), t64(3, 2))
+            op(t64(rng, 2, 3), t64(rng, 3, 2))
 
 
 @pytest.mark.parametrize(
@@ -103,30 +107,30 @@ def test_elementwise_shape_errors():
         lambda x: sum_all(slice_cols(x, 1, 3)),
     ],
 )
-def test_unary_gradients(build):
-    x = t64(2, 3)
+def test_unary_gradients(build, rng):
+    x = t64(rng, 2, 3)
     assert check_gradients(lambda: build(x), [x]) < 1e-4
 
 
-def test_binary_gradients():
-    a, b = t64(2, 3), t64(2, 3)
+def test_binary_gradients(rng):
+    a, b = t64(rng, 2, 3), t64(rng, 2, 3)
     for op in (add, sub, mul):
         assert check_gradients(lambda: sum_all(op(a, b)), [a, b]) < 1e-4
 
 
-def test_add_bias_gradient():
-    x, b = t64(4, 3), t64(3)
+def test_add_bias_gradient(rng):
+    x, b = t64(rng, 4, 3), t64(rng, 3)
     assert check_gradients(lambda: sum_all(tanh(add_bias(x, b))), [x, b]) < 1e-4
 
 
-def test_concat_and_slice_gradients():
-    a, b = t64(3, 2), t64(3, 4)
+def test_concat_and_slice_gradients(rng):
+    a, b = t64(rng, 3, 2), t64(rng, 3, 4)
     loss = lambda: sum_all(mul(concat_cols(a, b), concat_cols(a, b)))
     assert check_gradients(loss, [a, b]) < 1e-4
 
 
-def test_embedding_lookup_rows_only():
-    table = t64(5, 3)
+def test_embedding_lookup_rows_only(rng):
+    table = t64(rng, 5, 3)
     ids = np.array([1, 3, 3])
     with Tape() as tape:
         out = sum_all(embedding_lookup(table, ids))
@@ -177,13 +181,13 @@ def test_embedding_lookup_refuses_a_gradient_whose_flat_form_is_a_copy():
     assert not table.grad.any()
 
 
-def test_embedding_lookup_range_error():
+def test_embedding_lookup_range_error(rng):
     with pytest.raises(ValueError):
-        embedding_lookup(t64(5, 3), np.array([5]))
+        embedding_lookup(t64(rng, 5, 3), np.array([5]))
 
 
-def test_stack_and_attend_gradients():
-    s1, s2, q = t64(2, 3), t64(2, 3), t64(2, 3)
+def test_stack_and_attend_gradients(rng):
+    s1, s2, q = t64(rng, 2, 3), t64(rng, 2, 3), t64(rng, 2, 3)
     mask = np.ones((2, 2))
 
     def loss():
@@ -203,13 +207,13 @@ def test_masked_softmax_masks_and_normalizes():
     assert np.all(w >= 0)
 
 
-def test_masked_softmax_rejects_all_masked_row():
+def test_masked_softmax_rejects_all_masked_row(rng):
     with pytest.raises(ValueError):
-        masked_softmax(t64(2, 3), np.array([[1, 1, 1], [0, 0, 0]]))
+        masked_softmax(t64(rng, 2, 3), np.array([[1, 1, 1], [0, 0, 0]]))
 
 
-def test_lerp_mask_carries_state():
-    new, prev = t64(2, 3), t64(2, 3)
+def test_lerp_mask_carries_state(rng):
+    new, prev = t64(rng, 2, 3), t64(rng, 2, 3)
     keep = np.array([[1.0], [0.0]])
     out = lerp_mask(new, prev, keep)
     np.testing.assert_array_equal(out.values[0], new.values[0])
@@ -230,8 +234,8 @@ def test_cross_entropy_saturated_stable():
     assert abs(float(loss.values)) < 1e-6
 
 
-def test_cross_entropy_mask_zeroes_rows():
-    logits = t64(4, 5)
+def test_cross_entropy_mask_zeroes_rows(rng):
+    logits = t64(rng, 4, 5)
     targets = np.array([0, 1, 2, 3])
     full, _ = softmax_cross_entropy(logits, targets, np.array([1, 1, 0, 0]))
     a, _ = softmax_cross_entropy(Tensor(logits.values[:1]), targets[:1], np.ones(1))
@@ -239,13 +243,13 @@ def test_cross_entropy_mask_zeroes_rows():
     np.testing.assert_allclose(float(full.values), float(a.values) + float(b.values), rtol=1e-12)
 
 
-def test_cross_entropy_target_out_of_range():
+def test_cross_entropy_target_out_of_range(rng):
     with pytest.raises(ValueError):
-        softmax_cross_entropy(t64(2, 5), np.array([0, 5]), np.ones(2))
+        softmax_cross_entropy(t64(rng, 2, 5), np.array([0, 5]), np.ones(2))
 
 
-def test_cross_entropy_gradient_vs_finite_differences():
-    logits = t64(2, 5)
+def test_cross_entropy_gradient_vs_finite_differences(rng):
+    logits = t64(rng, 2, 5)
     targets = np.array([1, 4])
     mask = np.array([1.0, 1.0])
     loss = lambda: softmax_cross_entropy(logits, targets, mask)[0]
@@ -258,32 +262,32 @@ def test_cross_entropy_gradient_vs_finite_differences():
     assert np.all(logits.grad[1] == 0)
 
 
-def test_backward_sum_gives_ones():
-    p = t64(3, 2)
+def test_backward_sum_gives_ones(rng):
+    p = t64(rng, 3, 2)
     with Tape() as tape:
         loss = sum_all(p)
     backward(tape, loss)
     np.testing.assert_array_equal(p.grad, np.ones((3, 2)))
 
 
-def test_backward_half_square_norm_gives_param():
-    p = t64(4)
+def test_backward_half_square_norm_gives_param(rng):
+    p = t64(rng, 4)
     with Tape() as tape:
         loss = scale(sum_all(mul(p, p)), 0.5)
     backward(tape, loss)
     np.testing.assert_allclose(p.grad, p.values, rtol=1e-12)
 
 
-def test_backward_rejects_non_scalar():
-    p = t64(2, 2)
+def test_backward_rejects_non_scalar(rng):
+    p = t64(rng, 2, 2)
     with Tape() as tape:
         out = mul(p, p)
     with pytest.raises(ValueError):
         backward(tape, out)
 
 
-def test_backward_rejects_foreign_loss():
-    p = t64(2)
+def test_backward_rejects_foreign_loss(rng):
+    p = t64(rng, 2)
     with Tape() as tape:
         sum_all(p)
     with Tape() as other:
@@ -362,8 +366,8 @@ def test_backward_peak_falls_by_the_records_it_frees():
     assert peak < peak_held / 2
 
 
-def test_backward_accumulates_reused_tensor():
-    x = t64(2, 2)
+def test_backward_accumulates_reused_tensor(rng):
+    x = t64(rng, 2, 2)
     # x used twice: loss = sum(x*x) + sum(x)
     def loss():
         return add(sum_all(mul(x, x)), sum_all(x))
@@ -371,8 +375,8 @@ def test_backward_accumulates_reused_tensor():
     assert check_gradients(loss, [x]) < 1e-4
 
 
-def test_backward_zero_fills_unreachable_watched():
-    p, q = t64(2), t64(2)
+def test_backward_zero_fills_unreachable_watched(rng):
+    p, q = t64(rng, 2), t64(rng, 2)
     with Tape() as tape:
         tape.watch([p, q])
         loss = sum_all(p)
@@ -380,8 +384,8 @@ def test_backward_zero_fills_unreachable_watched():
     np.testing.assert_array_equal(q.grad, np.zeros(2))
 
 
-def test_detach_blocks_gradient():
-    x = t64(3)
+def test_detach_blocks_gradient(rng):
+    x = t64(rng, 3)
     with Tape() as tape:
         tape.watch([x])
         loss = sum_all(mul(detach(x), detach(x)))
@@ -389,8 +393,8 @@ def test_detach_blocks_gradient():
     np.testing.assert_array_equal(x.grad, np.zeros(3))
 
 
-def test_no_tape_records_nothing():
-    x = t64(2, 2)
+def test_no_tape_records_nothing(rng):
+    x = t64(rng, 2, 2)
     out = tanh(matmul(x, x))
     assert out.grad is None
     with Tape() as tape:
@@ -398,9 +402,9 @@ def test_no_tape_records_nothing():
     assert len(tape) == 0
 
 
-def test_composite_chain_matches_finite_differences():
-    w1, w2, b = t64(3, 4), t64(4, 2), t64(4)
-    x = Tensor(RNG.standard_normal((5, 3)))
+def test_composite_chain_matches_finite_differences(rng):
+    w1, w2, b = t64(rng, 3, 4), t64(rng, 4, 2), t64(rng, 4)
+    x = Tensor(rng.standard_normal((5, 3)))
 
     def loss():
         h = tanh(add_bias(matmul(x, w1), b))
@@ -418,10 +422,10 @@ def test_forward_values_finite_on_finite_inputs():
     assert np.all(np.isfinite(w.values))
 
 
-def head_case(n=5, hdim=3, v=6, dtype=np.float64):
-    h = Tensor(RNG.standard_normal((n, hdim)).astype(dtype))
-    w = Tensor(RNG.standard_normal((hdim, v)).astype(dtype))
-    b = Tensor(RNG.standard_normal(v).astype(dtype))
+def head_case(rng, n=5, hdim=3, v=6, dtype=np.float64):
+    h = Tensor(rng.standard_normal((n, hdim)).astype(dtype))
+    w = Tensor(rng.standard_normal((hdim, v)).astype(dtype))
+    b = Tensor(rng.standard_normal(v).astype(dtype))
     return h, w, b
 
 
@@ -437,8 +441,8 @@ def composite_head(h, w, b, targets, mask):
         (np.array([0, 5, 0, 5, 5]), np.ones(5)),  # only the boundary ids
     ],
 )
-def test_linear_cross_entropy_gradient_vs_finite_differences(targets, mask):
-    h, w, b = head_case(n=len(targets))
+def test_linear_cross_entropy_gradient_vs_finite_differences(targets, mask, rng):
+    h, w, b = head_case(rng, n=len(targets))
     loss = lambda: linear_softmax_cross_entropy(h, w, b, targets, mask)[0]
     assert check_gradients(loss, [h, w, b]) < 1e-4
     with Tape() as tape:
@@ -447,10 +451,10 @@ def test_linear_cross_entropy_gradient_vs_finite_differences(targets, mask):
     assert np.all(h.grad[mask == 0] == 0)
 
 
-def test_linear_cross_entropy_matches_composite_gradients():
+def test_linear_cross_entropy_matches_composite_gradients(rng):
     targets = np.array([1, 4, 0, 5, 3, 2, 0])
     mask = np.array([1, 1, 0, 1, 0, 1, 1])
-    h, w, b = head_case(n=7)
+    h, w, b = head_case(rng, n=7)
     grads = []
     for head in (composite_head, linear_softmax_cross_entropy):
         for t in (h, w, b):
@@ -467,12 +471,12 @@ def test_linear_cross_entropy_matches_composite_gradients():
         np.testing.assert_allclose(f, a, rtol=1e-10, atol=1e-14)
 
 
-def test_linear_cross_entropy_float32_loss_bit_equal_to_composite():
-    targets = RNG.integers(0, 50, 40)
-    mask = (RNG.random(40) < 0.7).astype(np.float64)
+def test_linear_cross_entropy_float32_loss_bit_equal_to_composite(rng):
+    targets = rng.integers(0, 50, 40)
+    mask = (rng.random(40) < 0.7).astype(np.float64)
     mask[:2] = [1.0, 0.0]  # the single-row case is live; the full one has padding
     for rows in (40, 1):
-        h, w, b = head_case(n=rows, hdim=16, v=50, dtype=np.float32)
+        h, w, b = head_case(rng, n=rows, hdim=16, v=50, dtype=np.float32)
         t, m = targets[:rows], mask[:rows]
         fused, n = linear_softmax_cross_entropy(h, w, b, t, m)
         composite, n_ref = composite_head(h, w, b, t, m)
@@ -480,8 +484,8 @@ def test_linear_cross_entropy_float32_loss_bit_equal_to_composite():
         assert fused.values.tobytes() == composite.values.tobytes()
 
 
-def test_linear_cross_entropy_errors_match_cross_entropy():
-    h, w, b = head_case(n=2)
+def test_linear_cross_entropy_errors_match_cross_entropy(rng):
+    h, w, b = head_case(rng, n=2)
     for bad in (np.array([0, 6]), np.array([-1, 0])):
         with pytest.raises(ValueError, match="out of range"):
             softmax_cross_entropy(matmul(h, w), bad, np.ones(2))
@@ -512,11 +516,11 @@ def head_grads(head, h, w, b, targets, mask):
 # blocks over the 7 kept rows at V=6: one row each; two rows (edges across
 # masked rows, the last block a single row); all rows in one block
 @pytest.mark.parametrize("budget", [1, 12, 4 * 1024 * 1024])
-def test_linear_cross_entropy_blocks_match_composite(monkeypatch, budget):
+def test_linear_cross_entropy_blocks_match_composite(monkeypatch, budget, rng):
     monkeypatch.setattr(aem.autograd, "_BLOCK_LOGITS", budget)
     targets = np.array([1, 4, 0, 5, 3, 2, 0, 5, 1, 2])
     mask = np.array([1, 0, 1, 1, 0, 0, 1, 1, 1, 1])
-    h, w, b = head_case(n=10)
+    h, w, b = head_case(rng, n=10)
     loss = lambda: linear_softmax_cross_entropy(h, w, b, targets, mask)[0]
     assert check_gradients(loss, [h, w, b]) < 1e-4
     la, na, *ga = head_grads(composite_head, h, w, b, targets, mask)
@@ -528,11 +532,11 @@ def test_linear_cross_entropy_blocks_match_composite(monkeypatch, budget):
     assert np.all(gf[0][mask == 0] == 0)
 
 
-def test_linear_cross_entropy_float32_loss_bit_equal_to_composite_across_blocks(monkeypatch):
+def test_linear_cross_entropy_float32_loss_bit_equal_to_composite_across_blocks(monkeypatch, rng):
     monkeypatch.setattr(aem.autograd, "_BLOCK_LOGITS", 3 * 50 + 49)  # 3 rows per block
-    targets = RNG.integers(0, 50, 40)
-    mask = (RNG.random(40) < 0.7).astype(np.float64)
-    h, w, b = head_case(n=40, hdim=16, v=50, dtype=np.float32)
+    targets = rng.integers(0, 50, 40)
+    mask = (rng.random(40) < 0.7).astype(np.float64)
+    h, w, b = head_case(rng, n=40, hdim=16, v=50, dtype=np.float32)
     fused, n = linear_softmax_cross_entropy(h, w, b, targets, mask)
     composite, n_ref = composite_head(h, w, b, targets, mask)
     assert n == n_ref > 3
@@ -548,12 +552,12 @@ def test_linear_cross_entropy_float32_loss_bit_equal_to_composite_across_blocks(
 
 # one block; blocks of four rows, the last of three; one row per block
 @pytest.mark.parametrize("budget", [4 * 1024 * 1024, 4 * 50, 1])
-def test_linear_cross_entropy_same_bits_on_one_and_two_cpus(monkeypatch, budget):
+def test_linear_cross_entropy_same_bits_on_one_and_two_cpus(monkeypatch, budget, rng):
     monkeypatch.setattr(aem.autograd, "_BLOCK_LOGITS", budget)
-    targets = RNG.integers(0, 50, 41)
+    targets = rng.integers(0, 50, 41)
     mask = np.zeros(41)
-    mask[RNG.permutation(41)[:31]] = 1.0  # an odd number of kept rows
-    h, w, b = head_case(n=41, hdim=16, v=50, dtype=np.float32)
+    mask[rng.permutation(41)[:31]] = 1.0  # an odd number of kept rows
+    h, w, b = head_case(rng, n=41, hdim=16, v=50, dtype=np.float32)
 
     def run():
         loss, n, *grads = head_grads(linear_softmax_cross_entropy, h, w, b, targets, mask)
@@ -563,9 +567,9 @@ def test_linear_cross_entropy_same_bits_on_one_and_two_cpus(monkeypatch, budget)
     assert_same_bits_on_one_and_two_cpus(run)
 
 
-def test_linear_cross_entropy_all_masked_is_zero(monkeypatch):
+def test_linear_cross_entropy_all_masked_is_zero(monkeypatch, rng):
     monkeypatch.setattr(aem.autograd, "_BLOCK_LOGITS", 6)
-    h, w, b = head_case(n=4)
+    h, w, b = head_case(rng, n=4)
     loss, n, dh, dw, db = head_grads(linear_softmax_cross_entropy, h, w, b,
                                      np.array([1, 2, 3, 4]), np.zeros(4))
     assert loss == 0 and n == 0
@@ -573,11 +577,11 @@ def test_linear_cross_entropy_all_masked_is_zero(monkeypatch):
         assert not g.any()
 
 
-def test_linear_cross_entropy_holds_one_block_of_logits(monkeypatch):
+def test_linear_cross_entropy_holds_one_block_of_logits(monkeypatch, rng):
     monkeypatch.setattr(aem.autograd, "_BLOCK_LOGITS", 4096)
     n, v = 512, 256  # N*V is 32 blocks
-    h, w, b = head_case(n=n, hdim=8, v=v, dtype=np.float32)
-    targets, mask = RNG.integers(0, v, n), np.ones(n)
+    h, w, b = head_case(rng, n=n, hdim=8, v=v, dtype=np.float32)
+    targets, mask = rng.integers(0, v, n), np.ones(n)
 
     def step():
         with Tape() as tape:
@@ -588,23 +592,23 @@ def test_linear_cross_entropy_holds_one_block_of_logits(monkeypatch):
     assert h.grad.shape == (n, 8) and w.grad.shape == (8, v)
 
 
-def test_linear_cross_entropy_without_tape_forms_no_gradient():
+def test_linear_cross_entropy_without_tape_forms_no_gradient(rng):
     n, hdim, v = 4, 512, 512
-    h, w, b = head_case(n=n, hdim=hdim, v=v, dtype=np.float32)
-    targets, mask = RNG.integers(0, v, n), np.ones(n)
+    h, w, b = head_case(rng, n=n, hdim=hdim, v=v, dtype=np.float32)
+    targets, mask = rng.integers(0, v, n), np.ones(n)
     peak = peak_traced_bytes(lambda: linear_softmax_cross_entropy(h, w, b, targets, mask))
     assert peak < hdim * v * 4 / 4
     assert h.grad is None and w.grad is None
 
 
-def test_first_gradient_is_copied_not_aliased():
-    x = t64(2, 3)
+def test_first_gradient_is_copied_not_aliased(rng):
+    x = t64(rng, 2, 3)
     with Tape() as tape:
         loss = sum_all(add(x, x))
     backward(tape, loss)
     np.testing.assert_array_equal(x.grad, 2 * np.ones((2, 3)))
 
-    a, b = t64(2, 3), t64(2, 3)
+    a, b = t64(rng, 2, 3), t64(rng, 2, 3)
     with Tape() as tape:
         loss = sum_all(add(a, b))
     backward(tape, loss)
@@ -617,10 +621,10 @@ def test_first_gradient_is_copied_not_aliased():
 MIXED_LENGTHS = np.array([3, 2, 4])
 
 
-def lstm_case(T=4, zero_init=False, B=3, V=5, E=3, H=2):
-    table, w, u, b = t64(V, E), t64(E, 4 * H), t64(H, 4 * H), t64(4 * H)
-    init = Tensor(np.zeros((B, 2 * H))) if zero_init else t64(B, 2 * H)
-    ids = RNG.integers(0, V, (B, T))  # B*T > V, so ids repeat
+def lstm_case(rng, T=4, zero_init=False, B=3, V=5, E=3, H=2):
+    table, w, u, b = t64(rng, V, E), t64(rng, E, 4 * H), t64(rng, H, 4 * H), t64(rng, 4 * H)
+    init = Tensor(np.zeros((B, 2 * H))) if zero_init else t64(rng, B, 2 * H)
+    ids = rng.integers(0, V, (B, T))  # B*T > V, so ids repeat
     return table, ids, init, w, u, b
 
 
@@ -671,15 +675,15 @@ LSTM_CASES = [
 
 
 @pytest.mark.parametrize("shape, lengths, on", LSTM_CASES)
-def test_lstm_sequence_gradient_vs_finite_differences(shape, lengths, on):
-    case = lstm_case(**shape)
+def test_lstm_sequence_gradient_vs_finite_differences(shape, lengths, on, rng):
+    case = lstm_case(rng, **shape)
     table, _, init, w, u, b = case
     assert check_gradients(lstm_loss(fused_lstm, case, lengths, on), [table, init, w, u, b]) < 1e-4
 
 
 @pytest.mark.parametrize("shape, lengths, on", LSTM_CASES)
-def test_lstm_sequence_matches_composite_chain(shape, lengths, on):
-    case = lstm_case(**shape)
+def test_lstm_sequence_matches_composite_chain(shape, lengths, on, rng):
+    case = lstm_case(rng, **shape)
     leaves = [case[0]] + list(case[2:])
     results = []
     for run in (composite_split, fused_lstm):
@@ -696,8 +700,8 @@ def test_lstm_sequence_matches_composite_chain(shape, lengths, on):
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
 
 
-def test_lstm_sequence_is_one_record_and_backward_runs_from_either_output():
-    case = lstm_case()
+def test_lstm_sequence_is_one_record_and_backward_runs_from_either_output(rng):
+    case = lstm_case(rng)
     table, ids, init, w, u, b = case
     for pick in (0, 1):
         for t in (table, init, w, u, b):
@@ -711,13 +715,13 @@ def test_lstm_sequence_is_one_record_and_backward_runs_from_either_output():
         assert all(t.grad is not None and np.any(t.grad) for t in (table, init, w, u, b))
 
 
-def test_lstm_sequence_float32_forward_bit_equal_to_composite():
+def test_lstm_sequence_float32_forward_bit_equal_to_composite(rng):
     B, T, V, E, H = 16, 9, 40, 24, 32
-    table, w, u, b = (Tensor(RNG.uniform(-0.3, 0.3, shape).astype(np.float32))
+    table, w, u, b = (Tensor(rng.uniform(-0.3, 0.3, shape).astype(np.float32))
                       for shape in ((V, E), (E, 4 * H), (H, 4 * H), (4 * H,)))
-    ids = RNG.integers(0, V, (B, T))
-    lengths = RNG.integers(1, T + 1, B)
-    for init, rows in ((np.zeros((B, 2 * H)), lengths), (RNG.normal(size=(B, 2 * H)), None)):
+    ids = rng.integers(0, V, (B, T))
+    lengths = rng.integers(1, T + 1, B)
+    for init, rows in ((np.zeros((B, 2 * H)), lengths), (rng.normal(size=(B, 2 * H)), None)):
         init = Tensor(init.astype(np.float32))
         fused = fused_lstm(table, ids, init, w, u, b, rows)
         ref = composite_split(table, ids, init, w, u, b, rows)
@@ -733,14 +737,14 @@ def test_lstm_sequence_float32_forward_bit_equal_to_composite():
     pytest.param(7, np.array([2, 3, 1, 5, 6]), "final", id="lengths3-final"),
     pytest.param(3, np.array([3, 1, 2, 3, 2]), "both", id="three-steps-both"),
 ])
-def test_lstm_sequence_backward_same_bits_on_one_and_two_cpus(T, lengths, on):
+def test_lstm_sequence_backward_same_bits_on_one_and_two_cpus(T, lengths, on, rng):
     # odd counts: at T = 7 the gate factors run steps 0-2 and 3-6, at T = 3
     # (fewer than four steps) whole; the forward recurrence and the
     # backward walk run rows 0-1 and 2-4
     B, E, H = 5, 6, 8
-    leaves = [Tensor(RNG.uniform(-0.5, 0.5, shape).astype(np.float32))
+    leaves = [Tensor(rng.uniform(-0.5, 0.5, shape).astype(np.float32))
               for shape in ((B, T, E), (B, 2 * H), (E, 4 * H), (H, 4 * H), (4 * H,))]
-    wh, wf = (Tensor(RNG.standard_normal(shape).astype(np.float32))
+    wh, wf = (Tensor(rng.standard_normal(shape).astype(np.float32))
               for shape in ((B, T, H), (B, 2 * H)))
 
     def run():
@@ -759,15 +763,15 @@ def test_lstm_sequence_backward_same_bits_on_one_and_two_cpus(T, lengths, on):
 
 @pytest.mark.parametrize("on", ["final", "both"])
 @pytest.mark.parametrize("B, E, H", [(6, 3, 4), (256, 64, 128)], ids=["tiny", "benchmark"])
-def test_lstm_sequence_without_lengths_equals_every_row_ending_at_T(B, E, H, on):
+def test_lstm_sequence_without_lengths_equals_every_row_ending_at_T(B, E, H, on, rng):
     """An omitted `lengths` reads as every row ending at step T: the
     hiddens, the final state and the gradients of every input are the
     bytes of lengths = T for every row, with and without a gradient on
     the hiddens, on one CPU and on two."""
     T = 5
-    leaves = [Tensor(RNG.uniform(-0.5, 0.5, shape).astype(np.float32))
+    leaves = [Tensor(rng.uniform(-0.5, 0.5, shape).astype(np.float32))
               for shape in ((B, T, E), (B, 2 * H), (E, 4 * H), (H, 4 * H), (4 * H,))]
-    wh, wf = (Tensor(RNG.standard_normal(shape).astype(np.float32))
+    wh, wf = (Tensor(rng.standard_normal(shape).astype(np.float32))
               for shape in ((B, T, H), (B, 2 * H)))
 
     def run_with(lengths):
@@ -791,7 +795,7 @@ def test_lstm_sequence_without_lengths_equals_every_row_ending_at_T(B, E, H, on)
 
 
 @pytest.mark.parametrize("B, H", [(256, 128), (64, 512)], ids=["benchmark", "default_hidden"])
-def test_lstm_sequence_halves_equal_whole(B, H):
+def test_lstm_sequence_halves_equal_whole(B, H, rng):
     """The forward recurrence and the backward walk over row halves write
     the bytes of the whole pass, at the vocab_bound training shape
     (B = 256, H = 128) and at the default H = 512 with the fewest rows
@@ -800,9 +804,9 @@ def test_lstm_sequence_halves_equal_whole(B, H):
     at these shapes; OpenBLAS picks kernels by shape, so it does not hold
     for every shape."""
     T, E = 5, 64
-    leaves = [Tensor(RNG.uniform(-0.5, 0.5, shape).astype(np.float32))
+    leaves = [Tensor(rng.uniform(-0.5, 0.5, shape).astype(np.float32))
               for shape in ((B, T, E), (B, 2 * H), (E, 4 * H), (H, 4 * H), (4 * H,))]
-    wh, wf = (Tensor(RNG.standard_normal(shape).astype(np.float32))
+    wh, wf = (Tensor(rng.standard_normal(shape).astype(np.float32))
               for shape in ((B, T, H), (B, 2 * H)))
 
     def run(lengths):
@@ -814,7 +818,7 @@ def test_lstm_sequence_halves_equal_whole(B, H):
         backward(tape, loss)
         return [hiddens.values, final.values] + [t.grad.copy() for t in leaves]
 
-    for lengths in (None, RNG.integers(1, T + 1, B)):
+    for lengths in (None, rng.integers(1, T + 1, B)):
         sizes = assert_halves_equal_whole(lambda: run(lengths))
         assert sizes.count(B * 4 * H) == 2  # the forward and the backward walk
 
@@ -834,7 +838,7 @@ def test_lstm_sequence_forward_halves_equal_whole(B, T):
     assert sizes == [B * 4 * H]
 
 
-def test_linear_cross_entropy_halves_equal_whole_at_benchmark_shape():
+def test_linear_cross_entropy_halves_equal_whole_at_benchmark_shape(rng):
     """A 1398-row block at V = 3000 (one block of the vocab_bound head)
     projects, and forms its loss and gradients, in row halves with the
     bytes of the whole block. This pins the row-partition invariance of
@@ -842,9 +846,9 @@ def test_linear_cross_entropy_halves_equal_whole_at_benchmark_shape():
     admits."""
     n, v = 1398, 3000
     assert aem.autograd._BLOCK_LOGITS // v == n
-    targets = RNG.integers(0, v, n)
+    targets = rng.integers(0, v, n)
     mask = np.ones(n)
-    h, w, b = head_case(n=n, hdim=128, v=v, dtype=np.float32)
+    h, w, b = head_case(rng, n=n, hdim=128, v=v, dtype=np.float32)
 
     def run():
         loss, _, *grads = head_grads(linear_softmax_cross_entropy, h, w, b, targets, mask)
@@ -853,8 +857,8 @@ def test_linear_cross_entropy_halves_equal_whole_at_benchmark_shape():
     assert n * v in assert_halves_equal_whole(run)
 
 
-def test_lstm_sequence_shape_errors():
-    table, ids, init, w, u, b = lstm_case()
+def test_lstm_sequence_shape_errors(rng):
+    table, ids, init, w, u, b = lstm_case(rng)
     x = embedding_lookup(table, ids)
     with pytest.raises(ValueError, match="lstm_sequence shape mismatch"):
         lstm_sequence(x, Tensor(np.zeros((3, 3))), w, u, b)
@@ -867,7 +871,7 @@ def test_lstm_sequence_shape_errors():
             lstm_sequence(x, init, w, u, b, np.array(lengths))
 
 
-def group_case(B, dtype):
+def group_case(rng, B, dtype):
     """Three runs as the AEM decoders have them: run 0 has a cell of its
     own, mixed lengths and a loss on both outputs; runs 1 and 2 share one
     cell's weights, and run 2 starts from run 0's initial state, which the
@@ -878,13 +882,13 @@ def group_case(B, dtype):
     E, H = 6, 8
 
     def leaf(*shape):
-        return Tensor(RNG.uniform(-0.5, 0.5, shape).astype(dtype))
+        return Tensor(rng.uniform(-0.5, 0.5, shape).astype(dtype))
 
     own, shared = [leaf(E, 4 * H), leaf(H, 4 * H), leaf(4 * H)], \
         [leaf(E, 4 * H), leaf(H, 4 * H), leaf(4 * H)]
     inits = [leaf(B, 2 * H), leaf(B, 2 * H)]
     xs = [leaf(B, T, E) for T in (5, 7, 7)]
-    lengths = RNG.integers(1, 6, B)
+    lengths = rng.integers(1, 6, B)
     runs = [(xs[0], inits[0], *own, lengths), (xs[1], inits[1], *shared, None),
             (xs[2], inits[0], *shared, None)]
     weights = [leaf(B, T, H) for T in (5, 7, 7)] + [leaf(B, 2 * H), leaf(B, 2 * H)]
@@ -915,12 +919,12 @@ def group_outputs_and_grads(runner, leaves, runs, weights):
 
 
 @pytest.mark.parametrize("B", [3, 5], ids=["side-by-side", "row-halves"])
-def test_lstm_sequences_equal_runs_one_by_one_on_one_and_two_cpus(B):
+def test_lstm_sequences_equal_runs_one_by_one_on_one_and_two_cpus(B, rng):
     """A group writes the outputs and gradients of its runs made one by
     one, byte for byte, on one CPU and on two: with 3 rows the runs go
     side by side (the caller takes run 0, the worker runs 1 and 2); with
     5 rows every run splits by rows, so the runs go one after another."""
-    leaves, runs, weights = group_case(B, np.float32)
+    leaves, runs, weights = group_case(rng, B, np.float32)
 
     def run():
         group = group_outputs_and_grads(lstm_sequences, leaves, runs, weights)
@@ -931,10 +935,10 @@ def test_lstm_sequences_equal_runs_one_by_one_on_one_and_two_cpus(B):
     assert_same_bits_on_one_and_two_cpus(run)
 
 
-def test_lstm_sequences_side_by_side_under_a_short_switch_interval():
+def test_lstm_sequences_side_by_side_under_a_short_switch_interval(rng):
     # both threads switch every microsecond: each run must still read and
     # write only its own arrays, and every gradient is added once
-    leaves, runs, weights = group_case(3, np.float32)
+    leaves, runs, weights = group_case(rng, 3, np.float32)
     want = group_outputs_and_grads(one_by_one, leaves, runs, weights)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -977,8 +981,8 @@ def test_lstm_sequences_go_side_by_side_only_when_no_run_splits_by_rows():
     assert both_sizes((32, 40)) == []
 
 
-def test_lstm_sequences_gradient_vs_finite_differences_and_single_calls():
-    leaves, runs, weights = group_case(3, np.float64)
+def test_lstm_sequences_gradient_vs_finite_differences_and_single_calls(rng):
+    leaves, runs, weights = group_case(rng, 3, np.float64)
     runs = runs[1:]  # the two runs sharing one cell
     weights = [weights[1], weights[2], None, weights[3], weights[4]]
     leaves = [t for t in leaves if any(t is part for run in runs for part in run[:5])]
@@ -990,8 +994,8 @@ def test_lstm_sequences_gradient_vs_finite_differences_and_single_calls():
     assert check_gradients(loss, leaves) < 1e-4
 
 
-def test_lstm_sequences_is_one_record():
-    leaves, runs, weights = group_case(3, np.float64)
+def test_lstm_sequences_is_one_record(rng):
+    leaves, runs, weights = group_case(rng, 3, np.float64)
     with Tape() as tape:
         outs = lstm_sequences(runs)
     assert len(tape) == 1 and len(outs) == 3
@@ -1000,10 +1004,10 @@ def test_lstm_sequences_is_one_record():
         assert [t.values.tobytes() for t in out] == [t.values.tobytes() for t in want]
 
 
-def test_lstm_sequences_backward_skips_a_run_the_loss_never_reaches():
+def test_lstm_sequences_backward_skips_a_run_the_loss_never_reaches(rng):
     # as on a tape of one record per run, whose backward skips a record
     # with no output gradient: the run's inputs get no gradient at all
-    _, runs, _ = group_case(3, np.float64)
+    _, runs, _ = group_case(rng, 3, np.float64)
     with Tape() as tape:
         outs = lstm_sequences(runs[:2])
         loss = sum_all(outs[1][0])
@@ -1013,8 +1017,8 @@ def test_lstm_sequences_backward_skips_a_run_the_loss_never_reaches():
 
 
 def attention_case(B=3, T=4, S=5, H=3, dtype=np.float64, seed=0):
-    """Inputs and weights drawn from a generator of their own, so a case
-    does not hang on what earlier tests drew from RNG."""
+    """Inputs and weights drawn from a generator of their own, seeded by
+    `seed`, so a case does not hang on what other tests drew."""
     rng = np.random.default_rng(seed)
     hiddens, states, w_a, w_c = (Tensor(rng.standard_normal(shape).astype(dtype))
                                  for shape in ((B, T, H), (B, S, H), (H, H), (2 * H, H)))
@@ -1074,10 +1078,10 @@ def test_attention_sequence_matches_composite_chain(shape, mask, rows):
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
 
 
-def test_attention_sequence_float32_forward_bit_equal_to_composite():
+def test_attention_sequence_float32_forward_bit_equal_to_composite(rng):
     for B, T, S in ((16, 9, 11), (4, 1, 6), (4, 5, 1)):
         hiddens, states, w_a, w_c = attention_case(B, T, S, H=32, dtype=np.float32)
-        mask = (np.arange(S) < RNG.integers(1, S + 1, B)[:, None]).astype(np.float32)
+        mask = (np.arange(S) < rng.integers(1, S + 1, B)[:, None]).astype(np.float32)
         fused = fused_attention(hiddens, states, mask, w_a, w_c)
         ref = composite_attention(hiddens, states, mask, w_a, w_c)
         assert fused.dtype == np.float32

@@ -10,8 +10,9 @@ from helpers import run_on_cpus, tiny_config, toy_batch
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
-# wrapped layer methods that no model kind calls in training or generation
-OFF_PATH = {"OutputProjection.logits", "LuongAttention.context"}
+# wrapped layer methods that no model kind calls in training or generation:
+# every LSTM of the model runs in an autograd.lstm_sequences group
+OFF_PATH = {"OutputProjection.logits", "LuongAttention.context", "LSTMCell.step"}
 
 
 def load_spans():
@@ -48,26 +49,25 @@ def test_the_layer_methods_the_tracer_wraps_are_on_the_model_path(monkeypatch):
                 name = "%s.%s" % (owner.__name__, attr)
                 wrapped.add(name)
                 monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr), calls))
-    assert OFF_PATH < wrapped and "LSTMCell.step" in wrapped
+    assert OFF_PATH < wrapped
     groups = []
-    step_cells = aem.layers.step_cells
-    monkeypatch.setattr(aem.layers, "step_cells",
-                        lambda runs: groups.append([x.shape for _, x, _, _ in runs])
-                        or step_cells(runs))
+    lstm_sequences = aem.layers.lstm_sequences
+    monkeypatch.setattr(aem.layers, "lstm_sequences",
+                        lambda runs: groups.append([run[0].shape for run in runs])
+                        or lstm_sequences(runs))
     for kind in MODEL_KINDS:
         model = DialogueModel(kind, tiny_config(kind=kind))
         E = model.config.embed_size
         batch = toy_batch()
         source, target = batch.source.shape + (E,), batch.target.shape + (E,)
         model.train_step(batch, model.make_optimizer())
-        steps = [shape for name, shape in calls if name == "LSTMCell.step"]
         if model.is_aem:
             # the source and target encoders as one group, then the J1, J2
-            # and J4 decoders as another; no LSTM runs through the cell's step
-            assert steps == [] and groups == [[source, target], [source, target, target]], kind
+            # and J4 decoders as another
+            assert groups == [[source, target], [source, target, target]], kind
         else:
-            # one encoder and one decoder, each through the cell's step
-            assert steps == [source, target] and groups == [], kind
+            # one encoder and one decoder, each a group of one
+            assert groups == [[source], [target]], kind
         reached.update(name for name, _ in calls)
         calls.clear()
         groups.clear()
@@ -75,10 +75,10 @@ def test_the_layer_methods_the_tracer_wraps_are_on_the_model_path(monkeypatch):
         model.generate([[4, 5, 6]])
         # the encoder once over the source and its EOS; greedy decoding
         # runs its tokens' LSTM steps inside layers.greedy_decode
-        steps = [shape for name, shape in calls if name == "LSTMCell.step"]
-        assert steps == [(1, 4, E)] and groups == [], kind
+        assert groups == [[(1, 4, E)]], kind
         reached.update(name for name, _ in calls)
         calls.clear()
+        groups.clear()
     assert reached == wrapped - OFF_PATH
 
 
@@ -151,6 +151,8 @@ def test_every_call_the_tracer_wraps_runs_on_the_main_thread():
     # runs go side by side: some ran on the worker, both ways
     assert not all(on_main["forward"]) and not all(on_main["backward"])
     assert off_main == [] and tracer.stack == []
-    assert {"model.train_step", "model.generate", "autograd.backward", "layers.lstm_step",
-            "autograd.bwd.lstm_sequence", "autograd.bwd.linear_softmax_cross_entropy",
+    assert {"model.train_step", "model.generate", "autograd.backward",
+            "autograd.bwd.lstm_sequences", "autograd.bwd.linear_softmax_cross_entropy",
             "autograd.fwd.embedding_lookup"} < set(tracer.names)
+    # every LSTM runs in an lstm_sequences group, none through the cell's step
+    assert not {"layers.lstm_step", "autograd.bwd.lstm_sequence"} & set(tracer.names)
