@@ -24,6 +24,16 @@ masked_softmax, attend, ...) stay for the rest of the model, for the
 release gate, and as the reference the fused ops are tested against;
 lerp_mask, which the model no longer runs, stays for the last two.
 
+A fused record keeps, from its forward until its backward, only what
+backward cannot rebuild without a matrix product (the cheap end of Chen
+et al. 2016's recomputation). An LSTM run keeps its gate activations,
+its c states and the hiddens it returned; backward rebuilds tanh(c'),
+the time-major previous hiddens and the time-major inputs. An attention
+record keeps its projected hiddens, softmax weights and context rows;
+backward rebuilds [context; hiddens]. Each rebuild is the forward's own
+float32 operation on the same values, so the gradients keep their
+bytes, and a rebuilt array lives only while its record's backward runs.
+
 Row-independent passes use a second CPU through one worker thread (see
 `_both`), which the first pass that splits starts when the process may
 run on more than one CPU. A pass runs as two row halves when its shape
@@ -499,6 +509,13 @@ def lstm_sequences(runs) -> list[tuple[Tensor, Tensor]]:
     the order of a tape of one record per run. So outputs and gradients
     equal each run's group of one, byte for byte, and where a run goes
     depends on the runs' order and shapes alone, never on the CPU count.
+
+    The record keeps each run's gate activations (T, B, 4H), its c
+    states (T + 1, B, H) and the hiddens it returned, beside the inputs
+    it was given. Backward rebuilds tanh(c') as tanh of the c states, the
+    time-major hiddens that each step read from the initial h and the
+    returned hiddens, and the time-major inputs from x, so the record
+    holds none of them between forward and backward.
     """
     group = [_Recurrence(*run) for run in runs]
     beside = len(group) > 1 and not any(r.splits for r in group)
@@ -552,10 +569,11 @@ def _lstm_steps(uv, bv, xw, hs, cs, acts, tcs):
 
 class _Recurrence:
     """One run of lstm_sequences: its tensors and the forward arrays that
-    its backward reads, all time-major (row t*B + b), so every step reads
-    contiguous blocks."""
+    its backward cannot rebuild (see lstm_sequences), the gates `acts` and
+    c states `cs` time-major (row t*B + b), so every step reads contiguous
+    blocks, and the `hiddens` it returned."""
 
-    __slots__ = ("x", "state", "w", "u", "b", "lengths", "xs", "acts", "tcs", "hs", "cs")
+    __slots__ = ("x", "state", "w", "u", "b", "lengths", "acts", "cs", "hiddens")
 
     def __init__(self, x, state, w, u, b, lengths):
         xv, uv = x.values, u.values
@@ -566,7 +584,7 @@ class _Recurrence:
             raise ValueError(f"lstm_sequence shape mismatch: x {xv.shape}, state "
                              f"{state.values.shape}, w {w.values.shape}, u {uv.shape}, "
                              f"b {b.values.shape}")
-        B, T, E = xv.shape
+        B, T, _ = xv.shape
         dtype = xv.dtype
         if lengths is not None:
             lengths = np.asarray(lengths)
@@ -575,12 +593,10 @@ class _Recurrence:
                 raise ValueError(f"lstm_sequence lengths must be {B} values in 1..{T}, "
                                  f"got {lengths!r}")
         self.x, self.state, self.w, self.u, self.b, self.lengths = x, state, w, u, b, lengths
-        self.xs = xv.transpose(1, 0, 2).reshape(T * B, E)
         self.acts = np.empty((T, B, 4 * H), dtype=dtype)
-        self.tcs = np.empty((T, B, H), dtype=dtype)
-        self.hs = np.empty((T + 1, B, H), dtype=dtype)
         self.cs = np.empty((T + 1, B, H), dtype=dtype)
-        self.hs[0], self.cs[0] = state.values[:, :H], state.values[:, H:]
+        self.cs[0] = state.values[:, H:]
+        self.hiddens = None
 
     @property
     def splits(self) -> bool:
@@ -588,33 +604,40 @@ class _Recurrence:
         _, B, G = self.acts.shape
         return _splits(B, B * G)
 
+    def _time_major(self, rows=slice(None)):
+        """The inputs of batch rows `rows` as a time-major (T * n, E) copy."""
+        xv = self.x.values[rows]
+        return xv.transpose(1, 0, 2).reshape(-1, xv.shape[2])
+
     def forward(self) -> tuple[Tensor, Tensor]:
         """Every step; returns (hiddens, final [h; c]), the final state a
-        gather only when lengths are given."""
+        gather only when lengths are given. The time-major hiddens, tanh(c')
+        and inputs live only while it runs."""
         T, B, G = self.acts.shape
-        uv, bv, wv, hs, cs = self.u.values, self.b.values, self.w.values, self.hs, self.cs
-        arrays = (hs, cs, self.acts, self.tcs)
+        H = G // 4
+        uv, bv, wv, cs = self.u.values, self.b.values, self.w.values, self.cs
+        hs = np.empty((T + 1, B, H), dtype=cs.dtype)
+        hs[0] = self.state.values[:, :H]
+        arrays = (hs, cs, self.acts, np.empty((T, B, H), dtype=cs.dtype))
         if self.splits:
-            xs = self.xs.reshape(T, B, -1)
-
             def half(rows):
                 # x w over this half's own rows, time-major
-                xw = (xs[:, rows].reshape(-1, xs.shape[2]) @ wv).reshape(T, -1, G)
+                xw = (self._time_major(rows) @ wv).reshape(T, -1, G)
                 _lstm_steps(uv, bv, xw, *(a[:, rows] for a in arrays))
 
             _halves(half, B, B * G)
         else:
-            _lstm_steps(uv, bv, (self.xs @ wv).reshape(T, B, G), *arrays)
-        hiddens = Tensor(np.ascontiguousarray(hs[1:].transpose(1, 0, 2)))
+            _lstm_steps(uv, bv, (self._time_major() @ wv).reshape(T, B, G), *arrays)
+        self.hiddens = np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
         last = (T, slice(None)) if self.lengths is None else (self.lengths, np.arange(B))
-        return hiddens, Tensor(np.concatenate([hs[last], cs[last]], axis=1))
+        return Tensor(self.hiddens), Tensor(np.concatenate([hs[last], cs[last]], axis=1))
 
     def backward(self, g_hiddens, g_final, beside):
         """The gradients of state, w, u, b and x, for `accumulate`. A run
         beside another forms them whole in the calling thread; alone, its
         gate factors split over halves of the steps and du and db run
         beside dw and dx (_halves, _both)."""
-        acts, tcs, hs, cs, lengths = self.acts, self.tcs, self.hs, self.cs, self.lengths
+        acts, cs, lengths = self.acts, self.cs, self.lengths
         T, B, G = acts.shape
         H = G // 4
         dtype = acts.dtype
@@ -624,7 +647,7 @@ class _Recurrence:
 
         def factors(steps):
             i, f, g, o = (acts[steps, :, n * H : (n + 1) * H] for n in range(4))
-            tc, d = tcs[steps], dpre[steps]
+            tc, d = np.tanh(cs[1:][steps]), dpre[steps]
             d[:, :, 0] = g * i * (1.0 - i)
             d[:, :, 1] = cs[:-1][steps] * f * (1.0 - f)
             d[:, :, 2] = i * (1.0 - g * g)
@@ -669,9 +692,16 @@ class _Recurrence:
         # a run beside another never splits by rows
         _halves(walk, B, B * G)
         flat = dpre.reshape(T * B, G)
-        xs, wv = self.xs, self.w.values
-        du_db = lambda: (hs[:-1].reshape(T * B, H).T @ flat, flat.sum(axis=0))
-        dw_dx = lambda: (xs.T @ flat, flat @ wv.T)
+        wv = self.w.values
+
+        def du_db():
+            # the time-major hiddens each step read: the initial h, then all but the last
+            hs = np.empty((T, B, H), dtype=dtype)
+            hs[0] = self.state.values[:, :H]
+            hs[1:] = self.hiddens[:, :-1].transpose(1, 0, 2)
+            return hs.reshape(T * B, H).T @ flat, flat.sum(axis=0)
+
+        dw_dx = lambda: (self._time_major().T @ flat, flat @ wv.T)
         (du, db), (dw, dx) = (du_db(), dw_dx()) if beside else _both(du_db, dw_dx, flat.size)
         return dstate, dw, du, db, dx.reshape(T, B, wv.shape[0]).transpose(1, 0, 2)
 
@@ -747,10 +777,10 @@ class AttentionMask:
 
 def _attention_forward(hv, sv, keep, wa, wc):
     """attention_sequence's forward on arrays, the one copy of its math:
-    (proj, weights, joined, tanh(joined wc)) for (B, T, H) hiddens `hv`
-    against (B, S, H) states `sv` under an AttentionMask's (B, 1, S)
-    `keep`. Numpy only, so greedy decoding runs it for its own rows on
-    either CPU."""
+    (proj, weights, context, tanh([context; hiddens] wc)), the context
+    (B*T, H), for (B, T, H) hiddens `hv` against (B, S, H) states `sv`
+    under an AttentionMask's (B, 1, S) `keep`. Numpy only, so greedy
+    decoding runs it for its own rows on either CPU."""
     B, T, H = hv.shape
     flat = hv.reshape(B * T, H)
     proj = (flat @ wa).reshape(B, T, H)
@@ -760,9 +790,9 @@ def _attention_forward(hv, sv, keep, wa, wc):
     e = np.exp(neg - neg.max(axis=2, keepdims=True))
     e = np.where(keep, e, 0.0).astype(hv.dtype)
     weights = e / e.sum(axis=2, keepdims=True)
-    context = np.einsum("bts,bsh->bth", weights, sv)
-    joined = np.concatenate([context.reshape(B * T, H), flat], axis=1)
-    return proj, weights, joined, np.tanh(joined @ wc)
+    context = np.einsum("bts,bsh->bth", weights, sv).reshape(B * T, H)
+    joined = np.concatenate([context, flat], axis=1)
+    return proj, weights, context, np.tanh(joined @ wc)
 
 
 def attention_sequence(hiddens: Tensor, states: Tensor, mask: AttentionMask,
@@ -781,7 +811,11 @@ def attention_sequence(hiddens: Tensor, states: Tensor, mask: AttentionMask,
 
     Backward forms dw_a and dw_c with one matmul each, the score and
     context gradients with batched matmuls, and accumulates into the
-    encoder states once.
+    encoder states once. The record keeps the projected hiddens h w_a,
+    the weights and the (B*T, H) context rows; backward concatenates
+    [context; hiddens] again for dw_c, so no (B*T, 2H) array is held
+    between forward and backward. The projection stays: rebuilding it
+    would cost a matmul.
     """
     hv, sv = hiddens.values, states.values
     if (hv.ndim != 3 or sv.ndim != 3 or sv.shape[0] != hv.shape[0] or sv.shape[2] != hv.shape[2]
@@ -793,13 +827,13 @@ def attention_sequence(hiddens: Tensor, states: Tensor, mask: AttentionMask,
     if mask.positions != sv.shape[:2]:
         raise ValueError(f"mask shape {mask.positions} != states positions {sv.shape[:2]}")
     flat = hv.reshape(B * T, H)
-    proj, weights, joined, attended = _attention_forward(hv, sv, mask.keep, w_a.values,
-                                                         w_c.values)
+    proj, weights, context, attended = _attention_forward(hv, sv, mask.keep, w_a.values,
+                                                          w_c.values)
     out = Tensor(attended)
 
     def back(gout):
         dz = gout * (1.0 - out.values * out.values)
-        _accum(w_c, joined.T @ dz)
+        _accum(w_c, np.concatenate([context, flat], axis=1).T @ dz)
         djoined = dz @ w_c.values.T
         dcontext = djoined[:, :H].reshape(B, T, H)
         dweights = np.matmul(dcontext, sv.transpose(0, 2, 1))

@@ -208,22 +208,30 @@ def _load_model(path, expected_kind=None, with_optimizer=False):
 
 
 def _replies(model, vocab, lines, source):
-    """The model's reply text to each input line, tokenized with its
-    `lowercase`; an empty line fails naming `source` and the line."""
-    sources = []
-    for lineno, line in enumerate(lines, start=1):
-        tokens = tokenize(line, lowercase=model.config.lowercase)
-        if not tokens:
-            raise ValueError("%s: input line %d is empty" % (source, lineno))
-        sources.append(vocab.encode(tokens))
-    return [" ".join(vocab.decode(ids)) for ids in model.generate(sources)]
+    """The model's reply text to each of `lines` (any iterable), tokenized
+    with its `lowercase`, yielded in order as each model chunk is decoded,
+    so only one chunk of lines is read ahead; an empty line fails naming
+    `source` and the line."""
+    def sources():
+        for lineno, line in enumerate(lines, start=1):
+            tokens = tokenize(line, lowercase=model.config.lowercase)
+            if not tokens:
+                raise ValueError("%s: input line %d is empty" % (source, lineno))
+            yield vocab.encode(tokens)
+
+    for replies in model.generate_chunks(sources()):
+        for ids in replies:
+            yield " ".join(vocab.decode(ids))
 
 
 def cmd_generate(args):
     model, _, vocab, _ = _load_model(args.ckpt)
-    replies = _replies(model, vocab, _read_lines(args.infile), args.infile)
-    with open(args.outfile, "w", encoding="utf-8") as f:
-        f.write("".join(reply + "\n" for reply in replies))
+    # one model chunk of lines is read, decoded and written at a time; the
+    # replies replace --out whole (it may be --in), so a failure partway
+    # leaves it as it was
+    with open(args.infile, encoding="utf-8") as f, atomic_write(args.outfile) as out:
+        for reply in _replies(model, vocab, (line.rstrip("\n") for line in f), args.infile):
+            out.write((reply + "\n").encode("utf-8"))
     return 0
 
 

@@ -23,6 +23,7 @@ across kinds.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -256,6 +257,12 @@ class DialogueModel:
 
     # generation ----------------------------------------------------------
 
+    @property
+    def _chunk_size(self) -> int:
+        """The most sources one greedy batch of generate runs: the rows of
+        one output-head block, max(1, autograd._BLOCK_LOGITS // V)."""
+        return max(1, autograd._BLOCK_LOGITS // self.tgt_proj.W.shape[1])
+
     def generate(self, sources, max_len=None):
         """Greedy responses for a batch of source id sequences.
 
@@ -276,16 +283,26 @@ class DialogueModel:
         an argmax; the tests find none at their shapes, with attention or
         without.
         """
-        if not sources:
-            return []
-        for i, seq in enumerate(sources):
-            if len(seq) == 0:
-                raise ValueError("source %d is empty" % i)
+        _check_sources(sources)
         if max_len is None:
             max_len = self.config.max_gen_len
-        chunk = max(1, autograd._BLOCK_LOGITS // self.tgt_proj.W.shape[1])
+        chunk = self._chunk_size
         return [reply for start in range(0, len(sources), chunk)
                 for reply in self._generate_chunk(sources[start : start + chunk], max_len)]
+
+    def generate_chunks(self, sources, max_len=None):
+        """generate's replies to `sources`, any iterable of id sequences,
+        as one list per chunk of generate's size, each from one generate
+        call. A chunk is read from `sources` only once the list before it
+        has been taken, so a caller that writes each list before taking
+        the next holds one chunk of sources and replies however many it
+        is given. The replies equal generate's over all the sources; an
+        empty one fails when its chunk is read, named by its index."""
+        sources, start = iter(sources), 0
+        while part := list(islice(sources, self._chunk_size)):
+            _check_sources(part, start)
+            yield self.generate(part, max_len)
+            start += len(part)
 
     def _generate_chunk(self, sources, max_len):
         """generate's replies to one chunk of non-empty sources, as one
@@ -299,6 +316,13 @@ class DialogueModel:
         init = self._map(h)
         return greedy_decode(self.tgt_dec, self.tgt_embed, self.tgt_proj, init,
                              max_len=max_len, attend=self._attend(states, mask))
+
+
+def _check_sources(sources, start=0):
+    """Fails naming the first empty source, numbering them from `start`."""
+    for i, seq in enumerate(sources, start):
+        if len(seq) == 0:
+            raise ValueError("source %d is empty" % i)
 
 
 def build_baseline(kind, config, dtype=np.float32):

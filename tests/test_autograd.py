@@ -1004,6 +1004,33 @@ def test_lstm_sequences_is_one_record(rng):
         assert [t.values.tobytes() for t in out] == [t.values.tobytes() for t in want]
 
 
+@pytest.mark.parametrize("split_min", [aem.autograd._SPLIT_MIN, 0], ids=["whole", "halves"])
+def test_lstm_sequence_record_keeps_only_what_backward_cannot_rebuild(split_min, monkeypatch):
+    # the gates, the c states and the two outputs stay; the time-major
+    # previous hiddens, tanh(c') and inputs (44, 40 and 20 KiB here) are
+    # rebuilt by backward
+    B, T, E, H = 16, 10, 32, 64
+    rng = np.random.default_rng(0)
+    x, state, w, u, b = (Tensor(rng.standard_normal(shape).astype(np.float32))
+                         for shape in ((B, T, E), (B, 2 * H), (E, 4 * H), (H, 4 * H), (4 * H,)))
+    monkeypatch.setattr(aem.autograd, "_SPLIT_MIN", split_min)
+    lstm_sequence(x, state, w, u, b)  # starts the worker thread where the halves use it
+
+    def forward():
+        outs = lstm_sequence(x, state, w, u, b)
+        if aem.autograd._WORKER is not None:
+            # the worker lets go of the half it ran only before it takes its next task
+            aem.autograd._WORKER[1].submit(lambda: None).result(timeout=60)
+        return outs
+
+    with Tape() as tape:
+        _, held, _ = traced_bytes(forward)
+    assert len(tape) == 1
+    kept = 4 * (T * B * 4 * H + (T + 1) * B * H + B * T * H + B * 2 * H)
+    assert held <= kept + 8 * 1024
+    assert held > kept
+
+
 def test_lstm_sequences_backward_skips_a_run_the_loss_never_reaches(rng):
     # as on a tape of one record per run, whose backward skips a record
     # with no output gradient: the run's inputs get no gradient at all
@@ -1093,6 +1120,19 @@ def test_attention_sequence_is_one_record():
     with Tape() as tape:
         fused_attention(hiddens, states, PADDED_SOURCE, w_a, w_c)
     assert len(tape) == 1
+
+
+def test_attention_sequence_record_keeps_no_joined_rows():
+    # proj, the weights, the context rows and the output stay; backward
+    # rebuilds [context; hiddens], a (B*T, 2H) array of 48 KiB here
+    B, T, S, H = 8, 12, 10, 64
+    hiddens, states, w_a, w_c = attention_case(B, T, S, H, dtype=np.float32)
+    mask = AttentionMask(np.ones((B, S)), (B, S), np.float32)
+    with Tape() as tape:
+        _, held, _ = traced_bytes(lambda: attention_sequence(hiddens, states, mask, w_a, w_c))
+    assert len(tape) == 1
+    kept = 4 * (3 * B * T * H + B * T * S)
+    assert kept < held <= kept + 8 * 1024
 
 
 def test_attention_sequence_shape_and_mask_errors():

@@ -598,6 +598,68 @@ def test_generate_end_to_end(workspace, capsys, tmp_path):
     assert again.read_bytes() == outfile.read_bytes()
 
 
+GEN_LINES = ["hello there", "how are you", "good morning to you", "bye", "what is your name",
+             "nice weather today", "see you later"]
+
+
+def two_line_chunks(ckpt, monkeypatch):
+    """_BLOCK_LOGITS patched to two rows of the checkpoint's logits, so
+    generate decodes two lines at a time; returns the list that each
+    decoded chunk's line count is appended to."""
+    v = load_checkpoint(ckpt).config.vocab_size
+    monkeypatch.setattr(aem.autograd, "_BLOCK_LOGITS", 2 * v)
+    chunks, decode = [], DialogueModel._generate_chunk
+
+    def counted(self, sources, max_len):
+        chunks.append(len(sources))
+        return decode(self, sources, max_len)
+
+    monkeypatch.setattr(DialogueModel, "_generate_chunk", counted)
+    return chunks
+
+
+def test_generate_over_several_chunks_writes_one_batchs_bytes(workspace, monkeypatch):
+    ckpt = trained_checkpoint(workspace, epochs=1)
+    infile, whole, chunked = (workspace / name for name in ("in.txt", "whole.txt", "out.txt"))
+    infile.write_text("".join(line + "\n" for line in GEN_LINES), encoding="utf-8")
+    generate = lambda out: main(["generate", "--ckpt", str(ckpt), "--in", str(infile),
+                                 "--out", str(out)])
+    assert generate(whole) == 0
+    chunks = two_line_chunks(ckpt, monkeypatch)
+    assert generate(chunked) == 0
+    assert chunks == [2, 2, 2, 1]
+    assert chunked.read_bytes() == whole.read_bytes()
+    assert len(whole.read_text(encoding="utf-8").splitlines()) == len(GEN_LINES)
+
+
+def test_generate_late_empty_line_leaves_out_as_it_was(workspace, capsys, monkeypatch):
+    ckpt = trained_checkpoint(workspace, epochs=1)
+    infile, outfile = workspace / "in.txt", workspace / "out.txt"
+    lines = GEN_LINES[:5] + [""] + GEN_LINES[5:]
+    infile.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    outfile.write_bytes(b"an older reply\n")
+    chunks = two_line_chunks(ckpt, monkeypatch)
+    assert main(["generate", "--ckpt", str(ckpt), "--in", str(infile),
+                 "--out", str(outfile)]) == 1
+    assert "error: %s: input line 6 is empty" % infile in capsys.readouterr().err
+    # two chunks were decoded and written before line 6 was read
+    assert chunks == [2, 2]
+    assert outfile.read_bytes() == b"an older reply\n"
+    assert sorted(p.name for p in workspace.iterdir() if p.name.startswith("out")) == ["out.txt"]
+
+
+def test_generate_may_write_its_replies_over_its_input(workspace, monkeypatch):
+    ckpt = trained_checkpoint(workspace, epochs=1)
+    infile, outfile = workspace / "in.txt", workspace / "out.txt"
+    infile.write_text("".join(line + "\n" for line in GEN_LINES), encoding="utf-8")
+    assert main(["generate", "--ckpt", str(ckpt), "--in", str(infile),
+                 "--out", str(outfile)]) == 0
+    two_line_chunks(ckpt, monkeypatch)
+    assert main(["generate", "--ckpt", str(ckpt), "--in", str(infile),
+                 "--out", str(infile)]) == 0
+    assert infile.read_bytes() == outfile.read_bytes()
+
+
 def test_generate_rejects_empty_line(workspace, capsys):
     ckpt = trained_checkpoint(workspace, epochs=1)
     infile = workspace / "in.txt"
