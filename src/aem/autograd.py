@@ -146,11 +146,17 @@ def _record(out: Tensor, backward_fn) -> None:
         tape.record(out, backward_fn)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    # the first contribution is copied, never kept: ops hand the same
-    # array (or views of gout) to several inputs
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    # the first contribution is copied: ops hand the same array (or views
+    # of gout) to several inputs. An array an op made for `t` alone
+    # (fresh=True) becomes the gradient itself when it owns its memory and
+    # has `t`'s dtype, shape and C layout
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.values.dtype)
+        if (fresh and g.base is None and g.dtype == t.values.dtype
+                and g.shape == t.values.shape and g.flags.c_contiguous):
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=t.values.dtype)
     else:
         t.grad += g
 
@@ -213,8 +219,9 @@ def _both(first, second, size):
     (`size`), or when the worker has not started `second` by the time
     `first` returns. Returns, or raises either one's exception, only once
     neither thunk still runs, so neither writes into the caller's arrays
-    afterwards. Thunks run numpy only: no tape records and no op of this
-    module."""
+    afterwards, and `second`, with the arrays its closure holds, is
+    already dropped wherever it ran. Thunks run numpy only: no tape
+    records and no op of this module."""
     global _WORKER
     if size < _SPLIT_MIN or _cpus() < 2:
         return first(), second()
@@ -222,17 +229,23 @@ def _both(first, second, size):
     if _WORKER is None or _WORKER[0] != os.getpid():
         from concurrent.futures import ThreadPoolExecutor
         _WORKER = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="aem-autograd"))
-    future = _WORKER[1].submit(second)
+    # the worker keeps the callable it ran until after the caller sees its
+    # result, so it gets one that pops `second` before running it
+    held = [second]
+    del second
+    future = _WORKER[1].submit(lambda: held.pop()())
     try:
         a = first()
     except BaseException:
-        if not future.cancel():
+        if future.cancel():
+            held.clear()
+        else:
             future.exception()  # waits for second; the first error is the one raised
         raise
     # a worker that has not started (its CPU busy with other work) is not
     # waited for
     if future.cancel():
-        return a, second()
+        return a, held.pop()()
     return a, future.result()
 
 
@@ -279,8 +292,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.values @ b.values)
 
     def back(gout):
-        _accum(a, gout @ b.values.T)
-        _accum(b, a.values.T @ gout)
+        _accum(a, gout @ b.values.T, fresh=True)
+        _accum(b, a.values.T @ gout, fresh=True)
 
     _record(out, back)
     return out
@@ -335,7 +348,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
     def back(gout):
         _accum(x, gout)
-        _accum(b, gout.sum(axis=0))
+        _accum(b, gout.sum(axis=0), fresh=True)
 
     _record(out, back)
     return out
@@ -707,7 +720,7 @@ class _Recurrence:
 
     def accumulate(self, grads) -> None:
         for t, g in zip((self.state, self.w, self.u, self.b, self.x), grads):
-            _accum(t, g)
+            _accum(t, g, fresh=True)
 
 
 def batched_dot(q: Tensor, states: Tensor) -> Tensor:
@@ -833,7 +846,7 @@ def attention_sequence(hiddens: Tensor, states: Tensor, mask: AttentionMask,
 
     def back(gout):
         dz = gout * (1.0 - out.values * out.values)
-        _accum(w_c, np.concatenate([context, flat], axis=1).T @ dz)
+        _accum(w_c, np.concatenate([context, flat], axis=1).T @ dz, fresh=True)
         djoined = dz @ w_c.values.T
         dcontext = djoined[:, :H].reshape(B, T, H)
         dweights = np.matmul(dcontext, sv.transpose(0, 2, 1))
@@ -842,7 +855,7 @@ def attention_sequence(hiddens: Tensor, states: Tensor, mask: AttentionMask,
         dstates = np.matmul(weights.transpose(0, 2, 1), dcontext)
         dstates += np.matmul(dscores.transpose(0, 2, 1), proj)
         _accum(states, dstates)
-        _accum(w_a, flat.T @ dproj)
+        _accum(w_a, flat.T @ dproj, fresh=True)
         _accum(hiddens, (djoined[:, H:] + dproj @ w_a.values.T).reshape(B, T, H))
 
     _record(out, back)
@@ -972,9 +985,9 @@ def linear_softmax_cross_entropy(h: Tensor, w: Tensor, b: Tensor, targets: np.nd
 
     if grad:
         def back(gout):
-            _accum(h, dh * gout)
-            _accum(w, dw * gout)
-            _accum(b, db * gout)
+            _accum(h, dh * gout, fresh=True)
+            _accum(w, dw * gout, fresh=True)
+            _accum(b, db * gout, fresh=True)
 
         _record(out, back)
     return out, int(mask.sum())

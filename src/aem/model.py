@@ -234,15 +234,24 @@ class DialogueModel:
     def train_step(self, batch, adam):
         """Forward all losses, backward the weighted total, clip, step. A
         non-finite gradient raises FloatingPointError before any parameter
-        or moment changes."""
-        with Tape() as tape:
-            tape.watch(self.store.tensors())
-            total, parts = self.loss_graph(batch)
-            backward(tape, total)
-        norm = clip_grad_norm(self.store, self.config.clip_norm)
-        parts.grad_norm, parts.group_norms = float(norm), norm.groups
-        parts.clipped = parts.grad_norm > self.config.clip_norm
-        adam.step()
+        or moment changes.
+
+        The step owns the parameter gradients: backward allocates each at
+        its first contribution, and the step releases them all
+        (`ParamStore.zero_grads`) when it returns or raises, so no
+        gradient sits in memory between steps and a failed step leaves
+        none behind for the next one to add to."""
+        try:
+            with Tape() as tape:
+                tape.watch(self.store.tensors())
+                total, parts = self.loss_graph(batch)
+                backward(tape, total)
+            norm = clip_grad_norm(self.store, self.config.clip_norm)
+            parts.grad_norm, parts.group_norms = float(norm), norm.groups
+            parts.clipped = parts.grad_norm > self.config.clip_norm
+            adam.step()
+        finally:
+            self.store.zero_grads()
         return parts
 
     def evaluate_batch(self, batch):

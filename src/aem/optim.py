@@ -16,8 +16,9 @@ class Adam:
     """Bias-corrected Adam over a ParamStore.
 
     Moments live per parameter name; the shared step counter t advances
-    by exactly 1 per step() call. After a step, grads are reset to zero
-    in place so the next backward accumulates from zero.
+    by exactly 1 per step() call. step() reads the gradients and leaves
+    them as they are: whoever filled them releases them
+    (`DialogueModel.train_step` does, through `ParamStore.zero_grads`).
     """
 
     def __init__(self, store: ParamStore, lr: float = 0.002,
@@ -76,7 +77,6 @@ class Adam:
                     b += self.epsilon
                     a /= b
                     values[part] -= a
-                p.grad[...] = 0.0
 
         autograd._in_two(update, params, [p.values.size for _, p in params])
 

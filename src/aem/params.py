@@ -56,6 +56,9 @@ class ParamStore:
         return sub
 
     def zero_grads(self) -> None:
+        """Release every parameter's gradient (grad = None) rather than
+        fill it with zeros: the next backward allocates each gradient at
+        its first contribution, and nothing is held until then."""
         for t in self._params.values():
             t.grad = None
 

@@ -617,6 +617,29 @@ def test_first_gradient_is_copied_not_aliased(rng):
     assert not np.shares_memory(a.grad, b.grad)
 
 
+def test_a_fresh_first_gradient_is_kept_and_any_other_copied():
+    def first(g, fresh, dtype=np.float32):
+        t = Tensor(np.zeros((2, 3), dtype=dtype))
+        aem.autograd._accum(t, g, fresh=fresh)
+        return t.grad
+
+    g = np.ones((2, 3), dtype=np.float32)
+    assert first(g, fresh=True) is g
+    copied = [(g, False),  # not fresh
+              (np.ones((2, 6), dtype=np.float32)[:, :3], True),  # a view
+              (np.asfortranarray(g), True),  # not C-contiguous
+              (np.ones((2, 3)), True)]  # float64
+    for g, fresh in copied:
+        got = first(g, fresh)
+        assert got.dtype == np.float32 and not np.shares_memory(got, g)
+
+
+def test_matmul_of_a_tensor_with_itself_adds_both_gradients(rng):
+    # the first product becomes x.grad as it is; the second adds into it
+    x = t64(rng, 3, 3)
+    assert check_gradients(lambda: sum_all(matmul(x, x)), [x]) < 1e-4
+
+
 # rows that end before T, and one that runs to T
 MIXED_LENGTHS = np.array([3, 2, 4])
 
@@ -1016,15 +1039,8 @@ def test_lstm_sequence_record_keeps_only_what_backward_cannot_rebuild(split_min,
     monkeypatch.setattr(aem.autograd, "_SPLIT_MIN", split_min)
     lstm_sequence(x, state, w, u, b)  # starts the worker thread where the halves use it
 
-    def forward():
-        outs = lstm_sequence(x, state, w, u, b)
-        if aem.autograd._WORKER is not None:
-            # the worker lets go of the half it ran only before it takes its next task
-            aem.autograd._WORKER[1].submit(lambda: None).result(timeout=60)
-        return outs
-
     with Tape() as tape:
-        _, held, _ = traced_bytes(forward)
+        _, held, _ = traced_bytes(lambda: lstm_sequence(x, state, w, u, b))
     assert len(tape) == 1
     kept = 4 * (T * B * 4 * H + (T + 1) * B * H + B * T * H + B * 2 * H)
     assert held <= kept + 8 * 1024
@@ -1207,6 +1223,33 @@ def test_both_does_not_wait_for_a_worker_that_has_not_started(monkeypatch):
     finally:
         busy.set()
     assert blocker.result(timeout=10) is True
+
+
+def test_both_lets_go_of_the_worker_thunk_before_the_caller_sees_its_result(monkeypatch):
+    # the worker pauses after setting each result, as on a busy host: the
+    # arrays `second` holds must already be free when _both returns
+    monkeypatch.setattr(aem.autograd, "_cpus", lambda: 2)
+    both, split = aem.autograd._both, aem.autograd._SPLIT_MIN
+    both(lambda: None, lambda: None, split)  # makes sure the worker exists
+    pid, executor = aem.autograd._WORKER
+
+    class Pausing:
+        def submit(self, fn):
+            future = executor.submit(fn)
+            future.add_done_callback(lambda _: time.sleep(0.2))
+            return future
+
+    monkeypatch.setattr(aem.autograd, "_WORKER", (pid, Pausing()))
+    started = threading.Event()
+
+    def thunk():
+        data = np.ones(4)
+        return weakref.ref(data), lambda: started.set() or data.size
+
+    ref, second = thunk()
+    assert both(lambda: started.wait(10), second, split) == (True, 4)
+    del second
+    assert ref() is None
 
 
 def test_both_below_the_split_size_runs_in_the_caller(monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import sys
 import threading
 
@@ -477,6 +478,54 @@ def test_non_finite_gradient_stops_the_step_and_names_the_parameter(monkeypatch)
 def arrays(model, adam):
     return [t.values for t in model.store.tensors()] + [
         moments[name] for moments in (adam.m, adam.v) for name in model.store.names()]
+
+
+def held_gradients(model):
+    return [name for name, p in model.store.items() if p.grad is not None]
+
+
+def test_a_train_step_leaves_no_gradient_behind():
+    model = DialogueModel("aem", tiny_config())
+    adam = model.make_optimizer()
+    for _ in range(2):
+        model.train_step(toy_batch(), adam)
+        assert held_gradients(model) == []
+
+
+def failed_step(monkeypatch):
+    """A model and optimizer after one clean step, a copy of both saved
+    then, and the originals after a second step that raised on a NaN
+    gradient in phi.tgt_dec.W (first in store order)."""
+    model = DialogueModel("aem", tiny_config())
+    adam = model.make_optimizer()
+    model.train_step(toy_batch(), adam)
+    saved = copy.deepcopy((model, adam))
+    real_backward = aem.model.backward
+
+    def poisoned(tape, loss):
+        real_backward(tape, loss)
+        model.store["phi.tgt_dec.W"].grad[2, 0] = np.nan
+
+    with monkeypatch.context() as patched:
+        patched.setattr(aem.model, "backward", poisoned)
+        with pytest.raises(FloatingPointError, match=r"non-finite gradient in phi\.tgt_dec\.W$"):
+            model.train_step(toy_batch(), adam)
+    return model, adam, saved
+
+
+def test_a_failed_step_leaves_no_gradient_behind(monkeypatch):
+    model, _, _ = failed_step(monkeypatch)
+    assert held_gradients(model) == []
+
+
+def test_the_step_after_a_failed_one_equals_the_step_it_replaced(monkeypatch):
+    # the retry adds nothing to what the failed step's backward wrote
+    model, adam, saved = failed_step(monkeypatch)
+    model.train_step(toy_batch(), adam)
+    saved[0].train_step(toy_batch(), saved[1])
+    assert adam.t == saved[1].t == 2
+    for a, b in zip(arrays(model, adam), arrays(*saved), strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_padding_neutrality():

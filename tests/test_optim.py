@@ -75,12 +75,14 @@ def test_missing_grad_rejected_with_name():
         Adam(store).step()
 
 
-def test_grads_zeroed_after_step():
+def test_step_leaves_grads_as_they_are():
+    # releasing them is the caller's part (DialogueModel.train_step)
     store = store_with(shape=(2,))
-    store["w"].grad = np.array([1.0, 2.0])
+    grad = store["w"].grad = np.array([1.0, 2.0])
     opt = Adam(store)
     opt.step()
-    np.testing.assert_array_equal(store["w"].grad, np.zeros(2))
+    assert store["w"].grad is grad
+    np.testing.assert_array_equal(grad, [1.0, 2.0])
 
 
 def whole_array_adam_step(p, g, m, v, t, lr=0.002, beta1=0.9, beta2=0.999, epsilon=1e-8):
@@ -143,19 +145,23 @@ def store_halves(store):
 def clip_and_step(max_norm):
     """Two clip_grad_norm and Adam.step rounds on the vocab_bound store:
     the norms and group norms, then the clipped gradients, then every
-    value, moment and zeroed gradient, after each round."""
+    value and moment, after each round. Adam leaves each gradient as it
+    was; the second round's gradients are fresh arrays, as a backward
+    after a released step makes them."""
     store = vocab_bound_store(seed=11)
     adam, out = Adam(store), []
     for step in range(2):
         norm = clip_grad_norm(store, max_norm)
         assert (norm > max_norm) == (max_norm == 1.0)
         out.append(np.array([norm] + [norm.groups[g] for g in sorted(norm.groups)]))
-        out += [p.grad.copy() for _, p in store.items()]
+        grads = [p.grad.copy() for _, p in store.items()]
+        out += grads
         adam.step()
+        assert all(p.grad.tobytes() == g.tobytes() for (_, p), g in zip(store.items(), grads))
         out += [a.copy() for name, p in store.items()
-                for a in (p.values, adam.m[name], adam.v[name], p.grad)]
+                for a in (p.values, adam.m[name], adam.v[name])]
         for _, p in store.items():
-            p.grad += np.float32(step + 1) * p.values
+            p.grad = np.float32(step + 1) * p.values
     return out
 
 

@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -8,7 +11,8 @@ from aem.config import MODEL_KINDS
 from aem.model import DialogueModel
 from helpers import run_on_cpus, tiny_config, toy_batch
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 # wrapped layer methods that no model kind calls in training or generation:
 # every LSTM of the model runs in an autograd.lstm_sequences group
@@ -156,3 +160,22 @@ def test_every_call_the_tracer_wraps_runs_on_the_main_thread():
             "autograd.fwd.embedding_lookup"} < set(tracer.names)
     # every LSTM runs in an lstm_sequences group, none through the cell's step
     assert not {"layers.lstm_step", "autograd.bwd.lstm_sequence"} & set(tracer.names)
+
+
+def test_peak_memory_fails_when_a_step_keeps_its_gradients():
+    # the tool in a child process, on the smallest workload shape, with a
+    # store whose zero_grads keeps every gradient
+    code = ("import runpy, sys, aem.params\n"
+            "aem.params.ParamStore.zero_grads = lambda self: None\n"
+            "tool = runpy.run_path(sys.argv[1])\n"
+            "for name in list(tool['WORKLOADS']):\n"
+            "    if name != 'recurrence_bound':\n"
+            "        del tool['WORKLOADS'][name]\n"
+            "sys.exit(tool['main']([]))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code, str(ROOT / "tools" / "peak_memory.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stderr
+    assert len(done.stdout.splitlines()) == len(MODEL_KINDS)
+    assert done.stderr.count("train_step returned with gradients allocated") == len(MODEL_KINDS)
+    assert "theta.src_enc.W" in done.stderr

@@ -4,15 +4,19 @@
 
 For each workload shape in perfbench/run.py WORKLOADS it builds the
 workload's seeded training pairs (perfbench/corpora.py), their
-vocabulary and batches as `aem train` builds them, and for each of the
-four model kinds a seeded model. It runs one warm-up `train_step` on the
-widest batch (the most padded tokens), then traces one more with
-tracemalloc and prints one line per (workload, kind): the step's traced
-peak and the bytes live when `backward` starts, both above what was
-allocated when the step started, in MiB. numpy reports its array
-buffers to tracemalloc, so the figures count what the step's arrays
-hold, not the process's resident set. BLAS runs with one thread, as in
-the benchmark. It writes no file.
+vocabulary and batches as `aem train` builds them. Then, for each of the
+four model kinds, it starts tracemalloc, builds a seeded model and its
+optimizer, runs one warm-up `train_step` on the widest batch (the most
+padded tokens) and one more, and prints one line per (workload, kind)
+for that second step: its traced peak, the bytes live when `backward`
+starts and the bytes still held once the step has returned, in MiB.
+Each figure counts everything allocated since tracing started, so the
+parameters, the Adam moments and anything a step keeps for the next
+one are in all three. numpy reports its array buffers to tracemalloc,
+so the figures count what the arrays hold, not the process's resident
+set. BLAS runs with one thread, as in the benchmark. It writes no file,
+and exits 1 when a `train_step` returns with a parameter gradient still
+allocated.
 """
 
 import os
@@ -51,10 +55,12 @@ def widest_batch(w, seed):
     return len(vocab), max(batches, key=lambda b: b.source.size + b.target.size)
 
 
-def traced_step(model, adam, batch):
-    """(peak, live when backward starts) of one train_step, in bytes above
-    what was allocated when it started."""
-    backward, live = aem.model.backward, []
+def traced_step(kind, w, v, batch, seed):
+    """(peak, live when backward starts, held once it returned) of the
+    second train_step of a seeded model, in bytes allocated since tracing
+    started, before the model was built; and the names of the parameters
+    that held a gradient after either step."""
+    backward, live, kept = aem.model.backward, [], set()
 
     def noted(tape, loss):
         live.append(tracemalloc.get_traced_memory()[0])
@@ -63,32 +69,37 @@ def traced_step(model, adam, batch):
     aem.model.backward = noted
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        model.train_step(batch, adam)
-        peak = tracemalloc.get_traced_memory()[1]
+        model = DialogueModel(kind, RunConfig(kind=kind, hidden_size=w.hidden, embed_size=w.embed,
+                                              vocab_size=v, batch_size=w.batch_size,
+                                              seed=seed).validate())
+        adam = model.make_optimizer()
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            model.train_step(batch, adam)
+            kept.update(name for name, p in model.store.items() if p.grad is not None)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         aem.model.backward = backward
-    return peak - base, live[0] - base
+    return peak, live[-1], held, sorted(kept)
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
+    status = 0
     for name, w in WORKLOADS.items():
         v, batch = widest_batch(w, args.seed)
         for kind in KINDS:
-            model = DialogueModel(kind, RunConfig(kind=kind, hidden_size=w.hidden,
-                                                  embed_size=w.embed, vocab_size=v,
-                                                  batch_size=w.batch_size,
-                                                  seed=args.seed).validate())
-            adam = model.make_optimizer()
-            model.train_step(batch, adam)
-            peak, live = traced_step(model, adam, batch)
-            print("%-16s %-17s peak %7.1f MiB  live at backward %7.1f MiB"
-                  % (name, kind, peak / MIB, live / MIB), flush=True)
-    return 0
+            peak, live, held, kept = traced_step(kind, w, v, batch, args.seed)
+            print("%-16s %-17s peak %7.1f MiB  live at backward %7.1f MiB  held after %7.1f MiB"
+                  % (name, kind, peak / MIB, live / MIB, held / MIB), flush=True)
+            if kept:
+                print("%s %s: train_step returned with gradients allocated: %s"
+                      % (name, kind, ", ".join(kept)), file=sys.stderr)
+                status = 1
+    return status
 
 
 if __name__ == "__main__":
