@@ -45,24 +45,26 @@ logits for each `linear_softmax_cross_entropy` block (its projection,
 bias, shift, exp, loss and (P - onehot) passes) and a greedy reply's
 B x V logits, whose rows split once for every token of the reply: each
 half drives `_lstm_steps` and `_attention_forward` for its own rows
-(`layers.greedy_decode`); the elementwise gate factors
-of a lone LSTM run's backward split the same way over halves of the steps
-(T x B x 4H values, four steps or more). Below the floor the pass runs
-whole; on one CPU its halves run one after the other in the caller. Two
-pairs of unlike work are only placed by `_both`: du and db beside dw and
-dx in a lone LSTM run's backward, and under a tape each head block's dh
-and db beside dw. The third kind of split is whole items side by side,
-the first ones, about half the size, in the caller and the rest on the
-worker (`_in_two`): `lstm_sequences` does this with independent LSTM
-runs when none of them splits by rows, then adds their gradients in the
-caller in the order of one record per run; `optim.Adam.step` and
-`optim.clip_grad_norm` do it with a store's parameters, for the update,
-for the sums of squares and for the scaling, when the store holds at
-least _SPLIT_MIN values. `embedding_lookup` backward, which stays
-whole, is one 1-D `np.add.at` over the flat table. Each side does the
-same arithmetic on its own rows, steps, runs or parameters and every
-sum keeps its order, so outputs do not depend on the CPU count.
-Whether they equal an unsplit run's depends on the BLAS:
+(`layers.greedy_decode`); the elementwise gate factors of an LSTM run's
+backward split the same way over halves of the steps (T x B x 4H values,
+four steps or more). Below the floor the pass runs whole; on one CPU its
+halves run one after the other in the caller. Two pairs of unlike work
+are only placed by `_both`: du and db beside dw and dx in an LSTM run's
+backward, and under a tape each head block's dh and db beside dw. The
+third kind of split is whole items side by side, the first ones, about
+half the size, in the caller and the rest on the worker (`_in_two`):
+`optim.Adam.step` and `optim.clip_grad_norm` do it with a store's
+parameters, for the update, for the sums of squares and for the scaling,
+when the store holds at least _SPLIT_MIN values, and `lstm_sequences`
+with independent LSTM runs when none of them splits by rows, then adds
+their gradients in the caller in the order of one record per run. A run
+splits its own passes by the rules above whether it sits beside another
+or not; one already on the worker runs both parts of each of its splits
+there, one after the other (see `_both`). `embedding_lookup` backward,
+which stays whole, is one 1-D `np.add.at` over the flat table. Each
+side does the same arithmetic on its own rows, steps, runs or
+parameters and every sum keeps its order, so outputs do not depend on
+the CPU count. Whether they equal an unsplit run's depends on the BLAS:
 OpenBLAS picks its kernel by shape, and a product over row halves can
 differ from the whole product in the last bits. The tests pin halves ==
 whole for numpy's OpenBLAS at the benchmark shapes and at the default
@@ -220,8 +222,11 @@ def _both(first, second, size):
     `first` returns. Returns, or raises either one's exception, only once
     neither thunk still runs, so neither writes into the caller's arrays
     afterwards, and `second`, with the arrays its closure holds, is
-    already dropped wherever it ran. Thunks run numpy only: no tape
-    records and no op of this module."""
+    already dropped wherever it ran. Thunks record nothing on a tape.
+    A thunk already running on the worker may call _both again: the
+    worker is busy with that thunk, so the inner `second` has not started
+    when the inner `first` returns, and by the rule above it runs there
+    after `first`, never waiting on the worker's queue."""
     global _WORKER
     if size < _SPLIT_MIN or _cpus() < 2:
         return first(), second()
@@ -513,15 +518,14 @@ def lstm_sequences(runs) -> list[tuple[Tensor, Tensor]]:
     (two decoders of one cell), but none may take another's output.
 
     Two or more runs of which none splits by rows (fewer than four rows,
-    or B x 4H under _SPLIT_MIN) run side by side: through _both, the
-    first runs, about half of the gate values, in the caller and the rest
-    on the worker, each run whole, for the forward steps and again for
-    backward. A lone run, or a group with a run that splits by rows, runs
-    one run after another, each alone. Backward adds every run's
-    gradients in the caller once all are formed, the last run's first:
-    the order of a tape of one record per run. So outputs and gradients
-    equal each run's group of one, byte for byte, and where a run goes
-    depends on the runs' order and shapes alone, never on the CPU count.
+    or B x 4H under _SPLIT_MIN) run side by side through _in_two, each
+    run whole, for the forward steps and again for backward; any other
+    group runs one run after another. Only this function knows about
+    groups: a run forms its outputs and gradients the same way in any of
+    them, and backward adds every run's gradients in the caller once all
+    are formed, the last run's first: the order of a tape of one record
+    per run. So outputs and gradients equal each run's group of one, byte
+    for byte, whatever the group and the CPU count.
 
     The record keeps each run's gate activations (T, B, 4H), its c
     states (T + 1, B, H) and the hiddens it returned, beside the inputs
@@ -531,7 +535,7 @@ def lstm_sequences(runs) -> list[tuple[Tensor, Tensor]]:
     holds none of them between forward and backward.
     """
     group = [_Recurrence(*run) for run in runs]
-    beside = len(group) > 1 and not any(r.splits for r in group)
+    beside = len(group) > 1 and not any(_splits(r.acts.shape[1], r.acts[0].size) for r in group)
     sizes = [r.acts.size for r in group]
 
     def each(fn):
@@ -548,7 +552,7 @@ def lstm_sequences(runs) -> list[tuple[Tensor, Tensor]]:
         def run_back(i):
             g_hiddens, g_final = grads[2 * i], grads[2 * i + 1]
             if g_hiddens is not None or g_final is not None:
-                return group[i].backward(g_hiddens, g_final, beside)
+                return group[i].backward(g_hiddens, g_final)
             return None
 
         for r, g in reversed(list(zip(group, each(run_back)))):
@@ -611,12 +615,6 @@ class _Recurrence:
         self.cs[0] = state.values[:, H:]
         self.hiddens = None
 
-    @property
-    def splits(self) -> bool:
-        """Whether the steps and the backward walk run as two row halves."""
-        _, B, G = self.acts.shape
-        return _splits(B, B * G)
-
     def _time_major(self, rows=slice(None)):
         """The inputs of batch rows `rows` as a time-major (T * n, E) copy."""
         xv = self.x.values[rows]
@@ -632,24 +630,22 @@ class _Recurrence:
         hs = np.empty((T + 1, B, H), dtype=cs.dtype)
         hs[0] = self.state.values[:, :H]
         arrays = (hs, cs, self.acts, np.empty((T, B, H), dtype=cs.dtype))
-        if self.splits:
-            def half(rows):
-                # x w over this half's own rows, time-major
-                xw = (self._time_major(rows) @ wv).reshape(T, -1, G)
-                _lstm_steps(uv, bv, xw, *(a[:, rows] for a in arrays))
 
-            _halves(half, B, B * G)
-        else:
-            _lstm_steps(uv, bv, (self._time_major() @ wv).reshape(T, B, G), *arrays)
+        def half(rows):
+            # x w over this half's own rows, time-major
+            xw = (self._time_major(rows) @ wv).reshape(T, -1, G)
+            _lstm_steps(uv, bv, xw, *(a[:, rows] for a in arrays))
+
+        _halves(half, B, B * G)
         self.hiddens = np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
         last = (T, slice(None)) if self.lengths is None else (self.lengths, np.arange(B))
         return Tensor(self.hiddens), Tensor(np.concatenate([hs[last], cs[last]], axis=1))
 
-    def backward(self, g_hiddens, g_final, beside):
-        """The gradients of state, w, u, b and x, for `accumulate`. A run
-        beside another forms them whole in the calling thread; alone, its
-        gate factors split over halves of the steps and du and db run
-        beside dw and dx (_halves, _both)."""
+    def backward(self, g_hiddens, g_final):
+        """The gradients of state, w, u, b and x, for `accumulate`, formed
+        the same way in any group: the gate factors split over halves of
+        the steps, the walk over row halves, and du and db run beside dw
+        and dx (_halves, _both)."""
         acts, cs, lengths = self.acts, self.cs, self.lengths
         T, B, G = acts.shape
         H = G // 4
@@ -667,10 +663,7 @@ class _Recurrence:
             d[:, :, 3] = tc * o * (1.0 - o)
             dc_per_dh[steps] = o * (1.0 - tc * tc)
 
-        if beside:
-            factors(slice(0, T))
-        else:
-            _halves(factors, T, dpre.size)
+        _halves(factors, T, dpre.size)
         f = acts[:, :, H : 2 * H]
         g_steps = None if g_hiddens is None else g_hiddens.transpose(1, 0, 2)
         ut = np.ascontiguousarray(self.u.values.T)
@@ -702,7 +695,6 @@ class _Recurrence:
                 dc = dc * fr[t]
             dstate[rows, :H], dstate[rows, H:] = dh, dc
 
-        # a run beside another never splits by rows
         _halves(walk, B, B * G)
         flat = dpre.reshape(T * B, G)
         wv = self.w.values
@@ -715,7 +707,7 @@ class _Recurrence:
             return hs.reshape(T * B, H).T @ flat, flat.sum(axis=0)
 
         dw_dx = lambda: (self._time_major().T @ flat, flat @ wv.T)
-        (du, db), (dw, dx) = (du_db(), dw_dx()) if beside else _both(du_db, dw_dx, flat.size)
+        (du, db), (dw, dx) = _both(du_db, dw_dx, flat.size)
         return dstate, dw, du, db, dx.reshape(T, B, wv.shape[0]).transpose(1, 0, 2)
 
     def accumulate(self, grads) -> None:

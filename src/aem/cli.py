@@ -150,7 +150,8 @@ def cmd_train(args):
         else:
             both_sides = (side for p in pairs for side in (p.source, p.target))
             vocab = build_vocab(both_sides, max_size=cfg.vocab_size)
-            vocab.save(cfg.vocab_path or os.path.join(cfg.ckpt_dir, "vocab.txt"))
+            with atomic_write(cfg.vocab_path or os.path.join(cfg.ckpt_dir, "vocab.txt")) as f:
+                vocab.save(f)
         model = DialogueModel(cfg.kind, replace(cfg, vocab_size=len(vocab)))
         adam = model.make_optimizer()
         progress = (0, math.inf, 0)
@@ -256,8 +257,8 @@ def cmd_evaluate(args):
     text = format_report(report)
     print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+        with atomic_write(args.out) as f:
+            f.write((text + "\n").encode("utf-8"))
     return 0
 
 

@@ -58,10 +58,10 @@ class Vocabulary:
     def decode(self, ids):
         return [self.id_to_token[i] for i in ids]
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            for token in self.id_to_token[4:]:
-                f.write(token + "\n")
+    def save(self, f):
+        """Write the vocabulary file, one non-special token a line, to the
+        binary file `f`."""
+        f.write("".join(token + "\n" for token in self.id_to_token[4:]).encode("utf-8"))
 
     @classmethod
     def load(cls, path, lowercase=True):

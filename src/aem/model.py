@@ -299,18 +299,19 @@ class DialogueModel:
         return [reply for start in range(0, len(sources), chunk)
                 for reply in self._generate_chunk(sources[start : start + chunk], max_len)]
 
-    def generate_chunks(self, sources, max_len=None):
+    def generate_chunks(self, sources):
         """generate's replies to `sources`, any iterable of id sequences,
         as one list per chunk of generate's size, each from one generate
-        call. A chunk is read from `sources` only once the list before it
-        has been taken, so a caller that writes each list before taking
-        the next holds one chunk of sources and replies however many it
-        is given. The replies equal generate's over all the sources; an
-        empty one fails when its chunk is read, named by its index."""
+        call at config.max_gen_len. A chunk is read from `sources` only
+        once the list before it has been taken, so a caller that writes
+        each list before taking the next holds one chunk of sources and
+        replies however many it is given. The replies equal generate's
+        over all the sources; an empty one fails when its chunk is read,
+        named by its index."""
         sources, start = iter(sources), 0
         while part := list(islice(sources, self._chunk_size)):
             _check_sources(part, start)
-            yield self.generate(part, max_len)
+            yield self.generate(part)
             start += len(part)
 
     def _generate_chunk(self, sources, max_len):

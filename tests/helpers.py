@@ -65,8 +65,9 @@ def run_on_cpus(n, fn, split_min=0):
     """(fn(), one flag per `second` thunk of autograd._both: whether it ran
     on the worker thread), with _both acting as on an n-CPU host and
     _SPLIT_MIN set to `split_min` (by default every pass splits). With
-    n > 1, each `first` of a split starts only once the worker has taken
-    `second`, so the two always overlap."""
+    n > 1, each `first` of a split made on the main thread starts only
+    once the worker has taken `second`, so the two always overlap; a
+    split made on the worker runs its `second` there after `first`."""
     both, on_worker = aem.autograd._both, []
 
     def spied(first, second, size):
@@ -81,8 +82,9 @@ def run_on_cpus(n, fn, split_min=0):
             assert taken.wait(timeout=10)
             return first()
 
-        splits = n > 1 and size >= split_min
-        return both(first_once_taken if splits else first, second_where, size)
+        on_main = threading.current_thread() is threading.main_thread()
+        overlap = n > 1 and size >= split_min and on_main
+        return both(first_once_taken if overlap else first, second_where, size)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(aem.autograd, "_cpus", lambda: n)

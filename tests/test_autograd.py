@@ -969,7 +969,9 @@ def test_lstm_sequences_side_by_side_under_a_short_switch_interval(rng):
         for _ in range(20):
             got, on_worker = run_on_cpus(
                 2, lambda: group_outputs_and_grads(lstm_sequences, leaves, runs, weights))
-            assert on_worker == [True, True]  # the forward and the backward
+            # the group's forward and backward, then each of the three runs'
+            # gate factors and its du/db beside dw/dx
+            assert on_worker == [True] * 8
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     finally:
         sys.setswitchinterval(interval)
@@ -1223,6 +1225,30 @@ def test_both_does_not_wait_for_a_worker_that_has_not_started(monkeypatch):
     finally:
         busy.set()
     assert blocker.result(timeout=10) is True
+
+
+def test_both_called_on_the_worker_runs_its_second_there_after_its_first():
+    # an LSTM run that its group put on the worker splits its own backward
+    # passes: that _both must not wait on the worker's queue, where its
+    # `second` sits behind the thunk that called it. Run in a child
+    # process, so that a deadlock fails at the timeout instead of hanging
+    out = run_python(
+        "import threading, time, aem.autograd as ag\n"
+        "ag._cpus = lambda: 2\n"
+        "ag._SPLIT_MIN = 0\n"
+        "seen, started = [], threading.Event()\n"
+        "def note(name):\n"
+        "    seen.append(name + ':' + threading.current_thread().name)\n"
+        "    return name\n"
+        "def outer_second():\n"
+        "    started.set()\n"
+        "    start = time.perf_counter()\n"
+        "    inner = ag._both(lambda: note('first'), lambda: note('second'), 0)\n"
+        "    return inner, time.perf_counter() - start < 1\n"
+        "outer, (inner, at_once) = ag._both(lambda: started.wait(10), outer_second, 0)\n"
+        "print(outer, *inner, at_once, *seen)")
+    assert out == ["True", "first", "second", "True",
+                   "first:aem-autograd_0", "second:aem-autograd_0"]
 
 
 def test_both_lets_go_of_the_worker_thunk_before_the_caller_sees_its_result(monkeypatch):

@@ -442,6 +442,37 @@ def test_metrics_trim_that_fails_midway_keeps_the_whole_log(tmp_path, monkeypatc
     assert path.read_text(encoding="utf-8") == "epoch=1 total=1.0\n"
 
 
+def test_vocabulary_and_report_writes_that_fail_midway_leave_the_old_files(workspace, capsys,
+                                                                             monkeypatch):
+    # both are replaced whole: a truncated vocabulary would load, and the
+    # next fresh run would train on it
+    ckpt_dir = workspace / "ckpt"
+    ckpt_dir.mkdir()
+    hyp, report = workspace / "hyp.txt", workspace / "report.txt"
+    hyp.write_text("a b c d\n", encoding="utf-8")
+    report.write_text("older report\n", encoding="utf-8")
+
+    def half_writing_open(file, mode="r", **kwargs):
+        f = open(file, mode, **kwargs)
+        return HalfWrite(f) if "w" in mode else f
+
+    monkeypatch.setattr(aem.checkpoint, "open", half_writing_open, raising=False)
+    cfg = write_config(workspace, epochs=1)
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert list(ckpt_dir.iterdir()) == []  # absent
+    (ckpt_dir / "vocab.txt").write_text("older\n", encoding="utf-8")
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert main(["evaluate", "--hyp", str(hyp), "--ref", str(hyp), "--out", str(report)]) == 1
+    assert capsys.readouterr().err.count("No space left on device") == 3
+    assert [p.name for p in ckpt_dir.iterdir()] == ["vocab.txt"]
+    assert (ckpt_dir / "vocab.txt").read_text(encoding="utf-8") == "older\n"
+    assert report.read_text(encoding="utf-8") == "older report\n"
+    assert not (workspace / "report.txt.tmp").exists()
+    monkeypatch.undo()
+    assert main(["evaluate", "--hyp", str(hyp), "--ref", str(hyp), "--out", str(report)]) == 0
+    assert "bleu4=100.0000" in report.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("lowercase", [True, False])
 def test_train_checks_vocabulary_file_case_against_lowercase(workspace, capsys, lowercase):
     vocab_path = workspace / "vocab.txt"

@@ -107,11 +107,13 @@ def test_vocab_load_reads_crlf_lines_as_their_tokens(tmp_path):
 def test_vocab_save_load_identical(tmp_path):
     vocab = build_vocab([["b", "a", "a", "c"]], max_size=7)
     p = tmp_path / "vocab.txt"
-    vocab.save(p)
+    with open(p, "wb") as f:
+        vocab.save(f)
     again = Vocabulary.load(p)
     assert again.id_to_token == vocab.id_to_token
-    vocab.save(tmp_path / "v2.txt")
-    assert (tmp_path / "v2.txt").read_bytes() == p.read_bytes()
+    with open(tmp_path / "v2.txt", "wb") as f:
+        again.save(f)
+    assert (tmp_path / "v2.txt").read_bytes() == p.read_bytes() == b"a\nb\nc\n"
 
 
 def test_load_corpus_basic(tmp_path):
