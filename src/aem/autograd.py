@@ -38,38 +38,37 @@ Row-independent passes use a second CPU through one worker thread (see
 `_both`), which the first pass that splits starts when the process may
 run on more than one CPU. A pass runs as two row halves when its shape
 says it pays for it (`_halves`): at least _SPLIT_MIN elements per step
-and four rows. That covers B x 4H gate values for each step of an
-LSTM run's forward recurrence (each half projecting its own rows'
-inputs, x w, before its steps) and of its backward walk, rows x V
-logits for each `linear_softmax_cross_entropy` block (its projection,
-bias, shift, exp, loss and (P - onehot) passes) and a greedy reply's
-B x V logits, whose rows split once for every token of the reply: each
-half drives `_lstm_steps` and `_attention_forward` for its own rows
-(`layers.greedy_decode`); the elementwise gate factors of an LSTM run's
-backward split the same way over halves of the steps (T x B x 4H values,
-four steps or more). Below the floor the pass runs whole; on one CPU its
-halves run one after the other in the caller. Two pairs of unlike work
-are only placed by `_both`: du and db beside dw and dx in an LSTM run's
-backward, and under a tape each head block's dh and db beside dw. The
-third kind of split is whole items side by side, the first ones, about
-half the size, in the caller and the rest on the worker (`_in_two`):
-`optim.Adam.step` and `optim.clip_grad_norm` do it with a store's
-parameters, for the update, for the sums of squares and for the scaling,
-when the store holds at least _SPLIT_MIN values, and `lstm_sequences`
-with independent LSTM runs when none of them splits by rows, then adds
-their gradients in the caller in the order of one record per run. A run
-splits its own passes by the rules above whether it sits beside another
-or not; one already on the worker runs both parts of each of its splits
-there, one after the other (see `_both`). `embedding_lookup` backward,
-which stays whole, is one 1-D `np.add.at` over the flat table. Each
-side does the same arithmetic on its own rows, steps, runs or
-parameters and every sum keeps its order, so outputs do not depend on
-the CPU count. Whether they equal an unsplit run's depends on the BLAS:
-OpenBLAS picks its kernel by shape, and a product over row halves can
-differ from the whole product in the last bits. The tests pin halves ==
-whole for numpy's OpenBLAS at the benchmark shapes and at the default
-hidden size. Each BLAS call still runs with the threads that the
-caller's *_NUM_THREADS give it.
+and four rows. That covers B x 4H gate values for each step of an LSTM
+run's forward recurrence (each half projecting its own rows' inputs,
+x w, before its steps) and of its backward walk (each half forming its
+own rows' gate factors before its steps), rows x V logits for each
+`linear_softmax_cross_entropy` block (its projection, bias, shift, exp,
+loss and (P - onehot) passes) and a greedy reply's B x V logits, whose
+rows split once for every token of the reply: each half drives
+`_lstm_steps` and `_attention_forward` for its own rows
+(`layers.greedy_decode`). Every such split is over rows. Below the floor
+the pass runs whole; on one CPU its halves run one after the other in
+the caller. Two pairs of unlike work are only placed by `_both`: du and
+db beside dw and dx in an LSTM run's backward, and under a tape each
+head block's dh and db beside dw. The third kind of split is whole items
+side by side, the first ones, about half the size, in the caller and the
+rest on the worker (`_in_two`): `optim.Adam.step` and
+`optim.clip_grad_norm` do it with a store's parameters, for the update,
+for the sums of squares and for the scaling, when the store holds at
+least _SPLIT_MIN values, and `lstm_sequences` with independent LSTM runs
+when none of them splits by rows, then adds their gradients in the
+caller in the order of one record per run. A run splits its own passes
+by the rules above whether it sits beside another or not; one already on
+the worker runs both parts of each of its splits there, one after the
+other (see `_both`). `embedding_lookup` backward, which stays whole, is
+one 1-D `np.add.at` over the flat table. Each side does the same
+arithmetic on its own rows, runs or parameters and every sum keeps its
+order, so outputs do not depend on the CPU count. Whether they equal an
+unsplit run's depends on the BLAS: OpenBLAS picks its kernel by shape,
+and a product over row halves can differ from the whole product in the
+last bits. The tests pin halves == whole for numpy's OpenBLAS at the
+benchmark shapes and at the default hidden size. Each BLAS call still
+runs with the threads that the caller's *_NUM_THREADS give it.
 """
 
 from __future__ import annotations
@@ -276,8 +275,9 @@ def _in_two(fn, items, sizes):
 def _halves(body, n, size):
     """Runs body(rows) over slice(0, n // 2) and slice(n // 2, n) through
     _both when n rows covering `size` elements pay for a split, else
-    body(slice(0, n)) once. The shape decides, never the CPU count; on one
-    CPU the halves run one after the other in the caller. Each half gets
+    body(slice(0, n)) once: the one split of a pass into halves, always
+    over rows. The shape decides, never the CPU count; on one CPU the
+    halves run one after the other in the caller. Each half gets
     two rows or more, since numpy runs a one-row product through gemv,
     whose sums differ from the whole product's gemm."""
     if not _splits(n, size):
@@ -500,13 +500,14 @@ def lstm_sequence(x: Tensor, state: Tensor, w: Tensor, u: Tensor, b: Tensor,
 
     x w is one time-major (T*B, E) x (E, 4H) matmul, or one over each row
     half's own rows when the steps split, let go once the steps are done.
-    Backward runs when either output has a gradient: it walks the steps in
-    reverse to fill the preactivation gradient of every step, adding the
-    final state's gradient at each row's last step (step T for every row
-    when lengths is omitted), then forms dw, du, db and dx with one matmul
-    or sum each. Each row's recurrence is its own, so the forward steps and
-    the backward walk run over two row halves once B x 4H reaches
-    _SPLIT_MIN (see _halves). It is lstm_sequences' group of one run.
+    An omitted `lengths` is T for every row. Backward runs when either
+    output has a gradient: it forms the gate factors and walks the steps
+    in reverse to fill the preactivation gradient of every step, adding
+    the final state's gradient at each row's last step, then forms dw, du,
+    db and dx with one matmul or sum each. Each row's recurrence is its
+    own, so the forward steps and the backward walk, gate factors
+    included, run over two row halves once B x 4H reaches _SPLIT_MIN (see
+    _halves). It is lstm_sequences' group of one run.
     """
     return lstm_sequences([(x, state, w, u, b, lengths)])[0]
 
@@ -603,12 +604,11 @@ class _Recurrence:
                              f"b {b.values.shape}")
         B, T, _ = xv.shape
         dtype = xv.dtype
-        if lengths is not None:
-            lengths = np.asarray(lengths)
-            if (lengths.shape != (B,) or not np.issubdtype(lengths.dtype, np.integer)
-                    or lengths.min() < 1 or lengths.max() > T):
-                raise ValueError(f"lstm_sequence lengths must be {B} values in 1..{T}, "
-                                 f"got {lengths!r}")
+        lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
+        if (lengths.shape != (B,) or not np.issubdtype(lengths.dtype, np.integer)
+                or lengths.min() < 1 or lengths.max() > T):
+            raise ValueError(f"lstm_sequence lengths must be {B} values in 1..{T}, "
+                             f"got {lengths!r}")
         self.x, self.state, self.w, self.u, self.b, self.lengths = x, state, w, u, b, lengths
         self.acts = np.empty((T, B, 4 * H), dtype=dtype)
         self.cs = np.empty((T + 1, B, H), dtype=dtype)
@@ -621,9 +621,9 @@ class _Recurrence:
         return xv.transpose(1, 0, 2).reshape(-1, xv.shape[2])
 
     def forward(self) -> tuple[Tensor, Tensor]:
-        """Every step; returns (hiddens, final [h; c]), the final state a
-        gather only when lengths are given. The time-major hiddens, tanh(c')
-        and inputs live only while it runs."""
+        """Every step; returns (hiddens, final [h; c]), the final state
+        gathered at each row's length. The time-major hiddens, tanh(c') and
+        inputs live only while it runs."""
         T, B, G = self.acts.shape
         H = G // 4
         uv, bv, wv, cs = self.u.values, self.b.values, self.w.values, self.cs
@@ -638,48 +638,46 @@ class _Recurrence:
 
         _halves(half, B, B * G)
         self.hiddens = np.ascontiguousarray(hs[1:].transpose(1, 0, 2))
-        last = (T, slice(None)) if self.lengths is None else (self.lengths, np.arange(B))
+        last = (self.lengths, np.arange(B))
         return Tensor(self.hiddens), Tensor(np.concatenate([hs[last], cs[last]], axis=1))
 
     def backward(self, g_hiddens, g_final):
         """The gradients of state, w, u, b and x, for `accumulate`, formed
-        the same way in any group: the gate factors split over halves of
-        the steps, the walk over row halves, and du and db run beside dw
-        and dx (_halves, _both)."""
+        the same way in any group: the walk runs over row halves, each half
+        forming its own rows' gate factors before its steps (_halves), then
+        du and db run beside dw and dx (_both)."""
         acts, cs, lengths = self.acts, self.cs, self.lengths
         T, B, G = acts.shape
         H = G // 4
         dtype = acts.dtype
         # dpre = [dc', dc', dc', dh'] * fac, step by step in place
         dpre = np.empty((T, B, 4, H), dtype=dtype)
-        dc_per_dh = np.empty((T, B, H), dtype=dtype)
-
-        def factors(steps):
-            i, f, g, o = (acts[steps, :, n * H : (n + 1) * H] for n in range(4))
-            tc, d = np.tanh(cs[1:][steps]), dpre[steps]
-            d[:, :, 0] = g * i * (1.0 - i)
-            d[:, :, 1] = cs[:-1][steps] * f * (1.0 - f)
-            d[:, :, 2] = i * (1.0 - g * g)
-            d[:, :, 3] = tc * o * (1.0 - o)
-            dc_per_dh[steps] = o * (1.0 - tc * tc)
-
-        _halves(factors, T, dpre.size)
-        f = acts[:, :, H : 2 * H]
         g_steps = None if g_hiddens is None else g_hiddens.transpose(1, 0, 2)
         ut = np.ascontiguousarray(self.u.values.T)
         dstate = np.empty((B, 2 * H), dtype=dtype)
 
         def walk(rows):
-            # the steps in reverse for batch rows `rows`, each on its own dh and dc
-            n = dstate[rows].shape[0]
+            # this half's gate factors, then its steps in reverse, each on its own dh and dc
+            i, f, g, o = (acts[:, rows, n * H : (n + 1) * H] for n in range(4))
+            dp = dpre[:, rows]
+            n = dp.shape[1]
+            np.multiply(g, i, out=dp[:, :, 0])
+            dp[:, :, 0] *= 1.0 - i
+            np.multiply(cs[:-1, rows], f, out=dp[:, :, 1])
+            dp[:, :, 1] *= 1.0 - f
+            np.multiply(i, 1.0 - g * g, out=dp[:, :, 2])
+            per_dh = np.tanh(cs[1:, rows])  # tanh(c'), then o * (1 - tanh(c')^2)
+            np.multiply(per_dh, o, out=dp[:, :, 3])
+            dp[:, :, 3] *= 1.0 - o
+            per_dh *= per_dh
+            np.subtract(1.0, per_dh, out=per_dh)
+            per_dh *= o
             dh, dc = np.zeros((n, H), dtype=dtype), np.zeros((n, H), dtype=dtype)
             ends = {}  # step index -> rows whose final state is read after it
             if g_final is not None:
-                g_rows = g_final[rows]
-                lens = np.full(n, T) if lengths is None else lengths[rows]
+                g_rows, lens = g_final[rows], lengths[rows]
                 ends = {k - 1: np.flatnonzero(lens == k) for k in np.unique(lens)}
             gs = None if g_steps is None else g_steps[:, rows]
-            per_dh, dp, fr = dc_per_dh[:, rows], dpre[:, rows], f[:, rows]
             for t in range(T - 1, -1, -1):
                 if gs is not None:
                     dh = dh + gs[t]
@@ -692,7 +690,7 @@ class _Recurrence:
                 d[:, :3] *= dc[:, None, :]
                 d[:, 3] *= dh
                 dh = d.reshape(n, 4 * H) @ ut
-                dc = dc * fr[t]
+                dc = dc * f[t]
             dstate[rows, :H], dstate[rows, H:] = dh, dc
 
         _halves(walk, B, B * G)

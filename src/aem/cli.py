@@ -22,7 +22,8 @@ from dataclasses import replace
 from .checkpoint import CheckpointError, atomic_link, atomic_write, load_checkpoint, \
     model_from_checkpoint, save_checkpoint
 from .config import load_config
-from .data import Vocabulary, build_vocab, encode_pairs, load_corpus, make_batches, tokenize
+from .data import RESERVED, Vocabulary, build_vocab, encode_pairs, load_corpus, make_batches, \
+    tokenize
 from .metrics import eval_report, format_report, load_human_scores
 from .model import DialogueModel
 
@@ -97,10 +98,9 @@ def fit(model, adam, train_pairs, valid_batches, cfg, on_epoch, select="total",
     stale == 0 marks an improving epoch; on_epoch(epoch, train_mean,
     val_mean, best, stale) runs after each epoch. Stops once a
     validation set has been flat for cfg.patience epochs and returns
-    the last epoch run. Batches are seeded from the model's config,
-    which on resume is the checkpoint's. A resumed run that is already
-    at cfg.epochs, or had already stopped early, trains nothing and
-    returns start_epoch.
+    the last epoch run. Batches are drawn with cfg's batch_size,
+    max_train_len and seed. A resumed run that is already at cfg.epochs,
+    or had already stopped early, trains nothing and returns start_epoch.
     """
     if start_epoch >= cfg.epochs:
         print("nothing to train: checkpoint is at epoch %d and epochs=%d"
@@ -112,7 +112,7 @@ def fit(model, adam, train_pairs, valid_batches, cfg, on_epoch, select="total",
         return start_epoch
     epoch = start_epoch
     for epoch in range(start_epoch + 1, cfg.epochs + 1):
-        batches = make_batches(train_pairs, cfg.batch_size, seed=model.config.seed,
+        batches = make_batches(train_pairs, cfg.batch_size, seed=cfg.seed,
                                epoch=epoch, max_len=cfg.max_train_len)
         train_mean = _epoch_mean([model.train_step(b, adam) for b in batches])
         if valid_batches:
@@ -129,17 +129,22 @@ def fit(model, adam, train_pairs, valid_batches, cfg, on_epoch, select="total",
     return epoch
 
 
+# what a resumed run takes from its manifest; every other setting is the checkpoint's
+_RESUME_KEYS = ("epochs", "patience", "train_path", "valid_path", "test_path", "vocab_path",
+                "ckpt_dir")
+
+
 def cmd_train(args):
     cfg = load_config(args.config, _parse_overrides(args.set))
     if args.resume:
-        # the embeddings were trained on the checkpoint's ids, so its
-        # vocabulary and the `lowercase` it was built under win
+        # the run goes on as it was trained: its vocabulary, the
+        # `lowercase` it was built under, its batches, seed and optimizer
         model, adam, vocab, progress = _load_model(args.resume, cfg.kind, with_optimizer=True)
-    lowercase = model.config.lowercase if args.resume else cfg.lowercase
-    pairs = _load_pairs(cfg.train_path, "training corpus", lowercase)
+        cfg = replace(model.config, **{key: getattr(cfg, key) for key in _RESUME_KEYS})
+    pairs = _load_pairs(cfg.train_path, "training corpus", cfg.lowercase)
     valid = []
     if cfg.valid_path or args.merge_valid:
-        valid = _load_pairs(cfg.valid_path, "validation corpus", lowercase)
+        valid = _load_pairs(cfg.valid_path, "validation corpus", cfg.lowercase)
     if args.merge_valid:
         pairs, valid = pairs + valid, []
 
@@ -158,9 +163,8 @@ def cmd_train(args):
     start_epoch, best_val, stale = progress
 
     train_pairs = encode_pairs(pairs, vocab)
-    # seeded as fit seeds the training batches: on --resume, by the checkpoint
     valid_batches = make_batches(encode_pairs(valid, vocab), cfg.batch_size,
-                                 seed=model.config.seed, epoch=0, max_len=cfg.max_train_len)
+                                 seed=cfg.seed, epoch=0, max_len=cfg.max_train_len)
 
     metrics_path = os.path.join(cfg.ckpt_dir, "metrics.log")
     if not args.resume:
@@ -211,13 +215,17 @@ def _load_model(path, expected_kind=None, with_optimizer=False):
 def _replies(model, vocab, lines, source):
     """The model's reply text to each of `lines` (any iterable), tokenized
     with its `lowercase`, yielded in order as each model chunk is decoded,
-    so only one chunk of lines is read ahead; an empty line fails naming
-    `source` and the line."""
+    so only one chunk of lines is read ahead; an empty line, or one that
+    spells <pad>, <bos> or <eos>, fails naming `source` and the line."""
     def sources():
         for lineno, line in enumerate(lines, start=1):
             tokens = tokenize(line, lowercase=model.config.lowercase)
             if not tokens:
                 raise ValueError("%s: input line %d is empty" % (source, lineno))
+            reserved = next((t for t in tokens if t in RESERVED), None)
+            if reserved is not None:
+                raise ValueError("%s: input line %d: reserved token %r"
+                                 % (source, lineno, reserved))
             yield vocab.encode(tokens)
 
     for replies in model.generate_chunks(sources()):
@@ -298,7 +306,8 @@ def build_parser():
     train.add_argument("--resume", metavar="CKPT",
                        help="continue from a saved checkpoint")
     train.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override one config key (repeatable; flags win)")
+                       help="override one config key (repeatable; flags win; a resumed "
+                            "run takes only epochs, patience and the paths)")
     train.set_defaults(func=cmd_train)
 
     gen = sub.add_parser("generate", help="respond to every line of a file")

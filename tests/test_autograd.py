@@ -74,6 +74,16 @@ def test_matmul_hand_case():
 def test_matmul_shape_error_names_shapes(rng):
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
         matmul(t64(rng, 2, 3), t64(rng, 2, 3))
+    with pytest.raises(ValueError, match=r"slice_cols \[2:5\] invalid for shape \(2, 3\)"):
+        slice_cols(t64(rng, 2, 3), 2, 5)
+    with pytest.raises(ValueError, match=r"mask shape \(2, 4\) != scores shape \(2, 3\)"):
+        masked_softmax(t64(rng, 2, 3), np.ones((2, 4)))
+
+
+def test_tensor_repr_names_shape_dtype_and_name():
+    assert repr(Tensor(np.zeros(2))) == "Tensor(shape=(2,), dtype=float64)"
+    assert repr(Tensor(np.zeros((2, 3), np.float32), name="w")) \
+        == "Tensor 'w'(shape=(2, 3), dtype=float32)"
 
 
 def test_matmul_gradient_vs_finite_differences(rng):
@@ -94,6 +104,10 @@ def test_elementwise_shape_errors(rng):
     for op in (add, sub, mul):
         with pytest.raises(ValueError):
             op(t64(rng, 2, 3), t64(rng, 3, 2))
+    with pytest.raises(ValueError, match=r"add_bias shape mismatch: \(2, 3\) \+ \(2,\)"):
+        add_bias(t64(rng, 2, 3), t64(rng, 2))
+    with pytest.raises(ValueError, match=r"concat_cols shape mismatch: \(2, 3\) vs \(3, 2\)"):
+        concat_cols(t64(rng, 2, 3), t64(rng, 3, 2))
 
 
 @pytest.mark.parametrize(
@@ -761,9 +775,8 @@ def test_lstm_sequence_float32_forward_bit_equal_to_composite(rng):
     pytest.param(3, np.array([3, 1, 2, 3, 2]), "both", id="three-steps-both"),
 ])
 def test_lstm_sequence_backward_same_bits_on_one_and_two_cpus(T, lengths, on, rng):
-    # odd counts: at T = 7 the gate factors run steps 0-2 and 3-6, at T = 3
-    # (fewer than four steps) whole; the forward recurrence and the
-    # backward walk run rows 0-1 and 2-4
+    # an odd count: the forward recurrence and the backward walk, each
+    # half forming its own rows' gate factors, run rows 0-1 and 2-4
     B, E, H = 5, 6, 8
     leaves = [Tensor(rng.uniform(-0.5, 0.5, shape).astype(np.float32))
               for shape in ((B, T, E), (B, 2 * H), (E, 4 * H), (H, 4 * H), (4 * H,))]
@@ -970,8 +983,8 @@ def test_lstm_sequences_side_by_side_under_a_short_switch_interval(rng):
             got, on_worker = run_on_cpus(
                 2, lambda: group_outputs_and_grads(lstm_sequences, leaves, runs, weights))
             # the group's forward and backward, then each of the three runs'
-            # gate factors and its du/db beside dw/dx
-            assert on_worker == [True] * 8
+            # du/db beside dw/dx
+            assert on_worker == [True] * 5
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     finally:
         sys.setswitchinterval(interval)

@@ -210,6 +210,25 @@ def test_resume_validates_with_the_checkpoint_seed(workspace, capsys):
     assert (split_dir / "metrics.log").read_text(encoding="utf-8") == straight
 
 
+def test_resume_batches_with_the_checkpoint_config(workspace, capsys):
+    # the manifest gives a resumed run its epochs and paths; batch size,
+    # length cap, learning rate and the rest stay the checkpoint's
+    straight_dir, split_dir = workspace / "straight", workspace / "split"
+    cfg = write_config(workspace, epochs=4, ckpt_dir=str(straight_dir))
+    assert main(["train", "--config", str(cfg)]) == 0
+    cfg = write_config(workspace, epochs=2, ckpt_dir=str(split_dir))
+    assert main(["train", "--config", str(cfg)]) == 0
+    cfg = write_config(workspace, epochs=4, ckpt_dir=str(split_dir))
+    assert main(["train", "--config", str(cfg), "--set", "batch_size=2",
+                 "--set", "max_train_len=2", "--set", "learning_rate=0.5",
+                 "--resume", str(split_dir / "last.ckpt")]) == 0
+    capsys.readouterr()
+    straight = (straight_dir / "metrics.log").read_text(encoding="utf-8")
+    assert len(straight.splitlines()) == 4
+    assert (split_dir / "metrics.log").read_text(encoding="utf-8") == straight
+    assert load_checkpoint(split_dir / "last.ckpt").config.batch_size == 3
+
+
 def test_resume_tokenizes_with_the_checkpoint_lowercase(workspace, capsys):
     # the vocabulary was built lower-cased: a resume told lowercase=false
     # must not read the mixed-case corpus as all <unk>
@@ -707,6 +726,30 @@ def test_generate_empty_line_error_names_the_input_file(workspace, capsys):
     assert main(["generate", "--ckpt", str(ckpt), "--in", str(infile),
                  "--out", str(workspace / "out.txt")]) == 1
     assert "error: %s: input line 2 is empty" % infile in capsys.readouterr().err
+
+
+def test_generate_and_chat_refuse_reserved_tokens(workspace, capsys, monkeypatch):
+    import io
+    ckpt = trained_checkpoint(workspace, epochs=1)
+    infile, outfile = workspace / "in.txt", workspace / "out.txt"
+    outfile.write_bytes(b"an older reply\n")
+    for token in ("<pad>", "<bos>", "<EOS>"):
+        infile.write_text("hello there\na b %s c\n" % token, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["generate", "--ckpt", str(ckpt), "--in", str(infile),
+                     "--out", str(outfile)]) == 1
+        assert capsys.readouterr().err == "error: %s: input line 2: reserved token %r\n" \
+            % (infile, token.lower())
+        assert outfile.read_bytes() == b"an older reply\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO("hi <eos>\n"))
+    assert main(["chat", "--ckpt", str(ckpt)]) == 1
+    assert capsys.readouterr().err.endswith("error: stdin: input line 1: reserved token '<eos>'\n")
+    # a literal <unk> is an unknown word like any other
+    infile.write_text("hello <unk>\nhello zzz\n", encoding="utf-8")
+    assert main(["generate", "--ckpt", str(ckpt), "--in", str(infile),
+                 "--out", str(outfile)]) == 0
+    first, second = outfile.read_text(encoding="utf-8").splitlines()
+    assert first == second
 
 
 def test_generate_empty_input_file_writes_empty_output(workspace, capsys):

@@ -325,6 +325,12 @@ def test_identity_aem_matches_seq2seq_trajectory():
         assert pa.total == pb.total
 
 
+def test_unknown_kind_is_refused_by_name():
+    with pytest.raises(ValueError, match="unknown model kind 'transformer', expected one of "
+                                         "seq2seq, seq2seq_attention, aem, aem_attention"):
+        DialogueModel("transformer", tiny_config())
+
+
 def test_shared_parameter_names_start_identical_across_kinds():
     cfg = tiny_config()
     stores = {k: DialogueModel(k, cfg).store for k in ("aem", "seq2seq", "seq2seq_attention")}

@@ -73,6 +73,8 @@ def test_missing_grad_rejected_with_name():
     store["theta.enc.W"].grad = np.zeros((2, 2), dtype=np.float32)
     with pytest.raises(ValueError, match="theta.enc.b"):
         Adam(store).step()
+    with pytest.raises(ValueError, match="parameter 'theta.enc.b' has no gradient"):
+        clip_grad_norm(store, 1.0)
 
 
 def test_step_leaves_grads_as_they_are():

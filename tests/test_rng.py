@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from aem.rng import SplitMix64, derive_seed, fnv1a64, mix64
 
@@ -26,6 +27,11 @@ def test_bounds_and_determinism():
     b = SplitMix64(7).fill_uniform(10_000, -0.1, 0.1)
     np.testing.assert_array_equal(a, b)
     assert a.min() >= -0.1 and a.max() < 0.1
+
+
+def test_next_below_needs_a_positive_bound():
+    with pytest.raises(ValueError, match="next_below needs n >= 1, got 0"):
+        SplitMix64(7).next_below(0)
 
 
 def test_mean_statistical():
